@@ -26,7 +26,6 @@ from .hypermc import (
     alpha_scaling,
     epsilon_limit_scan,
     lambda_to_curvature,
-    m5_quintuple_estimate,
     pair_intersection_density,
     parallelism_ratio,
     sample_geodesic,

@@ -47,6 +47,14 @@ VERBS = (
 DEFAULT_LAMBDA_GRID = (1.0, 1.7782794100389228, 3.1622776601683795, 5.623413251903491, 10.0)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description; serializes byte-exactly through JSON."""
@@ -71,16 +79,20 @@ class ExperimentConfig:
     def validate(self) -> None:
         for name in ("n_points", "n_quad", "n_chords", "n_triples", "n_pairs", "workers"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if not _is_int(v) or v <= 0:
                 raise ConfigInvalid(f"{name}: must be a positive integer, got {v!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigInvalid(f"seed: must be a non-negative integer, got {self.seed!r}")
         for name in ("disk_radius", "trace_T", "max_left_residual", "min_right_residual"):
             v = getattr(self, name)
-            if not v > 0:
+            if not _is_real(v) or not v > 0:
                 raise ConfigInvalid(f"{name}: must be positive, got {v!r}")
-        if not 0 < self.trace_step <= 0.01:
+        if not _is_real(self.trace_step) or not 0 < self.trace_step <= 0.01:
             raise ConfigInvalid(f"trace_step: must lie in (0, 0.01], got {self.trace_step!r}")
+        for name in ("lambda_grid", "eps_list"):
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)) or not all(_is_real(x) for x in v):
+                raise ConfigInvalid(f"{name}: must be a list of numbers, got {v!r}")
         if len(self.lambda_grid) == 0 or any(l <= 0 for l in self.lambda_grid):
             raise ConfigInvalid(f"lambda_grid: must be non-empty and positive, got {self.lambda_grid!r}")
         eps = self.eps_list
@@ -90,6 +102,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"eps_list: must be strictly decreasing, got {eps!r}")
         if not isinstance(self.verb, str) or not self.verb:
             raise ConfigInvalid(f"verb: must be a non-empty string, got {self.verb!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigInvalid(f"out_dir: must be a string, got {self.out_dir!r}")
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
@@ -107,7 +121,7 @@ class ExperimentConfig:
             raise ConfigInvalid("verb: required field missing")
         d = dict(d)
         for key in ("lambda_grid", "eps_list"):
-            if key in d:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)
 
@@ -290,7 +304,7 @@ def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
     timings["helicity_integral"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     est = asymptotic_hopf(
-        field, pot, cfg.n_pairs, cfg.trace_T,
+        field, cfg.n_pairs, cfg.trace_T,
         seed=cfg.seed, h=cfg.trace_step, workers=cfg.workers,
     )
     timings["asymptotic_hopf"] = time.perf_counter() - t0
@@ -499,6 +513,10 @@ def main(argv: list[str] | None = None) -> int:
                     payload = json.load(fh)
             except OSError as exc:
                 raise IoFailure(f"cannot read config {args.config}: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigInvalid(f"config {args.config} is not valid JSON: {exc}") from exc
+            if not isinstance(payload, dict):
+                raise ConfigInvalid(f"config {args.config} must hold a JSON object")
         payload["verb"] = args.verb
         if args.seed is not None:
             payload["seed"] = args.seed

@@ -9,7 +9,7 @@ polylines) and a signed-crossing count on a generic projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,11 +28,11 @@ from .quaternions import IMAG_UNITS, haar_sample, qmul, slerp
 from .s3 import (
     VOL_UNIT_SPHERE,
     chart_embed,
-    chart_of,
     chart_point,
     conformal_factor,
     curl_field,
     field_in_chart,
+    group_by_chart,
     helicity_density,
 )
 from .seeds import fixed_chunks, ordered_map, substream
@@ -79,14 +79,11 @@ class FieldLine:
         radius: float = 1.0,
     ) -> "FieldLine":
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if not np.isfinite(xs).all():
-            raise ChartEscape("non-finite curve point")
-        charts = chart_of(xs, radius)
+        charts = np.empty(xs.shape[0], dtype=int)
         pts = np.empty((xs.shape[0], 3))
-        for ch in (0, 1):
-            idx = np.nonzero(charts == ch)[0]
-            if idx.size:
-                pts[idx] = chart_point(xs[idx], ch, radius)
+        for ch, idx, u in group_by_chart(xs, radius):
+            charts[idx] = ch
+            pts[idx] = u
         if xs.shape[0] > 1:
             step_bound = float(np.max(np.linalg.norm(np.diff(xs, axis=0), axis=1)))
         else:
@@ -428,26 +425,22 @@ def _projection_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return e1, e2, d
 
 
-def _signed_crossings(p: np.ndarray, q: np.ndarray, direction: np.ndarray) -> int:
-    """Sum of crossing signs between two projected polylines.
+def projected_crossings(
+    p: np.ndarray, q: np.ndarray, direction: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transverse crossings of two polylines projected along direction.
 
-    Raises DegenerateProjection if any crossing is tangential, touches a
-    segment endpoint, or has ambiguous depth.
+    Returns (i, j, s, t): crossing k lies at parameter s[k] in (0, 1) along
+    segment i[k] of p and at t[k] along segment j[k] of q.  Parallel segment
+    pairs never cross.  Raises DegenerateProjection if a crossing touches a
+    segment endpoint.
     """
-    e1, e2, d = _projection_frame(direction)
-    scale = max(float(np.max(np.abs(p))), float(np.max(np.abs(q))), 1e-30)
-
+    e1, e2, _ = _projection_frame(direction)
     pa = np.stack([p @ e1, p @ e2], axis=1)
     qa = np.stack([q @ e1, q @ e2], axis=1)
-    pz = p @ d
-    qz = q @ d
-
     a1, a2 = pa[:-1], pa[1:]
     b1, b2 = qa[:-1], qa[1:]
-    z1a, z2a = pz[:-1], pz[1:]
-    z1b, z2b = qz[:-1], qz[1:]
-
-    total = 0
+    found = []
     for lo, hi in fixed_chunks(a1.shape[0], 512):
         da = (a2 - a1)[lo:hi, None, :]
         db = (b2 - b1)[None, :, :]
@@ -458,7 +451,6 @@ def _signed_crossings(p: np.ndarray, q: np.ndarray, direction: np.ndarray) -> in
             s = (diff[..., 0] * db[..., 1] - diff[..., 1] * db[..., 0]) / denom
             t = (diff[..., 0] * da[..., 1] - diff[..., 1] * da[..., 0]) / denom
         parallel = np.abs(denom) <= 1e-12 * np.maximum(norm_prod, 1e-300)
-        inside = (~parallel) & (s > 0.0) & (s < 1.0) & (t > 0.0) & (t < 1.0)
         margin = 1e-9
         touching = (~parallel) & (
             (np.abs(s) < margin)
@@ -468,25 +460,36 @@ def _signed_crossings(p: np.ndarray, q: np.ndarray, direction: np.ndarray) -> in
         )
         if np.any(touching):
             raise DegenerateProjection("crossing at a segment endpoint")
-        if not np.any(inside):
-            continue
-        si = s[inside]
-        ti = t[inside]
+        inside = (~parallel) & (s > 0.0) & (s < 1.0) & (t > 0.0) & (t < 1.0)
         ii, jj = np.nonzero(inside)
-        ii = ii + lo
-        za = z1a[ii] + si * (z2a[ii] - z1a[ii])
-        zb = z1b[jj] + ti * (z2b[jj] - z1b[jj])
-        if np.any(np.abs(za - zb) < 1e-7 * scale):
-            raise DegenerateProjection("ambiguous crossing depth")
-        ta = a2[ii] - a1[ii]
-        tb = b2[jj] - b1[jj]
-        cross = ta[:, 0] * tb[:, 1] - ta[:, 1] * tb[:, 0]
-        if np.any(np.abs(cross) < 1e-14 * scale * scale):
-            raise DegenerateProjection("tangential crossing")
-        over_first = za > zb
-        sgn = np.where(over_first, np.sign(cross), -np.sign(cross))
-        total += int(np.sum(sgn))
-    return total
+        found.append((ii + lo, jj, s[inside], t[inside]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _signed_crossings(p: np.ndarray, q: np.ndarray, direction: np.ndarray) -> int:
+    """Sum of crossing signs between two projected polylines.
+
+    Raises DegenerateProjection if any crossing is tangential, touches a
+    segment endpoint, or has ambiguous depth.
+    """
+    i, j, s, t = projected_crossings(p, q, direction)
+    e1, e2, d = _projection_frame(direction)
+    scale = max(float(np.max(np.abs(p))), float(np.max(np.abs(q))), 1e-30)
+    pz = p @ d
+    qz = q @ d
+    za = pz[i] + s * (pz[i + 1] - pz[i])
+    zb = qz[j] + t * (qz[j + 1] - qz[j])
+    if np.any(np.abs(za - zb) < 1e-7 * scale):
+        raise DegenerateProjection("ambiguous crossing depth")
+    pa = np.stack([p @ e1, p @ e2], axis=1)
+    qa = np.stack([q @ e1, q @ e2], axis=1)
+    ta = pa[i + 1] - pa[i]
+    tb = qa[j + 1] - qa[j]
+    cross = ta[:, 0] * tb[:, 1] - ta[:, 1] * tb[:, 0]
+    if np.any(np.abs(cross) < 1e-14 * scale * scale):
+        raise DegenerateProjection("tangential crossing")
+    sgn = np.where(za > zb, np.sign(cross), -np.sign(cross))
+    return int(np.sum(sgn))
 
 
 def crossing_linking_oracle(
@@ -574,13 +577,9 @@ def helicity_integral(
     if check_curl:
         probe = radius * haar_sample(substream(seed, 991), 8)
         _, _, _, rot = curl_field(field_a, probe, radius)
-        charts = chart_of(probe, radius)
         b_chart = np.empty_like(rot)
-        for ch in (0, 1):
-            idx = np.nonzero(charts == ch)[0]
-            if idx.size:
-                u = chart_point(probe[idx], ch, radius)
-                b_chart[idx] = np.real(field_in_chart(field_b, u, ch, radius))
+        for ch, idx, u in group_by_chart(probe, radius):
+            b_chart[idx] = np.real(field_in_chart(field_b, u, ch, radius))
         err = np.max(np.abs(rot - b_chart)) / max(np.max(np.abs(b_chart)), 1e-30)
         if err > 1e-5:
             raise ValueError(f"B fails the curl spot check, relative error {err:.2e}")
@@ -623,7 +622,6 @@ class HopfEstimate:
 
 def asymptotic_hopf(
     field: Callable,
-    potential: Callable,
     n_pairs: int,
     T: float,
     seed: int = 0,
@@ -636,15 +634,13 @@ def asymptotic_hopf(
     Traces 2 n_pairs field lines from uniform starts for time T, closes each
     by a short arc, and averages lk/T^2 over the pairs.  Pairs that violate
     the separation precondition are redrawn (counted); closure failures
-    beyond 5% reject the run.  The potential argument fixes the intended
-    comparison target helicity_integral(potential, field)/vol^2 and is not
-    used in the estimate itself.
+    beyond 5% reject the run.  The comparison target is
+    helicity_integral(potential, field) / vol^2 for a potential of the field.
     """
     if n_pairs < 100:
         raise ValueError(f"need at least 100 pairs, got {n_pairs}")
     if T < 2.0 * np.pi:
         raise ValueError(f"trace time must cover at least one period scale, got {T}")
-    del potential
     starts = radius * haar_sample(substream(seed, 0), 2 * n_pairs)
     speeds = np.linalg.norm(np.asarray(field(starts), dtype=float), axis=1)
     if float(np.max(speeds)) < 1e-13:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,25 +88,8 @@ class LieFrameSpec:
         return f"LieFrameSpec(name={self.name!r}, orientation={self.orientation})"
 
 
-@dataclass(frozen=True)
-class FrameFieldIndex:
-    """A frame leg selector, one of 1, 2, 3."""
-
-    idx: int
-
-    def __post_init__(self) -> None:
-        if self.idx not in (1, 2, 3):
-            raise FrameSpecInvalid(f"frame leg must be 1, 2 or 3, got {self.idx}")
-
-    @property
-    def successor(self) -> "FrameFieldIndex":
-        return FrameFieldIndex(self.idx % 3 + 1)
-
-
 def _leg(l) -> int:
-    """Normalize a leg argument (int or FrameFieldIndex) to a 0-based index."""
-    if isinstance(l, FrameFieldIndex):
-        l = l.idx
+    """Normalize a 1-based leg argument to a 0-based index."""
     if l not in (1, 2, 3):
         raise FrameSpecInvalid(f"frame leg must be 1, 2 or 3, got {l!r}")
     return l - 1

@@ -19,6 +19,7 @@ from scipy import stats
 
 from .errors import (
     CurlwaveError,
+    DegenerateProjection,
     EpsilonTooLarge,
     ExtrapolationUnstable,
     NonPositiveLambda,
@@ -26,13 +27,11 @@ from .errors import (
 )
 from .fieldlines import (
     FieldLine,
-    _prepare_pair,
-    _projection_frame,
     build_linking_matrix,
+    projected_crossings,
     resample_polyline,
     to_r3_polylines,
 )
-from .errors import DegenerateProjection
 from .seeds import fixed_chunks, ordered_map, substream
 
 KOLMOGOROV_FIELD = -5.0 / 3.0
@@ -229,25 +228,43 @@ def chords_cross_inside(c1: GeodesicChord, c2: GeodesicChord) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pair_row_counts(normals: np.ndarray, rr: float, max_cos: float = 1.0) -> np.ndarray:
-    """Per-chord counts of partners crossed strictly inside the disk.
+def _crosses_inside(
+    kappa: np.ndarray, p0: np.ndarray, ch2: float, max_cos: float
+) -> np.ndarray:
+    """Chord pairs that cross strictly inside the disk at cos(angle) <= max_cos.
 
-    With max_cos < 1 the crossing angle is additionally required to exceed
-    arccos(max_cos); the folded angle between two chords at their meeting
-    point satisfies cos(angle) = |<n1, n2>| for unit normals.
+    kappa = <n1, n2> and p0 is the time component of the Minkowski cross
+    product of the unit normals; the crossing point has time component
+    |p0| / sqrt(1 - kappa^2), to be compared with cosh(rr) (ch2 is its
+    square).  The folded crossing angle satisfies cos(angle) = |kappa|.
+    """
+    # No named temporaries: on the dense path each is a 2048 x N float array.
+    ok = (np.abs(kappa) < 1.0) & (np.abs(kappa) <= max_cos)
+    return ok & (p0**2 < ch2 * (1.0 - kappa**2))
+
+
+def _crossing_blocks(normals: np.ndarray, rr: float, max_cos: float):
+    """Row blocks (lo, hi, flags) of the dense pairwise crossing matrix.
+
+    flags[r, c] tells whether chords lo + r and c cross inside the disk at
+    cos(angle) <= max_cos; the diagonal is cleared.
     """
     n = normals.shape[0]
     ch2 = np.cosh(rr) ** 2
-    counts = np.zeros(n, dtype=np.int64)
     for lo, hi in fixed_chunks(n, 2048):
         a = normals[lo:hi]
         kappa = a[:, 1:] @ normals[:, 1:].T - np.outer(a[:, 0], normals[:, 0])
         p0 = np.outer(a[:, 2], normals[:, 1]) - np.outer(a[:, 1], normals[:, 2])
-        one_m = 1.0 - kappa**2
-        ok = (np.abs(kappa) < 1.0) & (np.abs(kappa) <= max_cos)
-        inside = ok & (p0**2 < ch2 * one_m)
-        inside[:, lo:hi] &= ~np.eye(hi - lo, dtype=bool)
-        counts[lo:hi] = np.sum(inside, axis=1)
+        flags = _crosses_inside(kappa, p0, ch2, max_cos)
+        flags[:, lo:hi] &= ~np.eye(hi - lo, dtype=bool)
+        yield lo, hi, flags
+
+
+def _pair_row_counts(normals: np.ndarray, rr: float) -> np.ndarray:
+    """Per-chord counts of partners crossed strictly inside the disk."""
+    counts = np.zeros(normals.shape[0], dtype=np.int64)
+    for lo, hi, flags in _crossing_blocks(normals, rr, 1.0):
+        counts[lo:hi] = np.sum(flags, axis=1)
     return counts
 
 
@@ -282,17 +299,9 @@ def pair_intersection_density(
 def _pair_flag_matrix(normals: np.ndarray, rr: float, eps: float) -> np.ndarray:
     """Boolean matrix: chords cross inside the disk at folded angle >= eps."""
     n = normals.shape[0]
-    ch2 = np.cosh(rr) ** 2
-    max_cos = np.cos(eps)
     flags = np.zeros((n, n), dtype=bool)
-    for lo, hi in fixed_chunks(n, 2048):
-        a = normals[lo:hi]
-        kappa = a[:, 1:] @ normals[:, 1:].T - np.outer(a[:, 0], normals[:, 0])
-        p0 = np.outer(a[:, 2], normals[:, 1]) - np.outer(a[:, 1], normals[:, 2])
-        one_m = 1.0 - kappa**2
-        ok = (np.abs(kappa) < 1.0) & (np.abs(kappa) <= max_cos)
-        flags[lo:hi] = ok & (p0**2 < ch2 * one_m)
-    np.fill_diagonal(flags, False)
+    for lo, hi, block in _crossing_blocks(normals, rr, np.cos(eps)):
+        flags[lo:hi] = block
     return flags
 
 
@@ -328,10 +337,7 @@ def _triple_min_angles(
             b = normals[rows[:, v]]
             kappa = np.sum(a[:, 1:] * b[:, 1:], axis=1) - a[:, 0] * b[:, 0]
             p0 = a[:, 2] * b[:, 1] - a[:, 1] * b[:, 2]
-            one_m = 1.0 - kappa**2
-            cross = np.abs(kappa) < 1.0
-            inside = cross & (p0**2 < ch2 * one_m)
-            valid &= inside
+            valid &= _crosses_inside(kappa, p0, ch2, 1.0)
             max_abs_kappa = np.maximum(max_abs_kappa, np.abs(kappa))
         out[valid] = np.arccos(np.clip(max_abs_kappa[valid], 0.0, 1.0))
         return out
@@ -403,25 +409,6 @@ def triangle_density(
     return float(frac * scale), float(err * scale)
 
 
-def triangle_bulk_density(
-    K: float,
-    R: float,
-    N: int,
-    eps: float,
-    rng: np.random.Generator | int,
-    n_triples: int = 2_000_000,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Angle-eps triangle measure per unit disk area (bulk intensity)."""
-    if not 0.0 < eps < 0.5 * np.pi:
-        raise EpsilonTooLarge(f"angle threshold must lie in (0, pi/2), got {eps}")
-    counts, total, _ = _triple_counts(K, R, N, rng, np.array([eps]), n_triples, workers)
-    frac = counts[0] / total
-    err = np.sqrt(max(frac * (1.0 - frac), 0.0) / total)
-    scale = disk_perimeter(K, R) ** 3 / disk_area(K, R)
-    return float(frac * scale), float(err * scale)
-
-
 @dataclass(frozen=True)
 class TriangleEvent:
     """One chord triple forming a triangle inside the disk."""
@@ -448,34 +435,21 @@ def collect_triangle_events(
     rho, rr = _shape_params(K, R)
     normals = _sample_normals(rr, N, rng)["normal"]
     idx = _sample_triples(N, n_triples, rng)
-    events: list[TriangleEvent] = []
-    ch = np.cosh(rr)
-    for row in idx:
-        i, j, k = (int(v) for v in row)
-        pts = []
-        angs = []
-        good = True
-        for u, v in ((i, j), (i, k), (j, k)):
-            kappa = float(mink_dot(normals[u], normals[v]))
-            if abs(kappa) >= 1.0:
-                good = False
-                break
-            p = mink_cross(normals[u], normals[v])
-            p = p / np.sqrt(max(1.0 - kappa**2, 1e-300))
-            if p[0] < 0:
-                p = -p
-            if p[0] >= ch:
-                good = False
-                break
-            pts.append(to_uhp(p))
-            angs.append(float(np.arccos(min(abs(kappa), 1.0))))
-        if good and min(angs) >= eps:
-            events.append(
-                TriangleEvent((i, j, k), np.stack(pts), tuple(angs), float(min(angs)))
-            )
-            if len(events) >= max_events:
-                break
-    return events
+    rows = idx[_triple_min_angles(normals, rr, idx) >= eps][:max_events]
+    a = normals[rows[:, [0, 0, 1]]]
+    b = normals[rows[:, [1, 2, 2]]]
+    kappa = mink_dot(a, b)
+    p = mink_cross(a, b) / np.sqrt(1.0 - kappa**2)[..., None]
+    p[p[..., 0] < 0] *= -1.0
+    points = to_uhp(p)
+    angles = np.arccos(np.abs(kappa))
+    return [
+        TriangleEvent(
+            tuple(int(v) for v in row), points[e], tuple(float(x) for x in angles[e]),
+            float(np.min(angles[e])),
+        )
+        for e, row in enumerate(rows)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -641,33 +615,6 @@ def parallelism_angle_shooting(
 # ---------------------------------------------------------------------------
 
 
-def _projected_cross_count(p: np.ndarray, q: np.ndarray, direction: np.ndarray) -> int:
-    """Number of transverse crossings of two projected polylines."""
-    e1, e2, _ = _projection_frame(direction)
-    pa = np.stack([p @ e1, p @ e2], axis=1)
-    qa = np.stack([q @ e1, q @ e2], axis=1)
-    a1, a2 = pa[:-1], pa[1:]
-    b1, b2 = qa[:-1], qa[1:]
-    da = (a2 - a1)[:, None, :]
-    db = (b2 - b1)[None, :, :]
-    diff = b1[None, :, :] - a1[:, None, :]
-    denom = da[..., 0] * db[..., 1] - da[..., 1] * db[..., 0]
-    norm_prod = np.linalg.norm(da, axis=-1) * np.linalg.norm(db, axis=-1)
-    parallel = np.abs(denom) <= 1e-12 * np.maximum(norm_prod, 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (diff[..., 0] * db[..., 1] - diff[..., 1] * db[..., 0]) / denom
-        t = (diff[..., 0] * da[..., 1] - diff[..., 1] * da[..., 0]) / denom
-    margin = 1e-9
-    touching = (~parallel) & (
-        (np.abs(s) < margin) | (np.abs(1.0 - s) < margin)
-        | (np.abs(t) < margin) | (np.abs(1.0 - t) < margin)
-    )
-    if np.any(touching):
-        raise DegenerateProjection("crossing at a segment endpoint")
-    inside = (~parallel) & (s > 0.0) & (s < 1.0) & (t > 0.0) & (t < 1.0)
-    return int(np.sum(inside))
-
-
 def m5_quintuple_details(
     lines: Sequence[FieldLine], projection: np.ndarray | None = None, seed: int = 0
 ) -> dict:
@@ -692,7 +639,7 @@ def m5_quintuple_details(
             crossed = {}
             for i in range(5):
                 for j in range(i + 1, 5):
-                    crossed[(i, j)] = _projected_cross_count(polys[i], polys[j], d) > 0
+                    crossed[(i, j)] = projected_crossings(polys[i], polys[j], d)[0].size > 0
             triangles = 0
             for i in range(5):
                 for j in range(i + 1, 5):
@@ -710,13 +657,6 @@ def m5_quintuple_details(
         "estimate": float(triangles * product),
         "linking": matrix.lk,
     }
-
-
-def m5_quintuple_estimate(
-    lines: Sequence[FieldLine], projection: np.ndarray | None = None, seed: int = 0
-) -> float:
-    """Sum of projected-triangle indicators times the product of all 10 linkings."""
-    return m5_quintuple_details(lines, projection, seed)["estimate"]
 
 
 def alpha_scaling(

@@ -8,8 +8,6 @@ qnorm2 avoid abs/conj on components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -93,33 +91,3 @@ def haar_sample(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform points on the unit 3-sphere, shape (n, 4)."""
     x = rng.standard_normal((n, 4))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Scalar quaternion a + b i + c j + d k."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @classmethod
-    def from_array(cls, q: np.ndarray) -> "Quaternion":
-        q = np.asarray(q, dtype=float)
-        return cls(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
-
-    def array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return Quaternion.from_array(qmul(p.array(), q.array()))
-
-
-def quat_conj(q: Quaternion) -> Quaternion:
-    return Quaternion(q.a, -q.b, -q.c, -q.d)
-
-
-def quat_norm(q: Quaternion) -> float:
-    return float(np.sqrt(qnorm2(q.array())))

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ChartEscape, QuadratureUnderflow
-from .frames import LieFrameSpec, curl_eigenvalue, lambda_fields, su2_right, su2_unit
+from .frames import LieFrameSpec, lambda_fields, su2_right, su2_unit
 from .quaternions import IMAG_UNITS, haar_sample, qconj, qmul
 from .seeds import fixed_chunks, ordered_map, substream
 
@@ -166,11 +166,6 @@ def nu_of(field: Callable, radius: float = 1.0) -> Callable[[np.ndarray], np.nda
     return lambda x: qmul(qconj(np.asarray(x)), field(x)) / (2.0 * radius)
 
 
-def field_of_nu(profile: Callable, radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse of nu_of: value x -> 2 x * profile(x) / R."""
-    return lambda x: 2.0 * qmul(np.asarray(x), profile(x)) / radius
-
-
 def gauge_bracket(fa: Callable, fb: Callable, radius: float = 1.0) -> Callable:
     """Pointwise algebra commutator of two fields, mapped back to a field."""
     na = nu_of(fa, radius)
@@ -241,8 +236,12 @@ def curl_in_chart(
     return rot_flat / conformal_factor(u, radius)[..., None] ** 3
 
 
-def _group_by_chart(x: np.ndarray, radius: float) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """[(chart, index_array, chart_points)] for a batch of embedded points."""
+def group_by_chart(x: np.ndarray, radius: float) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """[(chart, index_array, chart_points)] for a batch of embedded points.
+
+    Each point goes to the chart chart_of assigns it; raises ChartEscape on a
+    non-finite point.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ChartEscape("non-finite embedded point")
@@ -273,7 +272,7 @@ def curl_field(
     u_all = np.empty((n, 3))
     v_all = np.empty((n, 3))
     c_all = np.empty((n, 3))
-    for ch, idx, u in _group_by_chart(x, radius):
+    for ch, idx, u in group_by_chart(x, radius):
         charts[idx] = ch
         u_all[idx] = u
         v_all[idx] = np.real(field_in_chart(field, u, ch, radius))
@@ -292,7 +291,7 @@ def helicity_density(
     """Pointwise round-metric inner product <A, B> at embedded points."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty(x.shape[0])
-    for ch, idx, u in _group_by_chart(x, radius):
+    for ch, idx, u in group_by_chart(x, radius):
         a = np.real(field_in_chart(field_a, u, ch, radius))
         b = np.real(field_in_chart(field_b, u, ch, radius))
         out[idx] = chart_inner(u, a, b, radius)
@@ -321,7 +320,7 @@ def ym_residual(frame: S3Frame, n_points: int = 1000, seed: int = 0) -> float:
         pair = gauge_bracket(legs[i], legs[j])
         cubic_i = gauge_bracket(legs[i], gauge_bracket(legs[l], legs[i]))
         cubic_j = gauge_bracket(legs[j], gauge_bracket(legs[l], legs[j]))
-        for ch, idx, u in _group_by_chart(x, frame.radius):
+        for ch, idx, u in group_by_chart(x, frame.radius):
             res = curl_in_chart(pair, u, ch, frame.radius)
             res = res + np.real(field_in_chart(cubic_i, u, ch, frame.radius))
             res = res + np.real(field_in_chart(cubic_j, u, ch, frame.radius))
@@ -396,77 +395,3 @@ def cs_functional(
     s1 = sum(s[0] for s in sums)
     s2 = sum(s[1] for s in sums)
     return s1 / n_quad * vol, s2 / n_quad * vol
-
-
-# ---------------------------------------------------------------------------
-# Curvature 2-form and magnetic triple.
-# ---------------------------------------------------------------------------
-
-
-def _directional(fn: Callable, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Complex-step directional derivative of a quaternion-valued map."""
-    h = COMPLEX_STEP
-    return np.imag(fn(x + 1j * h * v)) / h
-
-
-@dataclass(frozen=True)
-class CurvatureField:
-    """Gauge curvature of a frame as three component fields.
-
-    components[k] is the field dual to F(e_i, e_j) for (i, j, k) cyclic.
-    """
-
-    components: tuple[Callable, Callable, Callable]
-
-
-def curvature_field(frame: S3Frame) -> CurvatureField:
-    """Curvature F = dA + [A, A] of the frame connection, leg by leg.
-
-    dA uses complex-step directional derivatives of the algebra profiles and
-    a numerically evaluated ambient bracket of the legs, so no structure
-    constants enter; the left frame must return minus the legs.
-    """
-    legs = frame.legs()
-    nus = [nu_of(leg, frame.radius) for leg in legs]
-    radius = frame.radius
-
-    def component(k: int) -> Callable:
-        i, j = (k + 1) % 3, (k + 2) % 3
-
-        def comp(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            ai = legs[i](x)
-            aj = legs[j](x)
-            d_ij = _directional(nus[j], x, ai) - _directional(nus[i], x, aj)
-            amb = _directional(legs[j], x, ai) - _directional(legs[i], x, aj)
-            nu_amb = qmul(qconj(x), amb) / (2.0 * radius)
-            pi = nus[i](x)
-            pj = nus[j](x)
-            comm = qmul(pi, pj) - qmul(pj, pi)
-            return 2.0 * qmul(x, d_ij - nu_amb + comm) / radius
-
-        return comp
-
-    return CurvatureField((component(0), component(1), component(2)))
-
-
-@dataclass(frozen=True)
-class MagneticTriple:
-    """Curl fields of the three frame legs, as ambient callables."""
-
-    frame: S3Frame
-    fields: tuple[Callable, Callable, Callable]
-    eigenvalues: tuple[float, float, float]
-
-
-def build_magnetic_triple(frame: S3Frame) -> MagneticTriple:
-    """B_l = curl A_l, using the algebraic eigenvalue relation per leg."""
-    eigs = tuple(curl_eigenvalue(frame.spec, l) for l in (1, 2, 3))
-    legs = frame.legs()
-
-    def make(l: int) -> Callable:
-        mu = eigs[l]
-        leg = legs[l]
-        return lambda x: mu * leg(x)
-
-    return MagneticTriple(frame, (make(0), make(1), make(2)), eigs)

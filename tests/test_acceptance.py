@@ -168,7 +168,7 @@ def test_criterion_08_asymptotic_linking_matches_helicity():
     pot = frame.leg(1)
     field = lambda x: -2.0 * pot(x)
     target = helicity_integral(pot, field, 20000, seed=0) / s3.VOL_UNIT_SPHERE**2
-    est = asymptotic_hopf(field, pot, 500, 4.0 * np.pi, seed=0, workers=8)
+    est = asymptotic_hopf(field, 500, 4.0 * np.pi, seed=0, workers=8)
     gap = abs(est.estimate - target)
     dt = time.perf_counter() - t0
     _verdict(

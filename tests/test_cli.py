@@ -171,6 +171,32 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(payload)
+        for payload in (
+            {"disk_radius": "3"},
+            {"lambda_grid": [1, "x"]},
+            {"lambda_grid": 2.0},
+            {"eps_list": 0.3},
+            {"trace_step": "0.01"},
+            {"n_points": True},
+            {"seed": True},
+            {"disk_radius": True},
+            {"out_dir": 5},
+            [1, 2],
+        )
+    ]
+    + ['{"seed": '],
+)
+def test_main_rejects_mistyped_config(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "typed.json").write_text(text)
+    assert main(["verify-hyperbolic", "--config", "typed.json"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 3, "lambda_grid": [1.0, 2.0]}))

@@ -7,6 +7,7 @@ from curlwave import fieldlines as fl
 from curlwave import s3
 from curlwave.errors import (
     CurvesTooClose,
+    DegenerateProjection,
     GapTooLarge,
     QuadratureUnderflow,
     StepTooLarge,
@@ -46,6 +47,40 @@ def test_far_circles_unlinked():
     b = fl.circle_in_chart(np.array([0.0, 0.0, 2.5]), 0.3, normal_axis=0)
     assert abs(fl.gauss_linking(a, b)) < 1e-6
     assert fl.crossing_linking_oracle(a, b) == 0
+
+
+def test_projected_crossings_hand_built():
+    # Viewed along z, p turns a corner and q crosses each of its two legs.
+    p = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [4.0, 4.0, 0.0]])
+    q = np.array([[1.0, -3.0, 1.0], [1.0, 1.0, 1.0], [6.0, 1.0, 1.0]])
+    i, j, s, t = fl.projected_crossings(p, q, np.array([0.0, 0.0, 1.0]))
+    assert i.tolist() == [0, 1]
+    assert j.tolist() == [0, 1]
+    assert np.allclose(s, [0.25, 0.25], rtol=0, atol=1e-15)
+    assert np.allclose(t, [0.75, 0.6], rtol=0, atol=1e-15)
+    j, i, t, s = fl.projected_crossings(q, p, np.array([0.0, 0.0, -1.0]))
+    assert (i.tolist(), j.tolist()) == ([0, 1], [0, 1])
+    assert np.allclose(s, [0.25, 0.25]) and np.allclose(t, [0.75, 0.6])
+    far = q + np.array([0.0, 20.0, 0.0])
+    assert all(v.size == 0 for v in fl.projected_crossings(p, far, np.array([0.0, 0.0, 1.0])))
+
+
+def test_projected_crossings_degenerate_raises():
+    z = np.array([0.0, 0.0, 1.0])
+    corner = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 2.0, 0.0]])
+    through_vertex = np.array([[1.0, -1.0, 1.0], [3.0, 1.0, 1.0]])
+    with pytest.raises(DegenerateProjection, match="endpoint"):
+        fl.projected_crossings(corner, through_vertex, z)
+    p = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    same_depth = np.array([[0.5, -1.0, 0.0], [0.5, 1.0, 0.0]])
+    with pytest.raises(DegenerateProjection, match="ambiguous"):
+        fl._signed_crossings(p, same_depth, z)
+    # Slope 1e-10: transverse for the kernel (above 1e-12 |da| |db|) but
+    # below the oracle's tangency bound 1e-14 scale^2, with scale 200.
+    shallow = np.array([[0.0, -5e-11, 200.0], [1.0, 5e-11, 200.0]])
+    assert fl.projected_crossings(p, shallow, z)[0].tolist() == [0]
+    with pytest.raises(DegenerateProjection, match="tangential"):
+        fl._signed_crossings(p, shallow, z)
 
 
 def test_mirror_and_reversal_negate_linking():
@@ -161,14 +196,14 @@ def test_helicity_integral_box_mode():
 def test_asymptotic_hopf_preconditions():
     field = lambda x: np.zeros_like(x)
     with pytest.raises(ValueError):
-        fl.asymptotic_hopf(field, field, 50, 4.0 * np.pi)
+        fl.asymptotic_hopf(field, 50, 4.0 * np.pi)
     with pytest.raises(ValueError):
-        fl.asymptotic_hopf(field, field, 100, 1.0)
+        fl.asymptotic_hopf(field, 100, 1.0)
 
 
 def test_asymptotic_hopf_zero_field():
     field = lambda x: np.zeros_like(x)
-    est = fl.asymptotic_hopf(field, field, 100, 4.0 * np.pi)
+    est = fl.asymptotic_hopf(field, 100, 4.0 * np.pi)
     assert est.estimate == 0.0
     assert est.stderr == 0.0
     assert est.failures == 0
@@ -178,8 +213,8 @@ def test_asymptotic_hopf_worker_count_invariant():
     frame = s3.build_frame("left")
     pot = frame.leg(1)
     field = lambda x: -2.0 * pot(x)
-    serial = fl.asymptotic_hopf(field, pot, 100, 2.0 * np.pi, seed=4, workers=1)
-    threaded = fl.asymptotic_hopf(field, pot, 100, 2.0 * np.pi, seed=4, workers=4)
+    serial = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=1)
+    threaded = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=4)
     assert abs(serial.estimate - threaded.estimate) <= 1e-12
     assert abs(serial.stderr - threaded.stderr) <= 1e-12
     # one wrap per period scale: every pair links -4, estimate -1/pi^2

@@ -164,7 +164,7 @@ def test_cutoff_gates():
     with pytest.raises(EpsilonTooLarge):
         hm.triangle_density(K1, 3.0, 1500, 0.5 * np.pi, 0)
     with pytest.raises(EpsilonTooLarge):
-        hm.triangle_bulk_density(K1, 3.0, 1500, 1.6, 0)
+        hm.triangle_density(K1, 3.0, 1500, 1.6, 0)
     near = hm.triangle_density(K1, 3.0, 1200, 0.5 * np.pi - 1e-9, 0)[0]
     assert near == 0.0
     with pytest.raises(ValueError):
@@ -185,9 +185,11 @@ def test_pair_density_seed_stability():
 
 
 def test_triangle_bulk_density_radius_doubling():
+    # bulk intensity: triangle measure per unit disk area
     def replicate_mean(radius):
+        area2 = hm.disk_area(K1, radius) ** 2
         vals = [
-            hm.triangle_bulk_density(K1, radius, 1100, 0.3, s)[0]
+            hm.triangle_density(K1, radius, 1100, 0.3, s)[0] * area2
             for s in range(200, 208)
         ]
         v = np.asarray(vals)
@@ -320,6 +322,15 @@ def test_m5_far_circles_and_mixed():
 def test_collect_triangle_events():
     events = hm.collect_triangle_events(K1, 3.0, 2000, 0.3, 5, max_events=16)
     assert 0 < len(events) <= 16
+    # replay the chord sample and check each event with the scalar predicate
+    data = hm._sample_normals(3.0, 2000, np.random.default_rng(5))
+    chords = [
+        hm.GeodesicChord(
+            K1, 3.0, 1.0, 3.0, float(np.arcsinh(data["sp"][i])), float(data["theta"][i]),
+            data["normal"][i], data["base"][i], data["tangent"][i], float(data["half_length"][i]),
+        )
+        for i in range(2000)
+    ]
     for ev in events:
         assert ev.min_angle >= 0.3
         assert ev.min_angle == min(ev.angles)
@@ -327,6 +338,12 @@ def test_collect_triangle_events():
         assert np.all(np.isfinite(ev.points))
         assert np.all(ev.points[:, 1] > 0)
         assert len(set(ev.chord_ids)) == 3
+        i, j, k = ev.chord_ids
+        for (u, v), angle in zip(((i, j), (i, k), (j, k)), ev.angles):
+            assert hm.chords_cross_inside(chords[u], chords[v])
+            assert angle >= 0.3
+            kappa = float(hm.mink_dot(chords[u].normal, chords[v].normal))
+            assert np.isclose(angle, np.arccos(abs(kappa)), rtol=0, atol=1e-12)
 
 
 def test_sample_geodesic_seed_forms():

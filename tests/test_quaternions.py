@@ -10,16 +10,12 @@ from curlwave.quaternions import (
     J,
     K,
     ONE,
-    Quaternion,
     haar_sample,
     qconj,
     qexp_imag,
     qmul,
     qnorm2,
     qnormalize,
-    quat_conj,
-    quat_mul,
-    quat_norm,
     slerp,
 )
 
@@ -96,18 +92,6 @@ def test_haar_sample_unit_and_deterministic():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
     # both hemispheres of every coordinate get hit
     assert (a[:, 0] > 0).any() and (a[:, 0] < 0).any()
-
-
-def test_quaternion_wrapper_matches_arrays():
-    p = Quaternion(0.3, -1.2, 0.5, 2.0)
-    q = Quaternion(-0.7, 0.1, 1.4, -0.2)
-    pa = np.array([0.3, -1.2, 0.5, 2.0])
-    qa = np.array([-0.7, 0.1, 1.4, -0.2])
-    prod = quat_mul(p, q)
-    assert np.allclose(prod.array(), qmul(pa, qa))
-    conj = quat_conj(p)
-    assert np.allclose(conj.array(), qconj(pa))
-    assert np.isclose(quat_norm(p), np.sqrt(qnorm2(pa)))
 
 
 def test_batched_multiplication_shape():
