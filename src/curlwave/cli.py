@@ -526,7 +526,9 @@ def main(argv: list[str] | None = None) -> int:
             payload["out_dir"] = args.out
         config = ExperimentConfig.from_dict(payload)
         manifest = run(config)
-    except CurlwaveError as exc:
+    # Verbs raise ValueError for arguments outside the range they support,
+    # such as too few chords or pairs, which validate() leaves to them.
+    except (CurlwaveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"verb={config.verb} config_hash={manifest.config_hash} seed={manifest.seed}")

@@ -197,6 +197,25 @@ def test_main_rejects_mistyped_config(tmp_path, monkeypatch, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("triangle-scan", {"n_chords": 500}),
+        ("triangle-scan", {"disk_radius": 60.0}),
+        ("alpha-scaling", {"n_chords": 500}),
+        ("alpha-scaling", {"lambda_grid": [1, 2, 3]}),
+        ("hopf-asymptotic", {"n_pairs": 50}),
+        ("hopf-asymptotic", {"trace_T": 1.0}),
+    ],
+)
+def test_main_maps_verb_preconditions_to_exit_1(tmp_path, monkeypatch, capsys, verb, payload):
+    # Each config passes validate() but breaks a precondition inside the verb.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    assert main([verb, "--config", "cfg.json"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 3, "lambda_grid": [1.0, 2.0]}))

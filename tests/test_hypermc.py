@@ -1,5 +1,7 @@
 """Kinematic chord sampling, crossing counts, and scaling fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,12 +92,46 @@ def test_crossing_predicate_matches_flag_matrix():
             assert hit == bool(flags[i, j]) == bool(flags[j, i])
 
 
-def test_pair_row_counts_match_flag_matrix():
+@pytest.mark.parametrize("rr", [0.5, 3.0, 12.0])
+def test_pair_row_counts_match_flag_matrix(rr):
     rng = np.random.default_rng(6)
-    normals = hm._sample_normals(3.0, 1000, rng)["normal"]
-    counts = hm._pair_row_counts(normals, 3.0)
-    flags = hm._pair_flag_matrix(normals, 3.0, 1e-12)
+    normals = hm._sample_normals(rr, 1000, rng)["normal"]
+    counts = hm._pair_row_counts(normals, rr)
+    flags = hm._pair_flag_matrix(normals, rr, 1e-12)
     assert np.array_equal(counts, flags.sum(axis=1))
+
+
+# (foot distance, foot direction) per chord of the radius-3 disk, and the
+# per-chord crossing counts worked out from the endpoint arcs by hand.
+HAND_BUILT_CHORDS = {
+    "straddles_zero": ([(0.5, 0.0), (0.2, 0.5 * np.pi), (0.4, 2 * np.pi - 0.3), (1.0, np.pi)], [2, 3, 2, 1]),
+    "nested_same_direction": ([(0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (2.9, 1.0)], [0] * 5),
+    "diameters": ([(0.0, 0.3), (0.0, 0.3 + 0.5 * np.pi), (1.0, 0.3), (0.8, 4.0)], [1, 3, 1, 1]),
+    "near_rim": ([(3.0 - 1e-7, 2.0), (0.0, 2.0 + 0.5 * np.pi), (0.0, 2.0)], [1, 2, 1]),
+    "square": ([(0.3, 0.0), (0.3, 0.5 * np.pi), (0.3, np.pi), (0.3, 1.5 * np.pi)], [2] * 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_CHORDS))
+def test_pair_row_counts_hand_built_chords(name):
+    feet, expected = HAND_BUILT_CHORDS[name]
+    chords = [hm.chord_from_foot(K1, 3.0, p, theta) for p, theta in feet]
+    counts = hm._pair_row_counts(np.stack([c.normal for c in chords]), 3.0)
+    scalar = [
+        sum(hm.chords_cross_inside(c, d) for d in chords if d is not c) for c in chords
+    ]
+    assert counts.tolist() == scalar == expected
+
+
+def test_pair_density_memory_stays_bounded():
+    # A dense 2048 x N float block alone would take 328 MB at this size.
+    tracemalloc.start()
+    try:
+        hm.pair_intersection_density(K1, 3.0, 20_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_exact_triangle_count_vs_independent_oracle():
