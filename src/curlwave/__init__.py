@@ -16,7 +16,6 @@ from .frames import (
     su2_halved,
     su2_right,
     su2_unit,
-    write_fleet,
 )
 from .hyperbolic import LambdaFrame, build_lambda_frame, cs_density_lambda, rescale_check, sectional_profile
 from .hypermc import (

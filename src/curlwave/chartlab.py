@@ -96,23 +96,16 @@ def _sectional_once(
 
 
 def fd_sectional(
-    metric_fn: MetricFn,
-    x0: np.ndarray,
-    dirs: np.ndarray,
-    h: float = 2e-3,
-    refine: bool = True,
+    metric_fn: MetricFn, x0: np.ndarray, dirs: np.ndarray, h: float = 2e-3
 ) -> tuple[float, float, float]:
     """Sectional curvatures of the planes (1,2), (1,3), (2,3) of dirs rows.
 
-    Central stencils of step h; with refine=True a second pass at h/2 is
-    Richardson-combined, cancelling the leading O(h^2) truncation error.
-    The step is wide enough that the refined pass stays truncation-limited
-    rather than roundoff-limited.
+    Central stencils of step h and h/2 are Richardson-combined, cancelling
+    the leading O(h^2) truncation error.  The step is wide enough that the
+    h/2 pass stays truncation-limited rather than roundoff-limited.
     """
     dirs = np.asarray(dirs, dtype=float)
     coarse = np.array(_sectional_once(metric_fn, x0, dirs, h))
-    if not refine:
-        return tuple(coarse)
     fine = np.array(_sectional_once(metric_fn, x0, dirs, h / 2.0))
     return tuple((4.0 * fine - coarse) / 3.0)
 

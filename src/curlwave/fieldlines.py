@@ -1,10 +1,10 @@
 """Field-line tracing, curve closure, and linking numbers on the 3-sphere.
 
-Curves live on a radius-R sphere in quaternion space.  Integration runs in
-the embedding with per-step renormalization; chart coordinates and ids are
-stored alongside, per the two-chart atlas.  Linking numbers come from two
-independent routes: a per-segment-pair solid-angle quadrature (exact for
-polylines) and a signed-crossing count on a generic projection.
+Curves live on the unit sphere in quaternion space and are stored by their
+embedded points only.  Integration runs in the embedding with per-step
+renormalization.  Linking numbers come from two independent routes: a
+per-segment-pair solid-angle quadrature (exact for polylines) and a
+signed-crossing count on a generic projection.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import (
     ChartEscape,
@@ -40,6 +42,8 @@ from .seeds import fixed_chunks, ordered_map, substream
 MAX_STEP = 1e-2
 CLOSURE_TOL = 1e-6
 MIN_SEPARATION = 1e-4
+MAX_GAP_FRACTION = 0.1
+MAX_RESAMPLE_POINTS = 2400
 
 
 # ---------------------------------------------------------------------------
@@ -49,63 +53,35 @@ MIN_SEPARATION = 1e-4
 
 @dataclass(frozen=True)
 class FieldLine:
-    """Polyline on the sphere with chart bookkeeping.
+    """Polyline on the unit sphere.
 
-    points are chart coordinates, charts the per-point chart id, embedding
-    the 4-space positions.  For closed lines the first and last embedded
-    points coincide to the closure tolerance.
+    embedding holds the 4-space positions; for closed lines the first and
+    last points coincide to the closure tolerance.  drift is the largest
+    radial error that renormalization removed while tracing.
     """
 
-    points: np.ndarray
-    charts: np.ndarray
     embedding: np.ndarray
     closed: bool
     period_or_T: float
-    h: float
-    step_bound: float
-    drift: float = 0.0
-    renorms: int = 0
-    radius: float = 1.0
+    drift: float
 
     @classmethod
     def from_embedding(
-        cls,
-        xs: np.ndarray,
-        closed: bool,
-        period_or_T: float = 0.0,
-        h: float = 0.0,
-        drift: float = 0.0,
-        renorms: int = 0,
-        radius: float = 1.0,
+        cls, xs: np.ndarray, closed: bool, period_or_T: float, drift: float = 0.0
     ) -> "FieldLine":
+        """Line through the embedded points xs; raises ChartEscape on a non-finite point."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        charts = np.empty(xs.shape[0], dtype=int)
-        pts = np.empty((xs.shape[0], 3))
-        for ch, idx, u in group_by_chart(xs, radius):
-            charts[idx] = ch
-            pts[idx] = u
-        if xs.shape[0] > 1:
-            step_bound = float(np.max(np.linalg.norm(np.diff(xs, axis=0), axis=1)))
-        else:
-            step_bound = 0.0
-        return cls(pts, charts, xs, closed, period_or_T, h, step_bound, drift, renorms, radius)
+        if not np.isfinite(xs).all():
+            raise ChartEscape("non-finite embedded point")
+        return cls(xs, closed, period_or_T, drift)
 
     def gap(self) -> float:
         return float(np.linalg.norm(self.embedding[-1] - self.embedding[0]))
 
     def diameter(self) -> float:
-        return _diameter(self.embedding)
-
-    def length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.diff(self.embedding, axis=0), axis=1)))
-
-
-def _diameter(xs: np.ndarray) -> float:
-    best = 0.0
-    for lo, hi in fixed_chunks(xs.shape[0], 512):
-        d = np.linalg.norm(xs[lo:hi, None, :] - xs[None, :, :], axis=-1)
-        best = max(best, float(np.max(d)))
-    return best
+        """Largest distance between two points, in row blocks of O(512 n) memory."""
+        xs = self.embedding
+        return max(float(cdist(xs[lo:hi], xs).max()) for lo, hi in fixed_chunks(xs.shape[0], 512))
 
 
 def _rk4_step(field: Callable, y: np.ndarray, h: float) -> np.ndarray:
@@ -121,7 +97,6 @@ def trace_field_line(
     x0: np.ndarray,
     T: float,
     h: float = 0.01,
-    radius: float = 1.0,
     detect_period: bool = True,
 ) -> FieldLine:
     """Fixed-step 4th-order trace of the field through x0 for time T.
@@ -137,18 +112,16 @@ def trace_field_line(
     if T <= 0:
         raise ValueError(f"trace time must be positive, got {T}")
     x0 = np.asarray(x0, dtype=float)
-    x0 = radius * x0 / np.linalg.norm(x0)
+    x0 = x0 / np.linalg.norm(x0)
     f0 = np.asarray(field(x0), dtype=float)
     speed0 = float(np.linalg.norm(f0))
     if speed0 < 1e-13:
-        return FieldLine.from_embedding(x0[None, :], closed=False, period_or_T=0.0, h=h, radius=radius)
+        return FieldLine.from_embedding(x0[None, :], closed=False, period_or_T=0.0)
     normal = f0 / speed0
 
     n_steps = int(np.ceil(T / h))
     out = [x0]
     drift = 0.0
-    renorms = 0
-    max_speed = speed0
     y = x0
     s_prev = 0.0
     closed = False
@@ -157,32 +130,24 @@ def trace_field_line(
         y_prev = y
         y = _rk4_step(field, y, h)
         r = float(np.linalg.norm(y))
-        drift = max(drift, abs(r - radius))
-        y = radius * y / r
-        renorms += 1
-        max_speed = max(max_speed, float(np.linalg.norm(np.asarray(field(y), dtype=float))))
+        drift = max(drift, abs(r - 1.0))
+        y = y / r
         s = float(np.dot(y - x0, normal))
-        near = float(np.linalg.norm(y - x0)) < 0.3 * radius
+        near = float(np.linalg.norm(y - x0)) < 0.3
         if detect_period and k >= 2 and s_prev < 0.0 <= s and near:
-            landing, tau = _refine_crossing(field, y_prev, x0, normal, h, radius)
-            if float(np.linalg.norm(landing - x0)) <= CLOSURE_TOL * radius:
+            landing, tau = _refine_crossing(field, y_prev, x0, normal, h)
+            if float(np.linalg.norm(landing - x0)) <= CLOSURE_TOL:
                 out.append(landing)
                 closed = True
                 period = (k) * h + tau
                 break
         out.append(y)
         s_prev = s
-    xs = np.stack(out, axis=0)
-    if not np.isfinite(xs).all():
-        raise ChartEscape("trace left both charts")
     return FieldLine.from_embedding(
-        xs,
+        np.stack(out, axis=0),
         closed=closed,
         period_or_T=period if closed else float(T),
-        h=h,
         drift=drift,
-        renorms=renorms,
-        radius=radius,
     )
 
 
@@ -192,13 +157,12 @@ def _refine_crossing(
     x0: np.ndarray,
     normal: np.ndarray,
     h: float,
-    radius: float,
 ) -> tuple[np.ndarray, float]:
     """Bisect the sub-step time at which the trace crosses the section plane."""
 
     def s_at(tau: float) -> tuple[float, np.ndarray]:
         z = _rk4_step(field, y_prev, tau)
-        z = radius * z / np.linalg.norm(z)
+        z = z / np.linalg.norm(z)
         return float(np.dot(z - x0, normal)), z
 
     lo, hi = 0.0, h
@@ -218,7 +182,7 @@ def _refine_crossing(
 
 
 def trace_batch(
-    field: Callable, x0s: np.ndarray, T: float, h: float = 0.01, radius: float = 1.0
+    field: Callable, x0s: np.ndarray, T: float, h: float = 0.01
 ) -> tuple[np.ndarray, float]:
     """Trace many starting points at once; returns (paths, max drift).
 
@@ -229,7 +193,7 @@ def trace_batch(
     if T <= 0:
         raise ValueError(f"trace time must be positive, got {T}")
     y = np.atleast_2d(np.asarray(x0s, dtype=float))
-    y = radius * y / np.linalg.norm(y, axis=1, keepdims=True)
+    y = y / np.linalg.norm(y, axis=1, keepdims=True)
     n_steps = int(np.ceil(T / h))
     paths = np.empty((y.shape[0], n_steps + 1, 4))
     paths[:, 0] = y
@@ -237,46 +201,41 @@ def trace_batch(
     for k in range(n_steps):
         y = _rk4_step(field, y, h)
         r = np.linalg.norm(y, axis=1, keepdims=True)
-        drift = max(drift, float(np.max(np.abs(r - radius))))
-        y = radius * y / r
+        drift = max(drift, float(np.max(np.abs(r - 1.0))))
+        y = y / r
         paths[:, k + 1] = y
     if not np.isfinite(paths).all():
         raise ChartEscape("batch trace left both charts")
     return paths, drift
 
 
-def close_curve(line: FieldLine, max_gap_fraction: float = 0.1) -> FieldLine:
+def close_curve(line: FieldLine) -> FieldLine:
     """Close an open line by a short great-circle arc between its endpoints.
 
-    The gap must not exceed max_gap_fraction of the curve diameter; the
+    The gap must not exceed MAX_GAP_FRACTION of the curve diameter; the
     appended arc uses the median point spacing of the line.
     """
     if line.closed:
         return line
     gap = line.gap()
     diam = line.diameter()
-    if diam == 0.0 or gap > max_gap_fraction * diam:
-        raise GapTooLarge(f"endpoint gap {gap:.3g} exceeds {max_gap_fraction:.0%} of diameter {diam:.3g}")
+    if diam == 0.0 or gap > MAX_GAP_FRACTION * diam:
+        raise GapTooLarge(f"endpoint gap {gap:.3g} exceeds {MAX_GAP_FRACTION:.0%} of diameter {diam:.3g}")
     xs = line.embedding
-    if gap <= 1e-12 * line.radius:
+    if gap <= 1e-12:
         arc = xs[:1]
     else:
         steps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         spacing = float(np.median(steps)) if steps.size else gap
         n_arc = max(1, int(np.ceil(gap / max(spacing, 1e-12))))
         t = np.linspace(0.0, 1.0, n_arc + 1)[1:]
-        arc = line.radius * slerp(xs[-1] / line.radius, xs[0] / line.radius, t)
-    closed_xs = np.concatenate([xs, arc], axis=0)
-    new = FieldLine.from_embedding(
-        closed_xs,
+        arc = slerp(xs[-1], xs[0], t)
+    return FieldLine.from_embedding(
+        np.concatenate([xs, arc], axis=0),
         closed=True,
         period_or_T=line.period_or_T,
-        h=line.h,
         drift=line.drift,
-        renorms=line.renorms,
-        radius=line.radius,
     )
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +268,16 @@ def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndar
 
 
 def _min_distance(p: np.ndarray, q: np.ndarray) -> float:
-    best = np.inf
-    for lo, hi in fixed_chunks(p.shape[0], 512):
-        d = np.linalg.norm(p[lo:hi, None, :] - q[None, :, :], axis=-1)
-        best = min(best, float(np.min(d)))
-    return best
+    return float(cKDTree(q).query(p)[0].min())
 
 
-def resample_polyline(points: np.ndarray, target_seg: float, max_points: int = 2400) -> np.ndarray:
+def resample_polyline(points: np.ndarray, target_seg: float) -> np.ndarray:
     """Uniform arc-length resampling of a closed polyline (last == first)."""
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     total = float(np.sum(seg))
     if total == 0.0:
         return points[:1].repeat(2, axis=0)
-    m = int(np.clip(np.ceil(total / target_seg), 16, max_points))
+    m = int(np.clip(np.ceil(total / target_seg), 16, MAX_RESAMPLE_POINTS))
     s = np.concatenate([[0.0], np.cumsum(seg)])
     grid = np.linspace(0.0, total, m + 1)
     out = np.stack([np.interp(grid, s, points[:, k]) for k in range(points.shape[1])], axis=1)
@@ -339,16 +294,12 @@ def _prepare_pair(c1: FieldLine, c2: FieldLine, seed: int = 0) -> tuple[np.ndarr
     for c in (c1, c2):
         if not c.closed:
             raise GapTooLarge("linking requires closed curves")
-        if c.gap() > CLOSURE_TOL * c.radius * 10.0:
+        if c.gap() > CLOSURE_TOL * 10.0:
             raise GapTooLarge(f"closed line has endpoint gap {c.gap():.3g}")
-    if c1.radius != c2.radius:
-        raise ValueError("curves live on spheres of different radii")
-    e1 = c1.embedding / c1.radius
-    e2 = c2.embedding / c2.radius
-    sep = _min_distance(e1, e2)
+    sep = _min_distance(c1.embedding, c2.embedding)
     if sep < MIN_SEPARATION:
         raise CurvesTooClose(f"minimum curve separation {sep:.3g} below {MIN_SEPARATION}")
-    p1, p2 = to_r3_polylines([e1, e2], seed=seed)
+    p1, p2 = to_r3_polylines([c1.embedding, c2.embedding], seed=seed)
     sep3 = _min_distance(p1, p2)
     target = min(0.08, sep3 / 3.0)
     return resample_polyline(p1, target), resample_polyline(p2, target)
@@ -492,25 +443,17 @@ def _signed_crossings(p: np.ndarray, q: np.ndarray, direction: np.ndarray) -> in
     return int(np.sum(sgn))
 
 
-def crossing_linking_oracle(
-    c1: FieldLine, c2: FieldLine, direction: np.ndarray | None = None, seed: int = 0
-) -> int:
+def crossing_linking_oracle(c1: FieldLine, c2: FieldLine, seed: int = 0) -> int:
     """Linking number as half the sum of signed crossings in a projection.
 
-    Retries up to 10 directions when the projection is degenerate.
+    Retries up to 10 random directions when the projection is degenerate.
     """
     p1, p2 = _prepare_pair(c1, c2, seed=seed)
     rng = substream(seed, 77)
-    tried = 0
     last_exc: Exception | None = None
-    while tried < 10:
-        if direction is not None and tried == 0:
-            d = np.asarray(direction, dtype=float)
-        else:
-            d = rng.standard_normal(3)
-        tried += 1
+    for _ in range(10):
         try:
-            total = _signed_crossings(p1, p2, d)
+            total = _signed_crossings(p1, p2, rng.standard_normal(3))
         except DegenerateProjection as exc:
             last_exc = exc
             continue
@@ -518,7 +461,7 @@ def crossing_linking_oracle(
             last_exc = DegenerateProjection("odd crossing sum")
             continue
         return total // 2
-    raise DegenerateProjection(f"no generic projection after {tried} tries: {last_exc}")
+    raise DegenerateProjection(f"no generic projection after 10 tries: {last_exc}")
 
 
 @dataclass(frozen=True)
@@ -563,48 +506,41 @@ def helicity_integral(
     field_b: Callable,
     n_quad: int,
     seed: int = 0,
-    radius: float = 1.0,
     box: tuple[np.ndarray, np.ndarray] | None = None,
-    check_curl: bool = True,
 ) -> float:
-    """Quadrature of the inner product (A, B) over the sphere or a chart box.
+    """Quadrature of the inner product (A, B) over the unit sphere or a chart box.
 
-    With check_curl=True, B is spot-checked against the numerical curl of A
-    at a handful of points before integrating.
+    B is first spot-checked against the numerical curl of A at a handful of
+    points.
     """
     if n_quad < 100:
         raise QuadratureUnderflow(f"need at least 100 quadrature points, got {n_quad}")
-    if check_curl:
-        probe = radius * haar_sample(substream(seed, 991), 8)
-        _, _, _, rot = curl_field(field_a, probe, radius)
-        b_chart = np.empty_like(rot)
-        for ch, idx, u in group_by_chart(probe, radius):
-            b_chart[idx] = np.real(field_in_chart(field_b, u, ch, radius))
-        err = np.max(np.abs(rot - b_chart)) / max(np.max(np.abs(b_chart)), 1e-30)
-        if err > 1e-5:
-            raise ValueError(f"B fails the curl spot check, relative error {err:.2e}")
+    probe = haar_sample(substream(seed, 991), 8)
+    _, _, _, rot = curl_field(field_a, probe)
+    b_chart = np.empty_like(rot)
+    for ch, idx, u in group_by_chart(probe, 1.0):
+        b_chart[idx] = np.real(field_in_chart(field_b, u, ch))
+    err = np.max(np.abs(rot - b_chart)) / max(np.max(np.abs(b_chart)), 1e-30)
+    if err > 1e-5:
+        raise ValueError(f"B fails the curl spot check, relative error {err:.2e}")
     if box is None:
-        x = radius * haar_sample(substream(seed, 0), n_quad)
-        dens = helicity_density(field_a, field_b, x, radius)
-        return float(np.mean(dens)) * VOL_UNIT_SPHERE * radius**3
+        x = haar_sample(substream(seed, 0), n_quad)
+        return float(np.mean(helicity_density(field_a, field_b, x))) * VOL_UNIT_SPHERE
     lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
     rng = substream(seed, 1)
     u = lo + (hi - lo) * rng.random((n_quad, 3))
-    x = chart_embed(u, 0, radius)
-    dens = helicity_density(field_a, field_b, x, radius)
-    weight = conformal_factor(u, radius) ** 3
+    dens = helicity_density(field_a, field_b, chart_embed(u, 0))
+    weight = conformal_factor(u) ** 3
     flat_vol = float(np.prod(hi - lo))
     return float(np.mean(dens * weight)) * flat_vol
 
 
-def chart_box_volume(
-    box: tuple[np.ndarray, np.ndarray], n_quad: int, seed: int = 0, radius: float = 1.0
-) -> float:
-    """Riemannian volume of a chart-0 coordinate box, by direct quadrature."""
+def chart_box_volume(box: tuple[np.ndarray, np.ndarray], n_quad: int, seed: int = 0) -> float:
+    """Riemannian volume of a chart-0 coordinate box of the unit sphere, by direct quadrature."""
     lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
     rng = substream(seed, 2)
     u = lo + (hi - lo) * rng.random((n_quad, 3))
-    weight = conformal_factor(u, radius) ** 3
+    weight = conformal_factor(u) ** 3
     return float(np.mean(weight)) * float(np.prod(hi - lo))
 
 
@@ -627,7 +563,6 @@ def asymptotic_hopf(
     seed: int = 0,
     h: float = 0.01,
     workers: int = 1,
-    radius: float = 1.0,
 ) -> HopfEstimate:
     """Asymptotic pairwise-linking estimate of the field's helicity density.
 
@@ -641,17 +576,17 @@ def asymptotic_hopf(
         raise ValueError(f"need at least 100 pairs, got {n_pairs}")
     if T < 2.0 * np.pi:
         raise ValueError(f"trace time must cover at least one period scale, got {T}")
-    starts = radius * haar_sample(substream(seed, 0), 2 * n_pairs)
+    starts = haar_sample(substream(seed, 0), 2 * n_pairs)
     speeds = np.linalg.norm(np.asarray(field(starts), dtype=float), axis=1)
     if float(np.max(speeds)) < 1e-13:
         return HopfEstimate(0.0, 0.0, n_pairs, float(T), 0, 0)
-    paths, _ = trace_batch(field, starts, T, h=h, radius=radius)
+    paths, _ = trace_batch(field, starts, T, h=h)
 
     resamples = 0
     failures = 0
 
     def close_path(xs: np.ndarray) -> FieldLine | None:
-        line = FieldLine.from_embedding(xs, closed=False, period_or_T=float(T), h=h, radius=radius)
+        line = FieldLine.from_embedding(xs, closed=False, period_or_T=float(T))
         try:
             return close_curve(line)
         except GapTooLarge:
@@ -670,8 +605,8 @@ def asymptotic_hopf(
                 return gauss_linking(la, lb, seed=seed), 0, local_resamples
             except CurvesTooClose:
                 local_resamples += 1
-                fresh = radius * haar_sample(substream(seed, 7, p, attempt), 2)
-                redo, _ = trace_batch(field, fresh, T, h=h, radius=radius)
+                fresh = haar_sample(substream(seed, 7, p, attempt), 2)
+                redo, _ = trace_batch(field, fresh, T, h=h)
                 xs_a, xs_b = redo[0], redo[1]
         return 0.0, 1, local_resamples
 
@@ -696,15 +631,15 @@ def asymptotic_hopf(
 # ---------------------------------------------------------------------------
 
 
-def hopf_fiber(x0: np.ndarray, side: str = "right", axis: int = 0, n: int = 400) -> FieldLine:
-    """Closed orbit of a translation field through x0.
+def hopf_fiber(x0: np.ndarray, side: str = "right", n: int = 400) -> FieldLine:
+    """Closed orbit of a translation field through x0, with q the first imaginary unit.
 
     side="right" gives t -> exp(t q) x0 (pairwise linking +1); side="left"
     gives t -> x0 exp(t q) (pairwise linking -1).
     """
     x0 = np.asarray(x0, dtype=float)
     x0 = x0 / np.linalg.norm(x0)
-    q = IMAG_UNITS[axis]
+    q = IMAG_UNITS[0]
     t = np.linspace(0.0, 2.0 * np.pi, n + 1)
     qx = qmul(q, x0) if side == "right" else qmul(x0, q)
     xs = np.cos(t)[:, None] * x0[None, :] + np.sin(t)[:, None] * qx[None, :]
@@ -712,15 +647,15 @@ def hopf_fiber(x0: np.ndarray, side: str = "right", axis: int = 0, n: int = 400)
     return FieldLine.from_embedding(xs, closed=True, period_or_T=2.0 * np.pi)
 
 
-def circle_in_chart(center: np.ndarray, r3: float, n: int = 256, normal_axis: int = 2) -> FieldLine:
-    """Planar circle in chart-0 coordinates, embedded back on the sphere."""
+def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> FieldLine:
+    """Planar 256-gon circle in chart-0 coordinates, embedded back on the sphere."""
     center = np.asarray(center, dtype=float)
-    t = np.linspace(0.0, 2.0 * np.pi, n + 1)
-    pts = np.tile(center, (n + 1, 1))
+    t = np.linspace(0.0, 2.0 * np.pi, 257)
+    pts = np.tile(center, (t.size, 1))
     i, j = [k for k in range(3) if k != normal_axis]
     pts[:, i] += r3 * np.cos(t)
     pts[:, j] += r3 * np.sin(t)
-    xs = chart_embed(pts, 0, 1.0)
+    xs = chart_embed(pts, 0)
     xs[-1] = xs[0]
     return FieldLine.from_embedding(xs, closed=True, period_or_T=2.0 * np.pi)
 
@@ -729,17 +664,11 @@ def mirror_line(line: FieldLine) -> FieldLine:
     """Reflect the last embedding coordinate (orientation-reversing)."""
     xs = line.embedding.copy()
     xs[:, 3] = -xs[:, 3]
-    return FieldLine.from_embedding(
-        xs, closed=line.closed, period_or_T=line.period_or_T, h=line.h, radius=line.radius
-    )
+    return FieldLine.from_embedding(xs, closed=line.closed, period_or_T=line.period_or_T)
 
 
 def reverse_line(line: FieldLine) -> FieldLine:
     """Reverse the traversal orientation of a closed line."""
     return FieldLine.from_embedding(
-        line.embedding[::-1].copy(),
-        closed=line.closed,
-        period_or_T=line.period_or_T,
-        h=line.h,
-        radius=line.radius,
+        line.embedding[::-1].copy(), closed=line.closed, period_or_T=line.period_or_T
     )

@@ -221,12 +221,12 @@ def triple_density_algebraic(spec: LieFrameSpec) -> float:
     return float(0.5 * np.sum(cyclic_constants(spec) * g) / root)
 
 
-def scale_metric(spec: LieFrameSpec, s: float, name: str | None = None) -> LieFrameSpec:
+def scale_metric(spec: LieFrameSpec, s: float) -> LieFrameSpec:
     """Multiply every metric entry by s^2 (frame lengths by s)."""
     if s <= 0:
         raise NonPositiveScale(f"metric scale must be positive, got {s}")
     return LieFrameSpec(
-        name=name or f"{spec.name}_scaled",
+        name=f"{spec.name}_scaled",
         c=spec.c.copy(),
         g=spec.g * (s * s),
         orientation=spec.orientation,
@@ -381,17 +381,6 @@ def from_text(text: str) -> LieFrameSpec:
     if name is None or orientation is None or g is None:
         raise FrameSpecInvalid("record must contain name, orientation and g lines")
     return LieFrameSpec(name=name, c=c, g=g, orientation=orientation)
-
-
-def write_fleet(fleet: dict[str, LieFrameSpec], dirpath: str) -> list[str]:
-    os.makedirs(dirpath, exist_ok=True)
-    written = []
-    for name in sorted(fleet):
-        path = os.path.join(dirpath, f"{name}.frame")
-        with open(path, "w") as fh:
-            fh.write(to_text(fleet[name]))
-        written.append(path)
-    return written
 
 
 def load_fleet(dirpath: str) -> dict[str, LieFrameSpec]:

@@ -40,6 +40,9 @@ BALANCE_MODE = "direct"
 
 MIN_CHORDS = 1000
 EXACT_TRIPLE_BUDGET = 300_000_000
+# Caps the sampled triples: the raw draw, its distinct-row copy and the
+# min-angle array stay under about 0.9 GiB.
+MAX_TRIPLES = 16_000_000
 
 
 def lambda_to_curvature(lam: float) -> float:
@@ -153,8 +156,8 @@ class GeodesicChord:
     def endpoints(self) -> np.ndarray:
         return self.point(np.array([-self.half_length, self.half_length]))
 
-    def uhp_points(self, n: int = 33) -> np.ndarray:
-        s = np.linspace(-self.half_length, self.half_length, n)
+    def uhp_points(self) -> np.ndarray:
+        s = np.linspace(-self.half_length, self.half_length, 33)
         return to_uhp(self.point(s))
 
     def uhp_descriptor(self) -> tuple[str, tuple[float, ...]]:
@@ -167,9 +170,9 @@ class GeodesicChord:
         rad2 = center**2 + (n0 + n2) / denom
         return "circle", (center, float(np.sqrt(rad2)))
 
-    def uhp_residual(self, n: int = 33) -> float:
+    def uhp_residual(self) -> float:
         """Worst circle/line equation residual along the arc (scale free)."""
-        pts = self.uhp_points(n)
+        pts = self.uhp_points()
         kind, params = self.uhp_descriptor()
         if kind == "vertical":
             return float(np.max(np.abs(pts[:, 0] - params[0]))) / (1.0 + abs(params[0]))
@@ -228,19 +231,15 @@ def chords_cross_inside(c1: GeodesicChord, c2: GeodesicChord) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _crosses_inside(
-    kappa: np.ndarray, p0: np.ndarray, ch2: float, max_cos: float
-) -> np.ndarray:
-    """Chord pairs that cross strictly inside the disk at cos(angle) <= max_cos.
+def _crosses_inside(kappa: np.ndarray, p0: np.ndarray, ch2: float) -> np.ndarray:
+    """Chord pairs that cross strictly inside the disk.
 
     kappa = <n1, n2> and p0 is the time component of the Minkowski cross
     product of the unit normals; the crossing point has time component
     |p0| / sqrt(1 - kappa^2), to be compared with cosh(rr) (ch2 is its
     square).  The folded crossing angle satisfies cos(angle) = |kappa|.
     """
-    # No named temporaries: on the dense path each is a 2048 x N float array.
-    ok = (np.abs(kappa) < 1.0) & (np.abs(kappa) <= max_cos)
-    return ok & (p0**2 < ch2 * (1.0 - kappa**2))
+    return (np.abs(kappa) < 1.0) & (p0**2 < ch2 * (1.0 - kappa**2))
 
 
 def _pair_row_counts(normals: np.ndarray, rr: float) -> np.ndarray:
@@ -314,30 +313,36 @@ def pair_intersection_density(
 # ---------------------------------------------------------------------------
 
 
-def _pair_flag_matrix(normals: np.ndarray, rr: float, eps: float) -> np.ndarray:
-    """Boolean matrix: chords cross inside the disk at folded angle >= eps."""
+def _pair_flag_matrix(normals: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, |kappa|): which chord pairs cross inside the disk, and the
+    cosine of each pair's folded crossing angle."""
     n = normals.shape[0]
     ch2 = np.cosh(rr) ** 2
-    max_cos = np.cos(eps)
     flags = np.zeros((n, n), dtype=bool)
+    cos_angle = np.empty((n, n))
     for lo, hi in fixed_chunks(n, 2048):
         a = normals[lo:hi]
         kappa = a[:, 1:] @ normals[:, 1:].T - np.outer(a[:, 0], normals[:, 0])
         p0 = np.outer(a[:, 2], normals[:, 1]) - np.outer(a[:, 1], normals[:, 2])
-        flags[lo:hi] = _crosses_inside(kappa, p0, ch2, max_cos)
+        flags[lo:hi] = _crosses_inside(kappa, p0, ch2)
+        cos_angle[lo:hi] = np.abs(kappa)
     np.fill_diagonal(flags, False)
-    return flags
+    return flags, cos_angle
 
 
-def exact_triangle_count(normals: np.ndarray, rr: float, eps: float) -> int:
-    """Number of chord triples with three pairwise inside-crossings at angle >= eps.
+def exact_triangle_counts(normals: np.ndarray, rr: float, eps_values: np.ndarray) -> np.ndarray:
+    """Per cutoff eps, the chord triples with three pairwise inside-crossings
+    at angle >= eps.
 
     Exhaustive over all triples via the triangle count of the pairwise
-    crossing graph, trace(A^3)/6.
+    crossing graph, trace(A^3)/6; one crossing matrix serves every cutoff.
     """
-    a = _pair_flag_matrix(normals, rr, eps).astype(np.float64)
-    a2 = a @ a
-    return int(round(float(np.sum(a * a2)) / 6.0))
+    flags, cos_angle = _pair_flag_matrix(normals, rr)
+    counts = []
+    for eps in eps_values:
+        a = (flags & (cos_angle <= np.cos(eps))).astype(np.float64)
+        counts.append(int(round(float(np.sum(a * (a @ a))) / 6.0)))
+    return np.array(counts)
 
 
 def _triple_min_angles(
@@ -361,7 +366,7 @@ def _triple_min_angles(
             b = normals[rows[:, v]]
             kappa = np.sum(a[:, 1:] * b[:, 1:], axis=1) - a[:, 0] * b[:, 0]
             p0 = a[:, 2] * b[:, 1] - a[:, 1] * b[:, 2]
-            valid &= _crosses_inside(kappa, p0, ch2, 1.0)
+            valid &= _crosses_inside(kappa, p0, ch2)
             max_abs_kappa = np.maximum(max_abs_kappa, np.abs(kappa))
         out[valid] = np.arccos(np.clip(max_abs_kappa[valid], 0.0, 1.0))
         return out
@@ -385,12 +390,13 @@ def _triple_counts(
     eps_values: np.ndarray,
     n_triples: int,
     workers: int,
-) -> tuple[np.ndarray, int, dict]:
+) -> tuple[np.ndarray, int]:
     """Triangle counts at each angle threshold, over one chord sample.
 
     Enumerates every triple when the total count fits the exact budget;
-    otherwise subsamples triples.  Counts at the thresholds are nested by
-    construction (one min-angle array, many cutoffs).
+    otherwise subsamples at most MAX_TRIPLES triples.  Counts at the
+    thresholds are nested by construction (one crossing matrix or one
+    min-angle array, many cutoffs).
     """
     if N < MIN_CHORDS:
         raise ValueError(f"need at least {MIN_CHORDS} chords, got {N}")
@@ -399,12 +405,13 @@ def _triple_counts(
     normals = _sample_normals(rr, N, rng)["normal"]
     n_all = N * (N - 1) * (N - 2) // 6
     if n_all <= EXACT_TRIPLE_BUDGET:
-        counts = np.array([exact_triangle_count(normals, rr, e) for e in eps_values], dtype=float)
-        return counts, n_all, {"normals": normals, "rr": rr, "exact": True}
+        return exact_triangle_counts(normals, rr, eps_values).astype(float), n_all
+    if n_triples > MAX_TRIPLES:
+        raise ValueError(f"at most {MAX_TRIPLES} sampled triples, got {n_triples}")
     idx = _sample_triples(N, n_triples, rng)
     min_ang = _triple_min_angles(normals, rr, idx, workers)
     counts = np.array([np.sum(min_ang >= e) for e in eps_values], dtype=float)
-    return counts, int(min_ang.shape[0]), {"normals": normals, "rr": rr, "exact": False}
+    return counts, int(min_ang.shape[0])
 
 
 def triangle_density(
@@ -426,7 +433,7 @@ def triangle_density(
     """
     if not 0.0 < eps < 0.5 * np.pi:
         raise EpsilonTooLarge(f"angle threshold must lie in (0, pi/2), got {eps}")
-    counts, total, _ = _triple_counts(K, R, N, rng, np.array([eps]), n_triples, workers)
+    counts, total = _triple_counts(K, R, N, rng, np.array([eps]), n_triples, workers)
     frac = counts[0] / total
     err = np.sqrt(max(frac * (1.0 - frac), 0.0) / total)
     scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 3
@@ -449,16 +456,16 @@ def collect_triangle_events(
     N: int,
     eps: float,
     rng: np.random.Generator | int,
-    n_triples: int = 200_000,
     max_events: int = 64,
 ) -> list[TriangleEvent]:
-    """Sample triangle events with their intersection points (chart coords)."""
+    """Triangle events among 200000 sampled triples, with their intersection
+    points (chart coords)."""
     if not 0.0 < eps < 0.5 * np.pi:
         raise EpsilonTooLarge(f"angle threshold must lie in (0, pi/2), got {eps}")
     rng = np.random.default_rng(rng)
     rho, rr = _shape_params(K, R)
     normals = _sample_normals(rr, N, rng)["normal"]
-    idx = _sample_triples(N, n_triples, rng)
+    idx = _sample_triples(N, 200_000, rng)
     rows = idx[_triple_min_angles(normals, rr, idx) >= eps][:max_events]
     a = normals[rows[:, [0, 0, 1]]]
     b = normals[rows[:, [1, 2, 2]]]
@@ -554,7 +561,7 @@ def epsilon_limit_scan(
         raise ExtrapolationUnstable("cutoff list must be strictly decreasing")
     if np.any(eps <= 0) or np.any(eps >= 0.5 * np.pi):
         raise EpsilonTooLarge("cutoffs must lie in (0, pi/2)")
-    counts, total, _ = _triple_counts(K, R, N, rng, eps, n_triples, workers)
+    counts, total = _triple_counts(K, R, N, rng, eps, n_triples, workers)
     scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 2
     dens = counts / total * scale
     tail_x = eps[-3:]
@@ -598,14 +605,13 @@ def parallelism_ratio(K: float, R1: float, x1: float) -> float:
     return float(angle / disk_perimeter(K, R1))
 
 
-def parallelism_angle_shooting(
-    K: float, R1: float, x1: float, iters: int = 80, reach: float = 40.0
-) -> float:
+def parallelism_angle_shooting(K: float, R1: float, x1: float) -> float:
     """Parallelism angle by bisection on geodesic rays (no closed form).
 
     Shoots rays from the circle point at angles off the inward perpendicular
-    and bisects between hitting and missing the reference geodesic; a ray
-    hits when the shot geodesic crosses it within the reach horizon.
+    and bisects 80 times between hitting and missing the reference geodesic;
+    a ray hits when the shot geodesic crosses it within 40 curvature units
+    beyond the disk center.
     """
     rho, rr = _shape_params(K, R1)
     if rr < 5.0 * (1.0 - 1e-12):
@@ -615,7 +621,7 @@ def parallelism_angle_shooting(
     inward = -np.array([np.sinh(rr), np.cosh(rr) * c1, np.cosh(rr) * s1])
     side = np.array([0.0, -s1, c1])
     line_normal = np.array([0.0, c1, s1])
-    s_max = rr + reach
+    s_max = rr + 40.0
 
     def hits(alpha: float) -> bool:
         t = np.cos(alpha) * inward + np.sin(alpha) * side
@@ -625,7 +631,7 @@ def parallelism_angle_shooting(
     lo, hi = 0.0, 0.5 * np.pi
     if not hits(lo):
         raise CurlwaveError("perpendicular ray fails to reach the reference geodesic")
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if hits(mid):
             lo = mid
@@ -639,9 +645,7 @@ def parallelism_angle_shooting(
 # ---------------------------------------------------------------------------
 
 
-def m5_quintuple_details(
-    lines: Sequence[FieldLine], projection: np.ndarray | None = None, seed: int = 0
-) -> dict:
+def m5_quintuple_details(lines: Sequence[FieldLine], seed: int = 0) -> dict:
     """Triangle count and linking product for a quintuple of closed curves."""
     if len(lines) != 5:
         raise ValueError(f"need exactly 5 curves, got {len(lines)}")
@@ -650,15 +654,12 @@ def m5_quintuple_details(
     for i in range(5):
         for j in range(i + 1, 5):
             product *= int(matrix.lk[i, j])
-    polys = to_r3_polylines([ln.embedding / ln.radius for ln in lines], seed=seed)
+    polys = to_r3_polylines([ln.embedding for ln in lines], seed=seed)
     polys = [resample_polyline(p, 0.08) for p in polys]
     rng = substream(seed, 55)
     triangles = None
-    for attempt in range(10):
-        if projection is not None and attempt == 0:
-            d = np.asarray(projection, dtype=float)
-        else:
-            d = rng.standard_normal(3)
+    for _ in range(10):
+        d = rng.standard_normal(3)
         try:
             crossed = {}
             for i in range(5):

@@ -4,9 +4,8 @@ The sphere of radius R sits in quaternion space; left fields are x -> x*q and
 right fields are x -> q*x for the imaginary units q.  All differential
 operators run in a two-chart stereographic atlas where the round metric is
 conformally flat, so curls reduce to flat curls of rescaled components.
-Derivatives use complex-step evaluation by default (the whole pipeline is
-rational in the chart coordinate), with a real central-difference fallback
-that serves as an independent second route.
+Derivatives use complex-step evaluation, which is exact to roundoff because
+the whole pipeline is rational in the chart coordinate.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ChartEscape, QuadratureUnderflow
+from .errors import QuadratureUnderflow
 from .frames import LieFrameSpec, lambda_fields, su2_right, su2_unit
 from .quaternions import IMAG_UNITS, haar_sample, qconj, qmul
 from .seeds import fixed_chunks, ordered_map, substream
@@ -166,15 +165,15 @@ def nu_of(field: Callable, radius: float = 1.0) -> Callable[[np.ndarray], np.nda
     return lambda x: qmul(qconj(np.asarray(x)), field(x)) / (2.0 * radius)
 
 
-def gauge_bracket(fa: Callable, fb: Callable, radius: float = 1.0) -> Callable:
-    """Pointwise algebra commutator of two fields, mapped back to a field."""
-    na = nu_of(fa, radius)
-    nb = nu_of(fb, radius)
+def gauge_bracket(fa: Callable, fb: Callable) -> Callable:
+    """Pointwise algebra commutator of two fields on the unit sphere, mapped back to a field."""
+    na = nu_of(fa)
+    nb = nu_of(fb)
 
     def bracket(x: np.ndarray) -> np.ndarray:
         pa = na(x)
         pb = nb(x)
-        return 2.0 * qmul(np.asarray(x), qmul(pa, pb) - qmul(pb, pa)) / radius
+        return 2.0 * qmul(np.asarray(x), qmul(pa, pb) - qmul(pb, pa))
 
     return bracket
 
@@ -190,18 +189,11 @@ def field_in_chart(field: Callable, u: np.ndarray, chart: int, radius: float = 1
     return chart_push(x, field(x), chart, radius)
 
 
-def curl_in_chart(
-    field: Callable,
-    u: np.ndarray,
-    chart: int,
-    radius: float = 1.0,
-    mode: str = "complex",
-    step: float = 1e-3,
-) -> np.ndarray:
+def curl_in_chart(field: Callable, u: np.ndarray, chart: int, radius: float = 1.0) -> np.ndarray:
     """Chart components of the round-metric curl at chart points u.
 
     Uses rot_g V = rot_flat(Omega^2 V) / Omega^3, valid in each conformal,
-    positively oriented chart.
+    positively oriented chart, with complex-step partial derivatives.
     """
 
     def weighted(uu: np.ndarray) -> np.ndarray:
@@ -210,21 +202,10 @@ def curl_in_chart(
         )
 
     grads = []
-    if mode == "complex":
-        h = COMPLEX_STEP
-        for j in range(3):
-            up = u.astype(complex).copy()
-            up[..., j] += 1j * h
-            grads.append(np.imag(weighted(up)) / h)
-    elif mode == "real":
-        for j in range(3):
-            up = u.copy()
-            up[..., j] += step
-            um = u.copy()
-            um[..., j] -= step
-            grads.append((weighted(up) - weighted(um)) / (2.0 * step))
-    else:
-        raise ValueError(f"mode must be 'complex' or 'real', got {mode!r}")
+    for j in range(3):
+        up = u.astype(complex).copy()
+        up[..., j] += 1j * COMPLEX_STEP
+        grads.append(np.imag(weighted(up)) / COMPLEX_STEP)
     rot_flat = np.stack(
         [
             grads[1][..., 2] - grads[2][..., 1],
@@ -239,12 +220,9 @@ def curl_in_chart(
 def group_by_chart(x: np.ndarray, radius: float) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """[(chart, index_array, chart_points)] for a batch of embedded points.
 
-    Each point goes to the chart chart_of assigns it; raises ChartEscape on a
-    non-finite point.
+    Each point goes to the chart chart_of assigns it.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.isfinite(x).all():
-        raise ChartEscape("non-finite embedded point")
     charts = chart_of(x, radius)
     groups = []
     for ch in (0, 1):
@@ -255,11 +233,7 @@ def group_by_chart(x: np.ndarray, radius: float) -> list[tuple[int, np.ndarray, 
 
 
 def curl_field(
-    field: Callable,
-    x: np.ndarray,
-    radius: float = 1.0,
-    mode: str = "complex",
-    step: float = 1e-3,
+    field: Callable, x: np.ndarray, radius: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Curl of an ambient field at embedded points.
 
@@ -276,7 +250,7 @@ def curl_field(
         charts[idx] = ch
         u_all[idx] = u
         v_all[idx] = np.real(field_in_chart(field, u, ch, radius))
-        c_all[idx] = curl_in_chart(field, u, ch, radius, mode=mode, step=step)
+        c_all[idx] = curl_in_chart(field, u, ch, radius)
     return charts, u_all, v_all, c_all
 
 
@@ -285,16 +259,14 @@ def chart_inner(u: np.ndarray, a: np.ndarray, b: np.ndarray, radius: float = 1.0
     return conformal_factor(u, radius) ** 2 * np.sum(a * b, axis=-1)
 
 
-def helicity_density(
-    field_a: Callable, field_b: Callable, x: np.ndarray, radius: float = 1.0
-) -> np.ndarray:
-    """Pointwise round-metric inner product <A, B> at embedded points."""
+def helicity_density(field_a: Callable, field_b: Callable, x: np.ndarray) -> np.ndarray:
+    """Pointwise round-metric inner product <A, B> at embedded points of the unit sphere."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty(x.shape[0])
-    for ch, idx, u in group_by_chart(x, radius):
-        a = np.real(field_in_chart(field_a, u, ch, radius))
-        b = np.real(field_in_chart(field_b, u, ch, radius))
-        out[idx] = chart_inner(u, a, b, radius)
+    for ch, idx, u in group_by_chart(x, 1.0):
+        a = np.real(field_in_chart(field_a, u, ch))
+        b = np.real(field_in_chart(field_b, u, ch))
+        out[idx] = chart_inner(u, a, b)
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from curlwave.cli import ExperimentConfig, emit_report, main, run
 from curlwave.errors import ConfigInvalid, IoFailure, VerbUnknown
+from curlwave.hypermc import MAX_TRIPLES
 
 
 def _cfg(**kw):
@@ -206,6 +207,7 @@ def test_main_rejects_mistyped_config(tmp_path, monkeypatch, capsys, text):
         ("alpha-scaling", {"lambda_grid": [1, 2, 3]}),
         ("hopf-asymptotic", {"n_pairs": 50}),
         ("hopf-asymptotic", {"trace_T": 1.0}),
+        ("triangle-scan", {"n_chords": 2000, "n_triples": MAX_TRIPLES + 1}),
     ],
 )
 def test_main_maps_verb_preconditions_to_exit_1(tmp_path, monkeypatch, capsys, verb, payload):

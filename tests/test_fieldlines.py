@@ -6,6 +6,7 @@ import pytest
 from curlwave import fieldlines as fl
 from curlwave import s3
 from curlwave.errors import (
+    ChartEscape,
     CurvesTooClose,
     DegenerateProjection,
     GapTooLarge,
@@ -26,6 +27,25 @@ def test_hopf_fiber_closed_unit_circle():
     assert np.allclose(np.linalg.norm(line.embedding, axis=1), 1.0, atol=1e-12)
     assert np.allclose(line.embedding[0], line.embedding[-1], atol=1e-12)
     assert np.isclose(line.period_or_T, 2.0 * np.pi)
+
+
+def test_from_embedding_rejects_non_finite_point():
+    xs = np.array([[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(ChartEscape):
+        fl.FieldLine.from_embedding(xs, closed=False, period_or_T=1.0)
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
+def test_distance_scans_match_brute_force(n):
+    # 511, 512 and 513 sit on the 512-row block edge of FieldLine.diameter.
+    rng = np.random.default_rng(n)
+    p = haar_sample(rng, n)
+    q = haar_sample(rng, 700)
+    pq = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=-1)
+    pp = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
+    assert fl._min_distance(p, q) == fl._min_distance(q, p) == float(np.min(pq))
+    line = fl.FieldLine.from_embedding(p, closed=False, period_or_T=1.0)
+    assert line.diameter() == float(np.max(pp))
 
 
 def test_right_fibers_link_plus_one():

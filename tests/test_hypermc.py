@@ -84,7 +84,7 @@ def test_half_disk_fraction():
 def test_crossing_predicate_matches_flag_matrix():
     chords = _sample_chords(300, 3.0, 8)
     normals = np.stack([c.normal for c in chords])
-    flags = hm._pair_flag_matrix(normals, 3.0, 1e-12)
+    flags, _ = hm._pair_flag_matrix(normals, 3.0)
     for i in range(300):
         for j in range(i + 1, 300):
             hit = hm.chords_cross_inside(chords[i], chords[j])
@@ -97,7 +97,7 @@ def test_pair_row_counts_match_flag_matrix(rr):
     rng = np.random.default_rng(6)
     normals = hm._sample_normals(rr, 1000, rng)["normal"]
     counts = hm._pair_row_counts(normals, rr)
-    flags = hm._pair_flag_matrix(normals, rr, 1e-12)
+    flags, _ = hm._pair_flag_matrix(normals, rr)
     assert np.array_equal(counts, flags.sum(axis=1))
 
 
@@ -137,32 +137,31 @@ def test_pair_density_memory_stays_bounded():
 def test_exact_triangle_count_vs_independent_oracle():
     chords = _sample_chords(400, 3.0, 12)
     normals = np.stack([c.normal for c in chords])
-    eps = 0.3
+    cutoffs = (0.4, 0.3, 0.2, 0.15, 0.1)
     n = len(chords)
-    mine = np.zeros((n, n), dtype=bool)
+    # Folded crossing angle of every pair crossing inside the disk, else -1.
+    angle = np.full((n, n), -1.0)
     for i in range(n):
         for j in range(i + 1, n):
-            if not hm.chords_cross_inside(chords[i], chords[j]):
-                continue
-            kappa = float(hm.mink_dot(chords[i].normal, chords[j].normal))
-            if np.arccos(abs(kappa)) >= eps:
-                mine[i, j] = mine[j, i] = True
-    m = mine.astype(np.int64)
-    oracle = int(np.einsum("ij,jk,ki->", m, m, m)) // 6
-    assert hm.exact_triangle_count(normals, 3.0, eps) == oracle
+            if hm.chords_cross_inside(chords[i], chords[j]):
+                kappa = float(hm.mink_dot(chords[i].normal, chords[j].normal))
+                angle[i, j] = angle[j, i] = np.arccos(abs(kappa))
+    oracle = []
+    for eps in cutoffs:
+        m = (angle >= eps).astype(np.int64)
+        oracle.append(int(np.einsum("ij,jk,ki->", m, m, m)) // 6)
+    assert 0 < oracle[0] < oracle[-1]
+    assert hm.exact_triangle_counts(normals, 3.0, np.array(cutoffs)).tolist() == oracle
 
 
 def test_triple_counts_exact_path_matches_direct_count():
-    counts, total, info = hm._triple_counts(
-        K1, 3.0, 1000, 12, np.array([0.3]), 10**9, 1
-    )
-    assert info["exact"]
+    cutoffs = np.array([0.4, 0.3, 0.1])
+    # 10**9 sampled triples would exceed MAX_TRIPLES; the exact path ignores it.
+    counts, total = hm._triple_counts(K1, 3.0, 1000, 12, cutoffs, 10**9, 1)
     assert total == 1000 * 999 * 998 // 6
     # replay the sampling stream and count from scratch
-    rng = np.random.default_rng(12)
-    normals = hm._sample_normals(3.0, 1000, rng)["normal"]
-    assert np.array_equal(normals, info["normals"])
-    assert counts[0] == hm.exact_triangle_count(normals, 3.0, 0.3)
+    normals = hm._sample_normals(3.0, 1000, np.random.default_rng(12))["normal"]
+    assert counts.tolist() == hm.exact_triangle_counts(normals, 3.0, cutoffs).tolist()
 
 
 def test_subsampled_min_angles_match_python_oracle():
