@@ -81,6 +81,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not _is_int(v) or v <= 0:
                 raise ConfigInvalid(f"{name}: must be a positive integer, got {v!r}")
+        if self.n_triples > hypermc.MAX_TRIPLES:
+            raise ConfigInvalid(f"n_triples: at most {hypermc.MAX_TRIPLES}, got {self.n_triples}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigInvalid(f"seed: must be a non-negative integer, got {self.seed!r}")
         for name in ("disk_radius", "trace_T", "max_left_residual", "min_right_residual"):

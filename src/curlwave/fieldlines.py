@@ -213,15 +213,19 @@ def close_curve(line: FieldLine) -> FieldLine:
     """Close an open line by a short great-circle arc between its endpoints.
 
     The gap must not exceed MAX_GAP_FRACTION of the curve diameter; the
-    appended arc uses the median point spacing of the line.
+    appended arc uses the median point spacing of the line.  The farthest
+    distance from the first point is a lower bound on the diameter, so a gap
+    within the fraction of it is accepted without the O(n^2) diameter scan.
     """
     if line.closed:
         return line
     gap = line.gap()
-    diam = line.diameter()
-    if diam == 0.0 or gap > MAX_GAP_FRACTION * diam:
-        raise GapTooLarge(f"endpoint gap {gap:.3g} exceeds {MAX_GAP_FRACTION:.0%} of diameter {diam:.3g}")
     xs = line.embedding
+    reach = float(cdist(xs[:1], xs).max())
+    if not (reach > 0.0 and gap <= MAX_GAP_FRACTION * reach):
+        diam = line.diameter()
+        if diam == 0.0 or gap > MAX_GAP_FRACTION * diam:
+            raise GapTooLarge(f"endpoint gap {gap:.3g} exceeds {MAX_GAP_FRACTION:.0%} of diameter {diam:.3g}")
     if gap <= 1e-12:
         arc = xs[:1]
     else:
@@ -310,9 +314,66 @@ def _prepare_pair(c1: FieldLine, c2: FieldLine, seed: int = 0) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.where(n < 1e-300, 1.0, n)
+def _cross(a: list, b: list) -> list:
+    """Components of a x b in np.cross's operand order; swapping a and b negates each exactly."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    tmp = a2 * b1
+    c0 = a1 * b2
+    c0 -= tmp
+    c1 = a2 * b0
+    c1 -= np.multiply(a0, b2, out=tmp)
+    c2 = a0 * b1
+    c2 -= np.multiply(a1, b0, out=tmp)
+    return [c0, c1, c2]
+
+
+def _dot(u: list, v: list, out: np.ndarray) -> np.ndarray:
+    """(u0 v0 + u1 v1) + u2 v2 into out, the order of np.sum over a last axis of 3."""
+    np.multiply(u[0], v[0], out=out)
+    out += u[1] * v[1]
+    out += u[2] * v[2]
+    return out
+
+
+def _unit_cross(a: list, b: list) -> list:
+    """Components of a x b divided by its norm, or by 1 where the norm is below 1e-300."""
+    c = _cross(a, b)
+    norm = np.sqrt(_dot(c, c, np.empty_like(c[0])))
+    norm[norm < 1e-300] = 1.0
+    for x in c:
+        x /= norm
+    return c
+
+
+def _signed_solid_angles(p: np.ndarray, q: list, dq: list, out: np.ndarray) -> None:
+    """Signed solid angles of segments p[i]p[i+1] against every segment of q, into out.
+
+    q and dq are the components of q's points and of its segment vectors.
+    With R[i, j] = q[j] - p[i], E[i, j] = unit(R[i, j] x R[i, j+1]) and
+    V[i, j] = unit(R[i, j] x R[i+1, j]), the cell (i, j) quadrilateral has
+    face normals E[i, j], V[i, j+1], -E[i+1, j] and -V[i, j].
+    """
+    r = [qk[None, :] - p[:, k, None] for k, qk in enumerate(q)]
+    e = _unit_cross([x[:, :-1] for x in r], [x[:, 1:] for x in r])
+    v = _unit_cross([x[:-1] for x in r], [x[1:] for x in r])
+    e_lo, e_hi = [x[:-1] for x in e], [x[1:] for x in e]
+    v_lo, v_hi = [x[:, :-1] for x in v], [x[:, 1:] for x in v]
+    term = np.empty_like(out)
+    # omega = asin(n1.n2) + asin(n2.n3) + asin(n3.n4) + asin(n4.n1), in that
+    # order; n2.n3 and n4.n1 each pair E with V and negate the dot product.
+    pairs = ((e_lo, v_hi, False), (v_hi, e_hi, True), (e_hi, v_lo, False), (v_lo, e_lo, True))
+    for k, (a, b, negate) in enumerate(pairs):
+        dot = _dot(a, b, out if k == 0 else term)
+        if negate:
+            np.negative(dot, out=dot)
+        np.clip(dot, -1.0, 1.0, out=dot)
+        np.arcsin(dot, out=dot)
+        if k:
+            out += dot
+    # The sign of ((q[j+1] - q[j]) x (p[i+1] - p[i])) . R[i, j].
+    dp = [p[1:, k, None] - p[:-1, k, None] for k in range(3)]
+    out *= np.sign(_dot(_cross(dq, dp), [x[:-1, :-1] for x in r], term), out=term)
 
 
 def linking_solid_angle(p: np.ndarray, q: np.ndarray) -> float:
@@ -320,33 +381,20 @@ def linking_solid_angle(p: np.ndarray, q: np.ndarray) -> float:
 
     Sums the exact signed solid angle each segment pair subtends; no step
     tuning enters, so values land within roundoff of integers for honestly
-    separated curves.
+    separated curves.  Segments of p go in chunks of 256, each summed as one
+    (256, m) array, so the float returned depends only on p and q.  A chunk
+    is filled in row blocks of about 32k cells, so temporaries stay small.
     """
-    a1, a2 = p[:-1], p[1:]
-    b1, b2 = q[:-1], q[1:]
+    qc = [np.ascontiguousarray(q[:, k]) for k in range(3)]
+    dq = [x[1:] - x[:-1] for x in qc]
+    m = q.shape[0] - 1
+    rows = max(1, min(256, 32768 // max(m, 1)))
     total = 0.0
-    for lo, hi in fixed_chunks(a1.shape[0], 256):
-        r1 = a1[lo:hi, None, :]
-        r2 = a2[lo:hi, None, :]
-        r3 = b1[None, :, :]
-        r4 = b2[None, :, :]
-        r13 = r3 - r1
-        r14 = r4 - r1
-        r23 = r3 - r2
-        r24 = r4 - r2
-        n1 = _unit(np.cross(r13, r14))
-        n2 = _unit(np.cross(r14, r24))
-        n3 = _unit(np.cross(r24, r23))
-        n4 = _unit(np.cross(r23, r13))
-        clip = lambda x: np.clip(x, -1.0, 1.0)
-        omega = (
-            np.arcsin(clip(np.sum(n1 * n2, axis=-1)))
-            + np.arcsin(clip(np.sum(n2 * n3, axis=-1)))
-            + np.arcsin(clip(np.sum(n3 * n4, axis=-1)))
-            + np.arcsin(clip(np.sum(n4 * n1, axis=-1)))
-        )
-        sign = np.sign(np.sum(np.cross(r4 - r3, r2 - r1) * r13, axis=-1))
-        total += float(np.sum(omega * sign))
+    for lo, hi in fixed_chunks(p.shape[0] - 1, 256):
+        omega = np.empty((hi - lo, m))
+        for a, b in fixed_chunks(hi - lo, rows):
+            _signed_solid_angles(p[lo + a:lo + b + 1], qc, dq, omega[a:b])
+        total += float(np.sum(omega))
     return total / (4.0 * np.pi)
 
 

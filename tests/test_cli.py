@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from curlwave import cli
 from curlwave.cli import ExperimentConfig, emit_report, main, run
 from curlwave.errors import ConfigInvalid, IoFailure, VerbUnknown
 from curlwave.hypermc import MAX_TRIPLES
@@ -49,6 +50,7 @@ def test_config_rejects_unknown_and_missing_fields():
         {"lambda_grid": (1.0, 0.0)},
         {"disk_radius": -2.0},
         {"verb": ""},
+        {"n_triples": MAX_TRIPLES + 1},
     ],
 )
 def test_config_validate_rejects(patch):
@@ -207,7 +209,6 @@ def test_main_rejects_mistyped_config(tmp_path, monkeypatch, capsys, text):
         ("alpha-scaling", {"lambda_grid": [1, 2, 3]}),
         ("hopf-asymptotic", {"n_pairs": 50}),
         ("hopf-asymptotic", {"trace_T": 1.0}),
-        ("triangle-scan", {"n_chords": 2000, "n_triples": MAX_TRIPLES + 1}),
     ],
 )
 def test_main_maps_verb_preconditions_to_exit_1(tmp_path, monkeypatch, capsys, verb, payload):
@@ -216,6 +217,20 @@ def test_main_maps_verb_preconditions_to_exit_1(tmp_path, monkeypatch, capsys, v
     (tmp_path / "cfg.json").write_text(json.dumps(payload))
     assert main([verb, "--config", "cfg.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_rejects_over_budget_triples_before_the_verb(tmp_path, monkeypatch, capsys):
+    # validate() caps the triple sample, so an over-budget config never
+    # reaches the verb's pair-count stage or allocates its triples.
+    def verb_must_not_run(config, timings):
+        raise AssertionError("triangle-scan ran on an over-budget config")
+
+    monkeypatch.setitem(cli._VERB_TABLE, "triangle-scan", verb_must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"n_chords": 2000, "n_triples": MAX_TRIPLES + 1}))
+    assert main(["triangle-scan", "--config", "cfg.json"]) == 1
+    assert "n_triples: at most" in capsys.readouterr().err
+    _cfg(n_triples=MAX_TRIPLES).validate()
 
 
 def test_flags_override_config(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Field line tracing, closure, and linking quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from curlwave.errors import (
     StepTooLarge,
 )
 from curlwave.quaternions import haar_sample, qnormalize
+from curlwave.seeds import fixed_chunks
 
 
 def _fiber_pair(side, seed=0):
@@ -46,6 +49,117 @@ def test_distance_scans_match_brute_force(n):
     assert fl._min_distance(p, q) == fl._min_distance(q, p) == float(np.min(pq))
     line = fl.FieldLine.from_embedding(p, closed=False, period_or_T=1.0)
     assert line.diameter() == float(np.max(pp))
+
+
+def _unit(v):
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / np.where(n < 1e-300, 1.0, n)
+
+
+def _reference_solid_angle(p, q):
+    # The vectorized quadrature as first written: four crosses and four
+    # normalizations per segment pair.  linking_solid_angle must return the
+    # same float.
+    a1, a2 = p[:-1], p[1:]
+    b1, b2 = q[:-1], q[1:]
+    total = 0.0
+    for lo, hi in fixed_chunks(a1.shape[0], 256):
+        r1 = a1[lo:hi, None, :]
+        r2 = a2[lo:hi, None, :]
+        r3 = b1[None, :, :]
+        r4 = b2[None, :, :]
+        r13 = r3 - r1
+        r14 = r4 - r1
+        r23 = r3 - r2
+        r24 = r4 - r2
+        n1 = _unit(np.cross(r13, r14))
+        n2 = _unit(np.cross(r14, r24))
+        n3 = _unit(np.cross(r24, r23))
+        n4 = _unit(np.cross(r23, r13))
+        clip = lambda x: np.clip(x, -1.0, 1.0)
+        omega = (
+            np.arcsin(clip(np.sum(n1 * n2, axis=-1)))
+            + np.arcsin(clip(np.sum(n2 * n3, axis=-1)))
+            + np.arcsin(clip(np.sum(n3 * n4, axis=-1)))
+            + np.arcsin(clip(np.sum(n4 * n1, axis=-1)))
+        )
+        sign = np.sign(np.sum(np.cross(r4 - r3, r2 - r1) * r13, axis=-1))
+        total += float(np.sum(omega * sign))
+    return total / (4.0 * np.pi)
+
+
+def _wobbly_ring(n_seg, center, normal_axis, seed):
+    # Closed n_seg-gon near a unit circle, with random radial and normal noise.
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 2.0 * np.pi, n_seg + 1)
+    radius = 1.0 + 0.1 * rng.standard_normal(t.size)
+    i, j = [k for k in range(3) if k != normal_axis]
+    pts = np.tile(np.asarray(center, dtype=float), (t.size, 1))
+    pts[:, i] += radius * np.cos(t)
+    pts[:, j] += radius * np.sin(t)
+    pts[:, normal_axis] += 0.05 * rng.standard_normal(t.size)
+    pts[-1] = pts[0]
+    return pts
+
+
+@pytest.mark.parametrize(
+    "n_p, n_q",
+    [(2, 300), (255, 300), (256, 300), (257, 300), (513, 300), (300, 2), (257, 2399)],
+)
+def test_linking_kernel_equals_reference_on_chunk_edges(n_p, n_q):
+    # 255, 256, 257 and 513 sit on the 256-segment chunk edge; n_q sets the
+    # row blocks inside a chunk.
+    p = _wobbly_ring(n_p, (0.0, 0.0, 0.0), 2, n_p)
+    q = _wobbly_ring(n_q, (1.0, 0.0, 0.0), 1, n_q + 1)
+    for a, b in ((p, q), (q, p), (p, q[::-1])):
+        assert fl.linking_solid_angle(a, b) == _reference_solid_angle(a, b)
+
+
+def test_linking_kernel_equals_reference_on_sphere_curves():
+    base = haar_sample(np.random.default_rng(7), 3)
+    pairs = [
+        (fl.hopf_fiber(base[0], "right"), fl.hopf_fiber(base[1], "right")),
+        (fl.hopf_fiber(base[0], "left"), fl.hopf_fiber(base[2], "left", n=631)),
+        (fl.circle_in_chart(np.array([0.0, 0.0, -2.5]), 0.3),
+         fl.circle_in_chart(np.array([0.0, 0.0, 2.5]), 0.3, normal_axis=0)),
+        (fl.circle_in_chart(np.array([0.0, 0.0, 0.0]), 0.4),
+         fl.circle_in_chart(np.array([0.4, 0.0, 0.0]), 0.4, normal_axis=1)),
+    ]
+    for c1, c2 in pairs:
+        p, q = fl._prepare_pair(c1, c2)
+        assert fl.linking_solid_angle(p, q) == _reference_solid_angle(p, q)
+
+
+def test_linking_kernel_equals_reference_near_contact_and_on_collinear_segments():
+    p = _wobbly_ring(200, (0.0, 0.0, 0.0), 2, 1)
+    q = _wobbly_ring(180, (0.0, 0.0, 0.0), 2, 2) * 1.5
+    # Move q rigidly until it passes 1e-6 from p.
+    gap = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=-1)
+    i, j = np.unravel_index(np.argmin(gap), gap.shape)
+    shift = p[i] - q[j]
+    q_near = q + shift * (1.0 - 1e-6 / np.linalg.norm(shift))
+    assert fl.linking_solid_angle(p, q_near) == _reference_solid_angle(p, q_near)
+    # A vertex of p on the line through a segment of q: that face normal is
+    # the zero vector and the 1e-300 guard decides its value.
+    square = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    line = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 3.0, 0.5], [1.0, 0.0, 0.0]])
+    assert np.all(np.cross(line[0] - square[0], line[1] - square[0]) == 0.0)
+    assert fl.linking_solid_angle(square, line) == _reference_solid_angle(square, line)
+    assert fl.linking_solid_angle(line, square) == _reference_solid_angle(line, square)
+
+
+def test_linking_kernel_memory_stays_bounded():
+    # Two curves at the resampling cap of 2400 points each.
+    p = _wobbly_ring(2399, (0.0, 0.0, 0.0), 2, 3)
+    q = _wobbly_ring(2399, (1.0, 0.0, 0.0), 1, 4)
+    tracemalloc.start()
+    try:
+        lk = fl.linking_solid_angle(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(abs(lk) - 1.0) < 1e-6
+    assert peak < 32 * 2**20
 
 
 def test_right_fibers_link_plus_one():
@@ -163,6 +277,33 @@ def test_close_curve_rejects_wide_gap():
     assert not line.closed
     with pytest.raises(GapTooLarge):
         fl.close_curve(line)
+
+
+def _great_circle_path(angles):
+    # Points at the given angles on one great circle of the unit sphere.
+    a = np.asarray(angles, dtype=float)
+    return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=1)
+
+
+def test_close_curve_bound_keeps_the_diameter_decision(monkeypatch):
+    calls = []
+    diameter = fl.FieldLine.diameter
+    monkeypatch.setattr(fl.FieldLine, "diameter", lambda self: calls.append(1) or diameter(self))
+    # Out to +0.5 rad and back through the start to -0.5 rad: the farthest
+    # point from the start is at half the diameter.
+    out_and_back = np.concatenate([np.linspace(0.0, 0.5, 50), np.linspace(0.5, -0.5, 100)])
+    small_gap = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.03)), False, 1.0)
+    closed = fl.close_curve(small_gap)
+    assert closed.closed and calls == []
+    # Gap chord 0.08: above 10% of the reach (0.0495), within 10% of the
+    # diameter (0.0959), so only the exact check accepts it.
+    ambiguous = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.08)), False, 1.0)
+    assert 0.1 * ambiguous.diameter() >= ambiguous.gap() > 0.1 * 2.0 * np.sin(0.25)
+    calls.clear()
+    assert fl.close_curve(ambiguous).closed and calls == [1]
+    wide = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.2)), False, 1.0)
+    with pytest.raises(GapTooLarge, match="diameter"):
+        fl.close_curve(wide)
 
 
 def test_identical_curves_rejected():

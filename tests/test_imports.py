@@ -5,6 +5,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import curlwave
 import curlwave.cli
 
@@ -41,6 +43,16 @@ def test_benchmark_tracer_installs(monkeypatch):
     diameter = curlwave.fieldlines.FieldLine.diameter
     t = tracer.Tracer()
     tracer.install(t, curlwave.cli)
-    assert curlwave.fieldlines.FieldLine.diameter is not diameter
-    t.uninstall()
+    try:
+        assert curlwave.fieldlines.FieldLine.diameter is not diameter
+        # The segment-pair counter binds the kernel's arguments by name.
+        base = curlwave.quaternions.haar_sample(np.random.default_rng(0), 2)
+        c1, c2 = (curlwave.fieldlines.hopf_fiber(b, "right") for b in base)
+        curlwave.fieldlines.gauss_linking(c1, c2)
+    finally:
+        t.uninstall()
     assert curlwave.fieldlines.FieldLine.diameter is diameter
+    kernel = [s for s in t.spans if s.name == "fieldlines.linking_solid_angle"]
+    assert len(kernel) == 1 and kernel[0].error is None
+    p, q = curlwave.fieldlines._prepare_pair(c1, c2)
+    assert t.counters["fieldlines.segment_pairs"] == (len(p) - 1) * (len(q) - 1) > 0
