@@ -17,11 +17,10 @@ from .frames import (
     su2_right,
     su2_unit,
 )
-from .hyperbolic import LambdaFrame, build_lambda_frame, cs_density_lambda, rescale_check, sectional_profile
+from .hyperbolic import LambdaFrame, build_lambda_frame, cs_density_lambda, sectional_profile
 from .hypermc import (
     GeodesicChord,
     ScalingFit,
-    TriangleEvent,
     alpha_scaling,
     epsilon_limit_scan,
     lambda_to_curvature,
@@ -39,8 +38,8 @@ from .fieldlines import (
     crossing_linking_oracle,
     gauss_linking,
     helicity_integral,
-    trace_field_line,
+    trace_batch,
 )
-from .s3 import S3Frame, build_frame, cs_functional, lambda_realized_frame, ym_residual
+from .s3 import S3Frame, build_frame, cs_functional, ym_residual
 
 __version__ = "0.1.0"

@@ -52,7 +52,8 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or float within the finite doubles; json reads NaN and Infinity as floats."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,13 @@ class ExperimentConfig:
         for name in ("disk_radius", "trace_T", "max_left_residual", "min_right_residual"):
             v = getattr(self, name)
             if not _is_real(v) or not v > 0:
-                raise ConfigInvalid(f"{name}: must be positive, got {v!r}")
+                raise ConfigInvalid(f"{name}: must be finite and positive, got {v!r}")
         if not _is_real(self.trace_step) or not 0 < self.trace_step <= 0.01:
             raise ConfigInvalid(f"trace_step: must lie in (0, 0.01], got {self.trace_step!r}")
         for name in ("lambda_grid", "eps_list"):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)) or not all(_is_real(x) for x in v):
-                raise ConfigInvalid(f"{name}: must be a list of numbers, got {v!r}")
+                raise ConfigInvalid(f"{name}: must be a list of finite numbers, got {v!r}")
         if len(self.lambda_grid) == 0 or any(l <= 0 for l in self.lambda_grid):
             raise ConfigInvalid(f"lambda_grid: must be non-empty and positive, got {self.lambda_grid!r}")
         eps = self.eps_list
@@ -126,10 +127,6 @@ class ExperimentConfig:
             if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
     def config_hash(self) -> str:
         # Worker count and output location change where and how fast the run

@@ -17,20 +17,12 @@ class NotEigenfield(CurlwaveError):
     """Requested a curl eigenvalue for a frame leg that is not an eigenfield."""
 
 
-class IndexClash(CurlwaveError):
-    """Commutator requested with equal leg indices."""
-
-
 class DegenerateMetric(CurlwaveError):
     """Frame metric has a non-positive diagonal entry."""
 
 
 class NonPositiveLambda(CurlwaveError):
     """Family parameter must be strictly positive."""
-
-
-class NonPositiveScale(CurlwaveError):
-    """Rescale factor must be strictly positive."""
 
 
 class QuadratureUnderflow(CurlwaveError):

@@ -31,7 +31,6 @@ from .s3 import (
     VOL_UNIT_SPHERE,
     chart_embed,
     chart_point,
-    conformal_factor,
     curl_field,
     field_in_chart,
     group_by_chart,
@@ -56,24 +55,20 @@ class FieldLine:
     """Polyline on the unit sphere.
 
     embedding holds the 4-space positions; for closed lines the first and
-    last points coincide to the closure tolerance.  drift is the largest
-    radial error that renormalization removed while tracing.
+    last points coincide to the closure tolerance.
     """
 
     embedding: np.ndarray
     closed: bool
     period_or_T: float
-    drift: float
 
     @classmethod
-    def from_embedding(
-        cls, xs: np.ndarray, closed: bool, period_or_T: float, drift: float = 0.0
-    ) -> "FieldLine":
+    def from_embedding(cls, xs: np.ndarray, closed: bool, period_or_T: float) -> "FieldLine":
         """Line through the embedded points xs; raises ChartEscape on a non-finite point."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if not np.isfinite(xs).all():
             raise ChartEscape("non-finite embedded point")
-        return cls(xs, closed, period_or_T, drift)
+        return cls(xs, closed, period_or_T)
 
     def gap(self) -> float:
         return float(np.linalg.norm(self.embedding[-1] - self.embedding[0]))
@@ -92,101 +87,14 @@ def _rk4_step(field: Callable, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def trace_field_line(
-    field: Callable,
-    x0: np.ndarray,
-    T: float,
-    h: float = 0.01,
-    detect_period: bool = True,
-) -> FieldLine:
-    """Fixed-step 4th-order trace of the field through x0 for time T.
-
-    The state is renormalized to the sphere after every step; the maximum
-    pre-renormalization radial error is logged as drift.  With
-    detect_period=True the trace stops at the first return to the transverse
-    hyperplane through x0 within the closure tolerance and marks the line
-    closed.
-    """
-    if h > MAX_STEP or h <= 0:
-        raise StepTooLarge(f"step must lie in (0, {MAX_STEP}], got {h}")
-    if T <= 0:
-        raise ValueError(f"trace time must be positive, got {T}")
-    x0 = np.asarray(x0, dtype=float)
-    x0 = x0 / np.linalg.norm(x0)
-    f0 = np.asarray(field(x0), dtype=float)
-    speed0 = float(np.linalg.norm(f0))
-    if speed0 < 1e-13:
-        return FieldLine.from_embedding(x0[None, :], closed=False, period_or_T=0.0)
-    normal = f0 / speed0
-
-    n_steps = int(np.ceil(T / h))
-    out = [x0]
-    drift = 0.0
-    y = x0
-    s_prev = 0.0
-    closed = False
-    period = float(T)
-    for k in range(n_steps):
-        y_prev = y
-        y = _rk4_step(field, y, h)
-        r = float(np.linalg.norm(y))
-        drift = max(drift, abs(r - 1.0))
-        y = y / r
-        s = float(np.dot(y - x0, normal))
-        near = float(np.linalg.norm(y - x0)) < 0.3
-        if detect_period and k >= 2 and s_prev < 0.0 <= s and near:
-            landing, tau = _refine_crossing(field, y_prev, x0, normal, h)
-            if float(np.linalg.norm(landing - x0)) <= CLOSURE_TOL:
-                out.append(landing)
-                closed = True
-                period = (k) * h + tau
-                break
-        out.append(y)
-        s_prev = s
-    return FieldLine.from_embedding(
-        np.stack(out, axis=0),
-        closed=closed,
-        period_or_T=period if closed else float(T),
-        drift=drift,
-    )
-
-
-def _refine_crossing(
-    field: Callable,
-    y_prev: np.ndarray,
-    x0: np.ndarray,
-    normal: np.ndarray,
-    h: float,
-) -> tuple[np.ndarray, float]:
-    """Bisect the sub-step time at which the trace crosses the section plane."""
-
-    def s_at(tau: float) -> tuple[float, np.ndarray]:
-        z = _rk4_step(field, y_prev, tau)
-        z = z / np.linalg.norm(z)
-        return float(np.dot(z - x0, normal)), z
-
-    lo, hi = 0.0, h
-    s_hi, z_hi = s_at(hi)
-    if s_hi < 0:
-        return z_hi, hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        s_mid, z_mid = s_at(mid)
-        if s_mid < 0.0:
-            lo = mid
-        else:
-            hi, s_hi, z_hi = mid, s_mid, z_mid
-        if hi - lo < 1e-16:
-            break
-    return z_hi, hi
-
-
 def trace_batch(
     field: Callable, x0s: np.ndarray, T: float, h: float = 0.01
 ) -> tuple[np.ndarray, float]:
-    """Trace many starting points at once; returns (paths, max drift).
+    """Fixed-step 4th-order trace of many starting points for time T.
 
-    paths has shape (n, steps+1, 4); no period detection is attempted.
+    Returns (paths, drift): paths has shape (n, steps+1, 4), each state
+    renormalized to the sphere after every step, and drift is the largest
+    radial error that renormalization removed.
     """
     if h > MAX_STEP or h <= 0:
         raise StepTooLarge(f"step must lie in (0, {MAX_STEP}], got {h}")
@@ -238,7 +146,6 @@ def close_curve(line: FieldLine) -> FieldLine:
         np.concatenate([xs, arc], axis=0),
         closed=True,
         period_or_T=line.period_or_T,
-        drift=line.drift,
     )
 
 
@@ -549,14 +456,8 @@ def build_linking_matrix(curves: Sequence[FieldLine], seed: int = 0) -> LinkingM
 # ---------------------------------------------------------------------------
 
 
-def helicity_integral(
-    field_a: Callable,
-    field_b: Callable,
-    n_quad: int,
-    seed: int = 0,
-    box: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Quadrature of the inner product (A, B) over the unit sphere or a chart box.
+def helicity_integral(field_a: Callable, field_b: Callable, n_quad: int, seed: int = 0) -> float:
+    """Quadrature of the inner product (A, B) over the unit sphere.
 
     B is first spot-checked against the numerical curl of A at a handful of
     points.
@@ -571,25 +472,8 @@ def helicity_integral(
     err = np.max(np.abs(rot - b_chart)) / max(np.max(np.abs(b_chart)), 1e-30)
     if err > 1e-5:
         raise ValueError(f"B fails the curl spot check, relative error {err:.2e}")
-    if box is None:
-        x = haar_sample(substream(seed, 0), n_quad)
-        return float(np.mean(helicity_density(field_a, field_b, x))) * VOL_UNIT_SPHERE
-    lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
-    rng = substream(seed, 1)
-    u = lo + (hi - lo) * rng.random((n_quad, 3))
-    dens = helicity_density(field_a, field_b, chart_embed(u, 0))
-    weight = conformal_factor(u) ** 3
-    flat_vol = float(np.prod(hi - lo))
-    return float(np.mean(dens * weight)) * flat_vol
-
-
-def chart_box_volume(box: tuple[np.ndarray, np.ndarray], n_quad: int, seed: int = 0) -> float:
-    """Riemannian volume of a chart-0 coordinate box of the unit sphere, by direct quadrature."""
-    lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
-    rng = substream(seed, 2)
-    u = lo + (hi - lo) * rng.random((n_quad, 3))
-    weight = conformal_factor(u) ** 3
-    return float(np.mean(weight)) * float(np.prod(hi - lo))
+    x = haar_sample(substream(seed, 0), n_quad)
+    return float(np.mean(helicity_density(field_a, field_b, x))) * VOL_UNIT_SPHERE
 
 
 @dataclass(frozen=True)
@@ -706,17 +590,3 @@ def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> Fiel
     xs = chart_embed(pts, 0)
     xs[-1] = xs[0]
     return FieldLine.from_embedding(xs, closed=True, period_or_T=2.0 * np.pi)
-
-
-def mirror_line(line: FieldLine) -> FieldLine:
-    """Reflect the last embedding coordinate (orientation-reversing)."""
-    xs = line.embedding.copy()
-    xs[:, 3] = -xs[:, 3]
-    return FieldLine.from_embedding(xs, closed=line.closed, period_or_T=line.period_or_T)
-
-
-def reverse_line(line: FieldLine) -> FieldLine:
-    """Reverse the traversal orientation of a closed line."""
-    return FieldLine.from_embedding(
-        line.embedding[::-1].copy(), closed=line.closed, period_or_T=line.period_or_T
-    )

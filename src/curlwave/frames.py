@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMetric,
-    FrameSpecInvalid,
-    IndexClash,
-    NonPositiveLambda,
-    NonPositiveScale,
-    NotEigenfield,
-)
+from .errors import DegenerateMetric, FrameSpecInvalid, NonPositiveLambda, NotEigenfield
 
 EIGEN_TOL = 1e-10  # absolute bound on off-diagonal curl components
 JACOBI_TOL = 1e-12
@@ -106,10 +99,6 @@ def jacobi_residual_of(c: np.ndarray) -> float:
     return float(np.max(np.abs(total)))
 
 
-def jacobi_residual(spec: LieFrameSpec) -> float:
-    return jacobi_residual_of(spec.c)
-
-
 def cyclic_constants(spec: LieFrameSpec) -> np.ndarray:
     """c_l := c[l, l+1, l+2] (cyclic), the diagonal of the curl problem."""
     c = spec.c
@@ -152,14 +141,6 @@ def curl_eigenvalue(spec: LieFrameSpec, l) -> float:
 
 def curl_eigenvalues(spec: LieFrameSpec) -> np.ndarray:
     return np.array([curl_eigenvalue(spec, l) for l in (1, 2, 3)])
-
-
-def commutator(spec: LieFrameSpec, i, j) -> np.ndarray:
-    """Coefficients of [E_i, E_j] in the frame basis."""
-    i0, j0 = _leg(i), _leg(j)
-    if i0 == j0:
-        raise IndexClash(f"commutator of leg {i0 + 1} with itself is identically zero")
-    return spec.c[:, i0, j0].copy()
 
 
 def orthonormal_constants(spec: LieFrameSpec) -> np.ndarray:
@@ -221,18 +202,6 @@ def triple_density_algebraic(spec: LieFrameSpec) -> float:
     return float(0.5 * np.sum(cyclic_constants(spec) * g) / root)
 
 
-def scale_metric(spec: LieFrameSpec, s: float) -> LieFrameSpec:
-    """Multiply every metric entry by s^2 (frame lengths by s)."""
-    if s <= 0:
-        raise NonPositiveScale(f"metric scale must be positive, got {s}")
-    return LieFrameSpec(
-        name=f"{spec.name}_scaled",
-        c=spec.c.copy(),
-        g=spec.g * (s * s),
-        orientation=spec.orientation,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Spec fleet
 
@@ -279,13 +248,6 @@ def lambda_fields(lam: float) -> LieFrameSpec:
     lam = _check_lambda(lam)
     r = 2.0 / np.sqrt(lam)
     return LieFrameSpec(f"lambda_fields_{lam:g}", _cyclic_c(r, r, r), np.full(3, lam), 1)
-
-
-def lambda_gauged(lam: float) -> LieFrameSpec:
-    """Un-normalized left triple (fiber leg gauge-doubled): curl -2/lam each."""
-    lam = _check_lambda(lam)
-    c = _cyclic_c(1.0 / lam, 4.0 / lam, 4.0 / lam)
-    return LieFrameSpec(f"lambda_gauged_{lam:g}", c, np.array([4.0, 1.0, 1.0]), 1)
 
 
 def lambda_right(lam: float) -> LieFrameSpec:

@@ -2,8 +2,8 @@
 
 Everything here is algebraic: the frames enter through their structure
 constants and leg metrics, and densities are pointwise (the spaces are
-homogeneous, so one point suffices).  Chart-level computations live in the
-scaling module; the finite-difference curvature oracle lives in chartlab.
+homogeneous, so one point suffices).  Chart quadrature of the sphere
+frames lives in s3; the finite-difference curvature oracle lives in chartlab.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveLambda, NonPositiveScale
+from .errors import NonPositiveLambda
 from .frames import (
     LieFrameSpec,
     curl_eigenvalues,
@@ -21,7 +21,6 @@ from .frames import (
     lambda_geometry,
     lambda_right,
     milnor_curvatures,
-    scale_metric,
     triple_density_algebraic,
 )
 
@@ -69,44 +68,6 @@ def cs_density_lambda(frame: LambdaFrame) -> tuple[float, float]:
     if max(per_leg) - min(per_leg) > 1e-12:
         raise ValueError(f"legs disagree on helicity density: {per_leg}")
     return per_leg[0], triple_density_algebraic(frame.spec)
-
-
-@dataclass(frozen=True)
-class RescaleReport:
-    """Effect of the coordinate rescale x -> l x on frame-level quantities."""
-
-    l: float
-    volume_ratio: float
-    term2_density_ratio: float
-
-
-def _killing_wedge(c: np.ndarray) -> float:
-    """Wedge of the connection values on the frame legs, paired by the
-    Killing form.  Metric-free by construction: depends on the structure
-    constants only.
-    """
-    killing = np.einsum("man,nbm->ab", c, c)
-    acc = 0.0
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        acc += float(c[:, i, j] @ killing[:, k])
-    return 0.5 * acc
-
-
-def rescale_check(frame: LambdaFrame, l: float) -> RescaleReport:
-    """Compare volume form and wedge-term density before and after x -> l x.
-
-    The rescale multiplies the leg metric by l^2 and leaves the structure
-    constants (hence the connection values on the legs) untouched, so the
-    volume form gains l^3 while the wedge 3-form evaluated on the legs is
-    unchanged.
-    """
-    if l <= 0:
-        raise NonPositiveScale(f"scale factor must be positive, got {l}")
-    scaled = scale_metric(frame.spec, l)
-    volume_ratio = float(np.sqrt(np.prod(scaled.g)) / np.sqrt(np.prod(frame.spec.g)))
-    before = _killing_wedge(frame.spec.c)
-    after = _killing_wedge(scaled.c)
-    return RescaleReport(float(l), volume_ratio, after / before)
 
 
 def sectional_profile(lam: float) -> tuple[float, float, float]:

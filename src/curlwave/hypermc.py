@@ -206,16 +206,6 @@ def sample_geodesic(K: float, R: float, rng: np.random.Generator | int) -> Geode
     )
 
 
-def chord_meets_disk(chord: GeodesicChord, radius: float) -> bool:
-    """Whether the chord's geodesic meets the concentric disk of physical radius."""
-    return chord.foot_distance < radius / chord.rho
-
-
-def half_disk_fraction(rr: float) -> float:
-    """Kinematic measure fraction of chords meeting the half-radius disk."""
-    return float(np.sinh(0.5 * rr) / np.sinh(rr))
-
-
 def chords_cross_inside(c1: GeodesicChord, c2: GeodesicChord) -> bool:
     """Whether two chords of the same disk intersect strictly inside it."""
     kappa = float(mink_dot(c1.normal, c2.normal))
@@ -438,49 +428,6 @@ def triangle_density(
     err = np.sqrt(max(frac * (1.0 - frac), 0.0) / total)
     scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 3
     return float(frac * scale), float(err * scale)
-
-
-@dataclass(frozen=True)
-class TriangleEvent:
-    """One chord triple forming a triangle inside the disk."""
-
-    chord_ids: tuple[int, int, int]
-    points: np.ndarray
-    angles: tuple[float, float, float]
-    min_angle: float
-
-
-def collect_triangle_events(
-    K: float,
-    R: float,
-    N: int,
-    eps: float,
-    rng: np.random.Generator | int,
-    max_events: int = 64,
-) -> list[TriangleEvent]:
-    """Triangle events among 200000 sampled triples, with their intersection
-    points (chart coords)."""
-    if not 0.0 < eps < 0.5 * np.pi:
-        raise EpsilonTooLarge(f"angle threshold must lie in (0, pi/2), got {eps}")
-    rng = np.random.default_rng(rng)
-    rho, rr = _shape_params(K, R)
-    normals = _sample_normals(rr, N, rng)["normal"]
-    idx = _sample_triples(N, 200_000, rng)
-    rows = idx[_triple_min_angles(normals, rr, idx) >= eps][:max_events]
-    a = normals[rows[:, [0, 0, 1]]]
-    b = normals[rows[:, [1, 2, 2]]]
-    kappa = mink_dot(a, b)
-    p = mink_cross(a, b) / np.sqrt(1.0 - kappa**2)[..., None]
-    p[p[..., 0] < 0] *= -1.0
-    points = to_uhp(p)
-    angles = np.arccos(np.abs(kappa))
-    return [
-        TriangleEvent(
-            tuple(int(v) for v in row), points[e], tuple(float(x) for x in angles[e]),
-            float(np.min(angles[e])),
-        )
-        for e, row in enumerate(rows)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A quaternion is stored as a length-4 array (w, x, y, z) with w the real part.
 All helpers broadcast over leading axes, so (N, 4) batches work everywhere.
-Complex dtypes are allowed (needed for complex-step derivatives), so qmul and
-qnorm2 avoid abs/conj on components.
+Complex dtypes are allowed (needed for complex-step derivatives), so qmul
+avoids abs/conj on components.
 """
 
 from __future__ import annotations
@@ -41,31 +41,6 @@ def qconj(q: np.ndarray) -> np.ndarray:
     out = q.copy()
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def qnorm2(q: np.ndarray) -> np.ndarray:
-    """Squared norm as a plain sum of squared components.
-
-    Written without abs so it stays holomorphic under complex-step inputs.
-    """
-    q = np.asarray(q)
-    return np.sum(q * q, axis=-1)
-
-
-def qnormalize(q: np.ndarray) -> np.ndarray:
-    """Scale to unit norm. Real input only."""
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-
-def qexp_imag(v: np.ndarray) -> np.ndarray:
-    """exp of a purely imaginary quaternion given by its 3-vector part."""
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v, axis=-1, keepdims=True)
-    small = theta < 1e-12
-    sinc = np.where(small, 1.0, np.sin(theta) / np.where(small, 1.0, theta))
-    w = np.cos(theta)
-    return np.concatenate([w, sinc * v], axis=-1)
 
 
 def slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import QuadratureUnderflow
-from .frames import LieFrameSpec, lambda_fields, su2_right, su2_unit
+from .frames import LieFrameSpec, su2_right, su2_unit
 from .quaternions import IMAG_UNITS, haar_sample, qconj, qmul
 from .seeds import fixed_chunks, ordered_map, substream
 
@@ -146,15 +146,6 @@ def build_frame(side: str) -> S3Frame:
     if side == "right":
         return S3Frame("right", su2_right(), 1.0, 1.0)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def lambda_realized_frame(lam: float) -> S3Frame:
-    """Normalized left triple on the radius-lam sphere.
-
-    Legs x*q/sqrt(lam) have squared length lam and bracket constant
-    2/sqrt(lam), matching the algebraic spec.
-    """
-    return S3Frame("left", lambda_fields(lam), radius=lam, amp=lam**-0.5)
 
 
 def nu_of(field: Callable, radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
@@ -316,8 +307,8 @@ def wedge_density_values(nu_values: np.ndarray, spec: LieFrameSpec) -> np.ndarra
     acc = np.zeros(nu_values.shape[1])
     for perm in permutations(range(3)):
         sgn = _perm_sign(perm)
-        prod = qmul(qmul(nu_values[perm[0]], nu_values[perm[1]]), nu_values[perm[2]])
-        acc = acc + sgn * (-4.0 * prod[..., 0])
+        pair = qmul(nu_values[perm[0]], nu_values[perm[1]])
+        acc = acc + sgn * trace_pair(pair, nu_values[perm[2]])
     vol = float(np.sqrt(np.prod(spec.g)))
     return float(spec.orientation) * acc / vol
 

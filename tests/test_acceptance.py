@@ -90,18 +90,28 @@ def test_criterion_04_triple_density_compensation():
     )
 
 
+def _radius_frame(l: float) -> s3.S3Frame:
+    # The left legs x -> x*q carried over to the radius-l sphere by x -> l x:
+    # brackets unchanged ([E_i, E_j] = 2 E_k), squared lengths l^2, amp 1.
+    spec = frames.LieFrameSpec(f"radius_{l:g}", frames.su2_unit().c, l * l * np.ones(3), 1)
+    return s3.S3Frame("left", spec, radius=l, amp=1.0)
+
+
 def test_criterion_05_rescale_covariance():
-    fr = hyperbolic.build_lambda_frame(2.0)
-    worst_vol = 0.0
-    worst_term2 = 0.0
+    # Under x -> l x the helicity density (E, rot E) = -2 l per leg gains l
+    # and the volume l^3, so the helicity term scales as l^4; the wedge
+    # density is unchanged, so the wedge term scales as l^3.
+    h1, w1 = s3.cs_functional(_radius_frame(1.0), 4000, seed=0)
+    worst_h = 0.0
+    worst_w = 0.0
     for l in (0.5, 2.0, 3.0):
-        rep = hyperbolic.rescale_check(fr, l)
-        worst_vol = max(worst_vol, abs(rep.volume_ratio - l**3))
-        worst_term2 = max(worst_term2, abs(rep.term2_density_ratio - 1.0))
+        h, w = s3.cs_functional(_radius_frame(l), 4000, seed=0)
+        worst_h = max(worst_h, abs(h / h1 / l**4 - 1.0))
+        worst_w = max(worst_w, abs(w / w1 / l**3 - 1.0))
     _verdict(
         "metric rescale covariance",
-        worst_vol <= 1e-12 and worst_term2 <= 1e-12,
-        f"volume ratio error {worst_vol:.2e}, cubic-term ratio error {worst_term2:.2e}",
+        worst_h <= 1e-12 and worst_w <= 1e-12,
+        f"helicity-term l^4 ratio error {worst_h:.2e}, wedge-term l^3 ratio error {worst_w:.2e}",
     )
 
 

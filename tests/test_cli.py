@@ -21,7 +21,7 @@ def _cfg(**kw):
 def test_config_json_round_trip_byte_exact():
     cfg = _cfg(seed=11, lambda_grid=(0.5, 1.0, 2.0), eps_list=(0.3, 0.2))
     text = cfg.to_json()
-    again = ExperimentConfig.from_json(text)
+    again = ExperimentConfig.from_dict(json.loads(text))
     assert again == cfg
     assert again.to_json() == text
 
@@ -189,11 +189,20 @@ def test_main_exit_codes(tmp_path, capsys):
             {"disk_radius": True},
             {"out_dir": 5},
             [1, 2],
+            # json reads NaN and Infinity; validate() must refuse them.
+            {"trace_T": float("inf")},
+            {"lambda_grid": [1.0, float("nan")]},
+            {"max_left_residual": float("inf")},
         )
     ]
     + ['{"seed": '],
 )
 def test_main_rejects_mistyped_config(tmp_path, monkeypatch, capsys, text):
+    # Every case fails in parsing or validate(), before any verb runs.
+    def verb_must_not_run(config, timings):
+        raise AssertionError("verify-hyperbolic ran on a config that should not validate")
+
+    monkeypatch.setitem(cli._VERB_TABLE, "verify-hyperbolic", verb_must_not_run)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "typed.json").write_text(text)
     assert main(["verify-hyperbolic", "--config", "typed.json"]) == 1

@@ -15,7 +15,7 @@ from curlwave.errors import (
     QuadratureUnderflow,
     StepTooLarge,
 )
-from curlwave.quaternions import haar_sample, qnormalize
+from curlwave.quaternions import haar_sample
 from curlwave.seeds import fixed_chunks
 
 
@@ -25,7 +25,7 @@ def _fiber_pair(side, seed=0):
 
 
 def test_hopf_fiber_closed_unit_circle():
-    line = fl.hopf_fiber(qnormalize(np.array([0.2, -0.4, 0.8, 0.1])), "right")
+    line = fl.hopf_fiber(np.array([0.2, -0.4, 0.8, 0.1]), "right")
     assert line.closed
     assert np.allclose(np.linalg.norm(line.embedding, axis=1), 1.0, atol=1e-12)
     assert np.allclose(line.embedding[0], line.embedding[-1], atol=1e-12)
@@ -217,11 +217,24 @@ def test_projected_crossings_degenerate_raises():
         fl._signed_crossings(p, shallow, z)
 
 
+def _mirror_line(line):
+    # Reflect the last embedding coordinate (orientation-reversing).
+    xs = line.embedding.copy()
+    xs[:, 3] = -xs[:, 3]
+    return fl.FieldLine.from_embedding(xs, closed=line.closed, period_or_T=line.period_or_T)
+
+
+def _reverse_line(line):
+    # Reverse the traversal orientation of a closed line.
+    xs = line.embedding[::-1].copy()
+    return fl.FieldLine.from_embedding(xs, closed=line.closed, period_or_T=line.period_or_T)
+
+
 def test_mirror_and_reversal_negate_linking():
     c1, c2 = _fiber_pair("right", 3)
     base = fl.gauss_linking(c1, c2)
-    mirrored = fl.gauss_linking(fl.mirror_line(c1), fl.mirror_line(c2))
-    reversed_one = fl.gauss_linking(c1, fl.reverse_line(c2))
+    mirrored = fl.gauss_linking(_mirror_line(c1), _mirror_line(c2))
+    reversed_one = fl.gauss_linking(c1, _reverse_line(c2))
     assert np.isclose(mirrored, -base, atol=1e-6)
     assert np.isclose(reversed_one, -base, atol=1e-6)
 
@@ -238,43 +251,50 @@ def test_linking_symmetric_and_reparameterization_invariant():
     assert np.isclose(a, c, atol=1e-6)
 
 
+_LEFT_LEG = s3.build_frame("left").leg(1)
+
+
+def _left_field(x):
+    # -2 times the first left leg: Hopf fibers at speed 2, period pi.
+    return -2.0 * _LEFT_LEG(x)
+
+
+# One period in 700 steps: ceil(T / h) is exactly 700.
+PERIOD_STEP = np.pi / 700
+
+
 def test_traced_orbit_closes_with_period_pi():
-    frame = s3.build_frame("left")
-    pot = frame.leg(1)
-    field = lambda x: -2.0 * pot(x)
-    x0 = haar_sample(np.random.default_rng(9), 1)[0]
-    line = fl.trace_field_line(field, x0, 4.0, h=0.005)
-    assert line.closed
-    assert abs(line.period_or_T - np.pi) < 1e-6
-    assert line.drift < 1e-10
-    assert line.gap() < 1e-8
+    x0 = haar_sample(np.random.default_rng(9), 1)
+    paths, drift = fl.trace_batch(_left_field, x0, np.pi, h=PERIOD_STEP)
+    assert paths.shape == (1, 701, 4)
+    assert drift < 1e-10
+    assert np.linalg.norm(paths[0, -1] - paths[0, 0]) < 1e-8
+    # Half a period lands on the antipode, so pi is the first return.
+    assert np.linalg.norm(paths[0, 350] + paths[0, 0]) < 1e-8
 
 
 def test_traced_orbit_pair_links():
-    frame = s3.build_frame("left")
-    pot = frame.leg(1)
-    field = lambda x: -2.0 * pot(x)
     starts = haar_sample(np.random.default_rng(10), 2)
-    lines = []
-    for x0 in starts:
-        line = fl.trace_field_line(field, x0, 4.0, h=0.005)
-        lines.append(fl.close_curve(line))
+    paths, _ = fl.trace_batch(_left_field, starts, np.pi, h=PERIOD_STEP)
+    lines = [
+        fl.close_curve(fl.FieldLine.from_embedding(xs, closed=False, period_or_T=np.pi))
+        for xs in paths
+    ]
     lk = fl.gauss_linking(lines[0], lines[1])
     assert np.isclose(lk, -1.0, atol=1e-3)
 
 
 def test_step_bound_enforced():
-    with pytest.raises(StepTooLarge):
-        fl.trace_field_line(lambda x: x, np.array([1.0, 0, 0, 0]), 1.0, h=0.02)
+    for h in (0.02, 0.0):
+        with pytest.raises(StepTooLarge):
+            fl.trace_batch(lambda x: x, np.array([1.0, 0, 0, 0]), 1.0, h=h)
 
 
 def test_close_curve_rejects_wide_gap():
-    frame = s3.build_frame("left")
-    field = frame.leg(1)
-    x0 = haar_sample(np.random.default_rng(11), 1)[0]
-    # quarter turn leaves a macroscopic gap
-    line = fl.trace_field_line(field, x0, 0.7, h=0.005, detect_period=False)
-    assert not line.closed
+    x0 = haar_sample(np.random.default_rng(11), 1)
+    # An open 0.7 rad arc: its endpoint gap equals its diameter.
+    paths, _ = fl.trace_batch(_LEFT_LEG, x0, 0.7, h=0.005)
+    line = fl.FieldLine.from_embedding(paths[0], closed=False, period_or_T=0.7)
     with pytest.raises(GapTooLarge):
         fl.close_curve(line)
 
@@ -342,16 +362,6 @@ def test_helicity_integral_guards():
     other = frame.leg(2)
     with pytest.raises(ValueError):
         fl.helicity_integral(pot, other, 5000, seed=0)
-
-
-def test_helicity_integral_box_mode():
-    frame = s3.build_frame("left")
-    pot = frame.leg(1)
-    field = lambda x: -2.0 * pot(x)
-    box = (np.array([-0.4, -0.3, -0.5]), np.array([0.5, 0.45, 0.3]))
-    val = fl.helicity_integral(pot, field, 40000, seed=3, box=box)
-    vol = fl.chart_box_volume(box, 40000, seed=11)
-    assert abs(val + 2.0 * vol) / (2.0 * vol) < 0.02
 
 
 def test_asymptotic_hopf_preconditions():

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curlwave import frames
-from curlwave.errors import (
-    FrameSpecInvalid,
-    IndexClash,
-    NonPositiveLambda,
-    NonPositiveScale,
-    NotEigenfield,
-)
+from curlwave.errors import FrameSpecInvalid, NonPositiveLambda, NotEigenfield
 
 LAMBDAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -20,7 +14,6 @@ def all_specs():
     out = list(frames.default_fleet().values())
     for lam in LAMBDAS:
         out.append(frames.lambda_fields(lam))
-        out.append(frames.lambda_gauged(lam))
         out.append(frames.lambda_right(lam))
         out.append(frames.lambda_geometry(lam))
     return out
@@ -28,7 +21,7 @@ def all_specs():
 
 def test_fleet_jacobi_residual():
     for spec in all_specs():
-        assert frames.jacobi_residual(spec) < 1e-12, spec.name
+        assert frames.jacobi_residual_of(spec.c) < 1e-12, spec.name
 
 
 def test_curl_matrix_su2_values():
@@ -57,8 +50,6 @@ def test_lambda_fields_eigenvalue_is_minus_two_over_lambda():
 def test_lambda_right_spectrum():
     eigs = frames.curl_eigenvalues(frames.lambda_right(4.0))
     assert np.allclose(eigs, [1.0, -0.25, -0.25], atol=1e-14)
-    eigs = frames.curl_eigenvalues(frames.lambda_gauged(4.0))
-    assert np.allclose(eigs, [-0.5, -0.5, -0.5], atol=1e-14)
 
 
 def test_metric_scale_covariance():
@@ -66,15 +57,9 @@ def test_metric_scale_covariance():
     for spec in (frames.su2_unit(), frames.su2_right(), frames.lambda_fields(2.0)):
         base = frames.curl_eigenvalues(spec)
         for s in (0.5, 2.0, 4.0):
-            scaled = frames.curl_eigenvalues(frames.scale_metric(spec, s))
+            scaled_spec = frames.LieFrameSpec("scaled", spec.c, spec.g * s**2, spec.orientation)
+            scaled = frames.curl_eigenvalues(scaled_spec)
             assert np.allclose(scaled, base / s, rtol=1e-12), (spec.name, s)
-
-
-def test_scale_metric_rejects_nonpositive():
-    with pytest.raises(NonPositiveScale):
-        frames.scale_metric(frames.su2_unit(), 0.0)
-    with pytest.raises(NonPositiveScale):
-        frames.scale_metric(frames.su2_unit(), -1.0)
 
 
 def test_not_eigenfield_raises():
@@ -84,16 +69,6 @@ def test_not_eigenfield_raises():
         frames.curl_eigenvalue(spec, 2)
     with pytest.raises(NotEigenfield):
         frames.curl_eigenvalue(spec, 3)
-
-
-def test_commutator_antisymmetry_and_clash():
-    for spec in all_specs():
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            assert np.array_equal(
-                frames.commutator(spec, i, j), -frames.commutator(spec, j, i)
-            )
-    with pytest.raises(IndexClash):
-        frames.commutator(frames.su2_unit(), 2, 2)
 
 
 def test_leg_argument_validation():

@@ -1,10 +1,10 @@
-"""Lambda frame family: densities, rescale invariance, curvature profile."""
+"""Lambda frame family: densities, curvature profile."""
 
 import numpy as np
 import pytest
 
-from curlwave import hyperbolic
-from curlwave.errors import NonPositiveLambda, NonPositiveScale
+from curlwave import frames, hyperbolic, s3
+from curlwave.errors import DegenerateMetric, NonPositiveLambda
 
 GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -51,18 +51,14 @@ def test_frame_volume_raw_equals_lambda():
         assert np.isclose(hyperbolic.frame_volume(raw), lam, rtol=1e-12)
 
 
-def test_rescale_check_exact():
-    frame = hyperbolic.build_lambda_frame(2.0)
-    for l in (0.5, 1.0, 2.0, 3.0):
-        rep = hyperbolic.rescale_check(frame, l)
-        assert abs(rep.volume_ratio - l**3) <= 1e-12, l
-        assert rep.term2_density_ratio == 1.0, l
-
-
 def test_rescale_rejects_nonpositive():
-    frame = hyperbolic.build_lambda_frame(1.0)
-    with pytest.raises(NonPositiveScale):
-        hyperbolic.rescale_check(frame, 0.0)
+    # Criterion 05 realizes x -> l x as the radius-l sphere frame with leg
+    # metric l^2: the metric rejects l = 0 and the radius rejects l <= 0.
+    with pytest.raises(DegenerateMetric):
+        frames.LieFrameSpec("scaled", frames.su2_unit().c, np.zeros(3), 1)
+    for l in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            s3.S3Frame("left", frames.su2_unit(), radius=l)
     with pytest.raises(NonPositiveLambda):
         hyperbolic.build_lambda_frame(-1.0)
 

@@ -1,5 +1,5 @@
-"""Module boundaries: no private imports across modules, and the benchmark
-tracer finds every name it wraps."""
+"""Module boundaries: no private imports across modules, no public name that
+only tests use, and the benchmark tracer finds every name it wraps."""
 
 import ast
 import importlib
@@ -33,6 +33,59 @@ def test_no_private_imports_across_modules():
     assert len(modules) >= 10
     offenders = [hit for path in modules for hit in _private_imports(path)]
     assert offenders == []
+
+
+# Public names that no module in src/ uses, kept on purpose: independent
+# routes that tests hold the live code against, and the specs/ text format.
+REFERENCES = (
+    ("chartlab", "fd_sectional_of_spec", "finite-difference curvatures, against milnor_curvatures"),
+    ("frames", "to_text", "writes the specs/ text format that from_text reads"),
+    ("frames", "load_fleet", "reads specs/, checked against default_fleet"),
+    ("hypermc", "chord_from_foot", "one chord at a chosen foot point, for the scalar chord tests"),
+    ("hypermc", "sample_geodesic", "one kinematic chord, for the scalar chord tests"),
+    ("hypermc", "chords_cross_inside", "scalar crossing predicate, against _crosses_inside"),
+    ("hypermc", "parallelism_angle_shooting", "bisection on rays, against parallelism_ratio"),
+    ("hypermc", "triangle_density", "single-cutoff entry point that the scaling tests drive"),
+    ("s3", "cs_functional", "chart quadrature of the Chern-Simons terms, criterion 05"),
+)
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    # Every name, attribute and imported name under node.
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def _unused_public_names() -> set[tuple[str, str]]:
+    # One name set per top-level statement, so a definition's own body does
+    # not count as a use; __init__ only re-exports, so its imports do not either.
+    stmts = [
+        (path.stem, node, _names_in(node))
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "__init__"
+        for node in ast.parse(path.read_text()).body
+    ]
+    return {
+        (module, node.name)
+        for module, node, _ in stmts
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and not any(node.name in names for _, other, names in stmts if other is not node)
+    }
+
+
+def test_every_public_name_has_a_caller_in_src():
+    unused = _unused_public_names()
+    listed = {(module, name) for module, name, _ in REFERENCES}
+    assert sorted(unused - listed) == [], "public names only tests use"
+    # An entry that gained a caller, or no longer exists, leaves the list.
+    assert sorted(listed - unused) == [], "REFERENCES entries with a caller in src/ or no definition"
 
 
 def test_benchmark_tracer_installs(monkeypatch):

@@ -12,10 +12,7 @@ from curlwave.quaternions import (
     ONE,
     haar_sample,
     qconj,
-    qexp_imag,
     qmul,
-    qnorm2,
-    qnormalize,
     slerp,
 )
 
@@ -52,13 +49,14 @@ def test_identity_and_conjugate(q):
     assert np.allclose(qmul(q, ONE), q)
     # q qbar = |q|^2
     prod = qmul(q, qconj(q))
-    assert np.allclose(prod, qnorm2(q) * ONE, atol=1e-10)
+    assert np.allclose(prod, np.dot(q, q) * ONE, atol=1e-10)
 
 
 @given(quat_arrays(), quat_arrays())
 @settings(max_examples=60, deadline=None)
 def test_norm_multiplicative(p, q):
-    assert np.isclose(qnorm2(qmul(p, q)), qnorm2(p) * qnorm2(q), rtol=1e-10)
+    pq = qmul(p, q)
+    assert np.isclose(np.dot(pq, pq), np.dot(p, p) * np.dot(q, q), rtol=1e-10)
 
 
 @given(quat_arrays(), quat_arrays())
@@ -67,17 +65,10 @@ def test_conjugate_antiautomorphism(p, q):
     assert np.allclose(qconj(qmul(p, q)), qmul(qconj(q), qconj(p)), atol=1e-10)
 
 
-@given(st.tuples(finite, finite, finite).map(np.array))
-@settings(max_examples=60, deadline=None)
-def test_exp_imag_unit_norm(v):
-    q = qexp_imag(v)
-    assert np.isclose(qnorm2(q), 1.0, atol=1e-12)
-
-
 def test_normalize_and_slerp_endpoints():
     rng = np.random.default_rng(3)
-    a = qnormalize(rng.normal(size=4))
-    b = qnormalize(rng.normal(size=4))
+    a, b = rng.normal(size=(2, 4))
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
     assert np.allclose(slerp(a, b, np.array([0.0])), a, atol=1e-12)
     assert np.allclose(slerp(a, b, np.array([1.0])), b, atol=1e-12)
     mid = slerp(a, b, np.array([0.5]))[0]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from curlwave import s3
-from curlwave.quaternions import haar_sample, qmul, qnormalize
+from curlwave import frames, s3
+from curlwave.quaternions import haar_sample, qmul
 
 
 def _sample(n=200, seed=0):
@@ -60,8 +60,10 @@ def test_right_frame_is_curl_eigenfield():
 
 
 def test_lambda_realized_frame_eigenvalue():
+    # Legs x*q/sqrt(lam) on the radius-lam sphere have squared length lam and
+    # bracket constant 2/sqrt(lam), the normalized triple lambda_fields(lam).
     lam = 4.0
-    frame = s3.lambda_realized_frame(lam)
+    frame = s3.S3Frame("left", frames.lambda_fields(lam), radius=lam, amp=lam**-0.5)
     x = lam * _sample(100, 5)
     _, _, v, c = s3.curl_field(frame.leg(1), x, radius=lam)
     assert np.max(np.abs(c + (2.0 / lam) * v)) < 1e-10
@@ -108,7 +110,8 @@ def test_cs_functional_rotation_invariance():
     # left translation by a fixed unit quaternion is a round isometry
     frame = s3.build_frame("left")
     base = s3.cs_functional(frame, 3000, seed=8)
-    g = qnormalize(np.array([0.3, -0.5, 0.8, 0.1]))
+    g = np.array([0.3, -0.5, 0.8, 0.1])
+    g /= np.linalg.norm(g)
 
     rot = haar_sample(np.random.default_rng(8), 3000)
     rot = np.array([qmul(g, p) for p in rot])
@@ -121,8 +124,6 @@ def test_cs_functional_rotation_invariance():
 def test_wedge_density_cross_check():
     # connection-form route agrees with the algebraic triple density on the
     # unit-sphere frames (the pairing cs_functional relies on)
-    from curlwave import frames
-
     frame = s3.build_frame("left")
     spec = frames.su2_unit()
     x = _sample(60, 10)
