@@ -2,7 +2,7 @@
 invariants of field lines, and Monte Carlo scaling laws in the hyperbolic
 plane, with a reproducible experiment runner."""
 
-from . import chartlab, cli, errors, fieldlines, frames, hyperbolic, hypermc, quaternions, s3, seeds
+from . import chartlab, errors, fieldlines, frames, hyperbolic, hypermc, quaternions, s3, seeds
 from .frames import (
     LieFrameSpec,
     curl_eigenvalue,
@@ -17,7 +17,7 @@ from .frames import (
     su2_right,
     su2_unit,
 )
-from .hyperbolic import LambdaFrame, build_lambda_frame, cs_density_lambda, sectional_profile
+from .hyperbolic import sectional_profile
 from .hypermc import (
     GeodesicChord,
     ScalingFit,
@@ -31,7 +31,6 @@ from .hypermc import (
 )
 from .fieldlines import (
     FieldLine,
-    LinkingMatrix,
     asymptotic_hopf,
     build_linking_matrix,
     close_curve,

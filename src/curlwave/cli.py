@@ -22,27 +22,20 @@ import numpy as np
 from . import frames, hyperbolic, hypermc, s3
 from .errors import ConfigInvalid, CurlwaveError, IoFailure, NotEigenfield, VerbUnknown
 from .fieldlines import (
+    MAX_QUAD_POINTS,
+    MAX_TRACE_STATES,
     asymptotic_hopf,
     circle_in_chart,
     crossing_linking_oracle,
     gauss_linking,
     helicity_integral,
     hopf_fiber,
+    trace_states,
 )
 from .quaternions import haar_sample
 from .seeds import substream
 
 ARTIFACT_VERSION = "0.1.0"
-
-VERBS = (
-    "verify-s3",
-    "verify-hyperbolic",
-    "linking",
-    "hopf-asymptotic",
-    "triangle-scan",
-    "alpha-scaling",
-    "m5-estimate",
-)
 
 DEFAULT_LAMBDA_GRID = (1.0, 1.7782794100389228, 3.1622776601683795, 5.623413251903491, 10.0)
 
@@ -78,12 +71,19 @@ class ExperimentConfig:
     min_right_residual: float = 0.1
 
     def validate(self) -> None:
+        # Sizes that set a stage's memory are capped to keep it under about 1 GiB.
+        caps = {
+            "n_points": s3.MAX_CURL_POINTS,
+            "n_quad": MAX_QUAD_POINTS,
+            "n_chords": hypermc.MAX_CHORDS,
+            "n_triples": hypermc.MAX_TRIPLES,
+        }
         for name in ("n_points", "n_quad", "n_chords", "n_triples", "n_pairs", "workers"):
             v = getattr(self, name)
             if not _is_int(v) or v <= 0:
                 raise ConfigInvalid(f"{name}: must be a positive integer, got {v!r}")
-        if self.n_triples > hypermc.MAX_TRIPLES:
-            raise ConfigInvalid(f"n_triples: at most {hypermc.MAX_TRIPLES}, got {self.n_triples}")
+            if v > caps.get(name, v):
+                raise ConfigInvalid(f"{name}: at most {caps[name]}, got {v}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigInvalid(f"seed: must be a non-negative integer, got {self.seed!r}")
         for name in ("disk_radius", "trace_T", "max_left_residual", "min_right_residual"):
@@ -92,6 +92,9 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{name}: must be finite and positive, got {v!r}")
         if not _is_real(self.trace_step) or not 0 < self.trace_step <= 0.01:
             raise ConfigInvalid(f"trace_step: must lie in (0, 0.01], got {self.trace_step!r}")
+        states = trace_states(2 * self.n_pairs, self.trace_T, self.trace_step)
+        if states > MAX_TRACE_STATES:
+            raise ConfigInvalid(f"trace_T: {states:.0f} trace states, at most {MAX_TRACE_STATES}")
         for name in ("lambda_grid", "eps_list"):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)) or not all(_is_real(x) for x in v):
@@ -107,12 +110,6 @@ class ExperimentConfig:
             raise ConfigInvalid(f"verb: must be a non-empty string, got {self.verb!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigInvalid(f"out_dir: must be a string, got {self.out_dir!r}")
-
-    def to_json(self) -> str:
-        d = dataclasses.asdict(self)
-        d["lambda_grid"] = list(d["lambda_grid"])
-        d["eps_list"] = list(d["eps_list"])
-        return json.dumps(d, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -164,36 +161,29 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit_report(results: dict, format: str, path: str) -> list[str]:
-    """Write results as a CSV table or a line-delimited key-value record.
+def emit_report(results: dict, base: str) -> list[str]:
+    """Write results as base.csv and base_summary.txt; returns both paths.
 
     CSV: one comment line embedding config hash and seed, a header row
-    naming the columns, then one row per result.  Record: sorted key=value
-    lines.  Raises IoFailure when the file cannot be written.
+    naming the columns of the first row, then one row per result.  Record:
+    sorted key=value lines of the summary plus config hash and seed.
+    Raises IoFailure when a file cannot be written.
     """
-    stamp = f"# config_hash={results.get('config_hash', '')} seed={results.get('seed', '')}"
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        if format == "csv":
-            rows = results.get("rows", [])
-            columns = results.get("columns") or (list(rows[0]) if rows else [])
-            lines = [stamp, ",".join(columns)]
-            for row in rows:
-                lines.append(",".join(_fmt(row[c]) for c in columns))
-            text = "\n".join(lines) + "\n"
-        elif format == "record":
-            summary = dict(results.get("summary", {}))
-            summary["config_hash"] = results.get("config_hash", "")
-            summary["seed"] = results.get("seed", "")
-            lines = [f"{k}={_fmt(v)}" for k, v in sorted(summary.items())]
-            text = "\n".join(lines) + "\n"
-        else:
-            raise ConfigInvalid(f"format: must be 'csv' or 'record', got {format!r}")
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write report {path}: {exc}") from exc
-    return [path]
+    rows, config_hash, seed = results["rows"], results["config_hash"], results["seed"]
+    columns = list(rows[0]) if rows else []
+    csv_lines = [f"# config_hash={config_hash} seed={seed}", ",".join(columns)]
+    csv_lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+    summary = {**results["summary"], "config_hash": config_hash, "seed": seed}
+    record_lines = [f"{k}={_fmt(v)}" for k, v in sorted(summary.items())]
+    paths = [base + ".csv", base + "_summary.txt"]
+    for path, lines in zip(paths, (csv_lines, record_lines)):
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise IoFailure(f"cannot write report {path}: {exc}") from exc
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +335,7 @@ def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
         counts = scan.metadata["counts"]
         total = scan.metadata["total"]
         tri_d = counts[-1] / total * hypermc.disk_perimeter(K, R) ** 3 / hypermc.disk_area(K, R) ** 3
-        ratio = hypermc.parallelism_ratio(K, max(5.0, cfg.disk_radius) * rho, 0.3)
+        ratio = hypermc.parallelism_ratio(K, max(5.0, cfg.disk_radius) * rho)
         rows.append(
             {
                 "lambda": float(lam),
@@ -386,32 +376,26 @@ def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
 def _run_alpha_scaling(cfg: ExperimentConfig, timings: dict):
     t0 = time.perf_counter()
     fit = hypermc.alpha_scaling(
-        cfg.lambda_grid,
-        {
-            "n_chords": cfg.n_chords,
-            "r_rel": cfg.disk_radius,
-            "eps_list": cfg.eps_list,
-            "n_triples": cfg.n_triples,
-            "workers": cfg.workers,
-        },
-        cfg.seed,
+        cfg.lambda_grid, cfg.n_chords, cfg.disk_radius, cfg.eps_list,
+        cfg.n_triples, cfg.workers, cfg.seed,
     )
     timings["alpha_scaling"] = time.perf_counter() - t0
     rows = [
         {"lambda": float(x), "extrapolate": float(y)} for x, y in zip(fit.x, fit.y)
     ]
+    claimed = hypermc.ALPHA_EXPONENT
     summary = {
         "slope": fit.slope,
         "half_width": fit.half_width,
-        "claimed": fit.claimed,
-        "balance": fit.metadata["balance"],
-        "kolmogorov_field": fit.metadata["kolmogorov_field"],
-        "kolmogorov_flow": fit.metadata["kolmogorov_flow"],
+        "claimed": claimed,
+        "balance": hypermc.BALANCE_MODE,
+        "kolmogorov_field": hypermc.KOLMOGOROV_FIELD,
+        "kolmogorov_flow": hypermc.KOLMOGOROV_FLOW,
         "n_chords": cfg.n_chords,
     }
     violations = []
-    if abs(fit.slope - fit.claimed) > 0.1:
-        violations.append(f"alpha exponent {fit.slope!r} outside {fit.claimed} +/- 0.1")
+    if abs(fit.slope - claimed) > 0.1:
+        violations.append(f"alpha exponent {fit.slope!r} outside {claimed} +/- 0.1")
     return rows, summary, violations
 
 
@@ -452,6 +436,8 @@ _VERB_TABLE = {
     "m5-estimate": _run_m5,
 }
 
+VERBS = tuple(_VERB_TABLE)
+
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
@@ -474,8 +460,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         "seed": config.seed,
     }
     base = os.path.join(config.out_dir, config.verb)
-    files = emit_report(results, "csv", base + ".csv")
-    files += emit_report(results, "record", base + "_summary.txt")
+    files = emit_report(results, base)
     digests = {os.path.basename(p): _digest(p) for p in files}
     manifest = RunManifest(
         config_hash=config.config_hash(),

@@ -43,6 +43,11 @@ CLOSURE_TOL = 1e-6
 MIN_SEPARATION = 1e-4
 MAX_GAP_FRACTION = 0.1
 MAX_RESAMPLE_POINTS = 2400
+# Memory caps, each keeping its stage under about 1 GiB: helicity_integral
+# peaks at about 230 bytes per quadrature point, and asymptotic_hopf at about
+# 52 bytes per stored trace state (see trace_states), 32 of them the path.
+MAX_QUAD_POINTS = 4_000_000
+MAX_TRACE_STATES = 16_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +65,14 @@ class FieldLine:
 
     embedding: np.ndarray
     closed: bool
-    period_or_T: float
 
     @classmethod
-    def from_embedding(cls, xs: np.ndarray, closed: bool, period_or_T: float) -> "FieldLine":
+    def from_embedding(cls, xs: np.ndarray, closed: bool) -> "FieldLine":
         """Line through the embedded points xs; raises ChartEscape on a non-finite point."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if not np.isfinite(xs).all():
             raise ChartEscape("non-finite embedded point")
-        return cls(xs, closed, period_or_T)
+        return cls(xs, closed)
 
     def gap(self) -> float:
         return float(np.linalg.norm(self.embedding[-1] - self.embedding[0]))
@@ -117,6 +121,11 @@ def trace_batch(
     return paths, drift
 
 
+def trace_states(n_lines: int, T: float, h: float) -> float:
+    """Number of 4-vectors trace_batch stores for n_lines starts, time T, step h."""
+    return n_lines * (np.ceil(T / h) + 1)
+
+
 def close_curve(line: FieldLine) -> FieldLine:
     """Close an open line by a short great-circle arc between its endpoints.
 
@@ -142,11 +151,7 @@ def close_curve(line: FieldLine) -> FieldLine:
         n_arc = max(1, int(np.ceil(gap / max(spacing, 1e-12))))
         t = np.linspace(0.0, 1.0, n_arc + 1)[1:]
         arc = slerp(xs[-1], xs[0], t)
-    return FieldLine.from_embedding(
-        np.concatenate([xs, arc], axis=0),
-        closed=True,
-        period_or_T=line.period_or_T,
-    )
+    return FieldLine.from_embedding(np.concatenate([xs, arc], axis=0), closed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -419,27 +424,14 @@ def crossing_linking_oracle(c1: FieldLine, c2: FieldLine, seed: int = 0) -> int:
     raise DegenerateProjection(f"no generic projection after 10 tries: {last_exc}")
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
-    """Pairwise integer linking numbers with their quadrature values."""
+def build_linking_matrix(curves: Sequence[FieldLine], seed: int = 0) -> np.ndarray:
+    """Symmetric integer matrix of pairwise linking numbers, zero diagonal.
 
-    n: int
-    lk: np.ndarray
-    quad: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.lk.shape != (self.n, self.n) or self.quad.shape != (self.n, self.n):
-            raise ValueError("linking matrix shape mismatch")
-        if np.any(self.lk != self.lk.T) or np.any(np.diag(self.lk) != 0):
-            raise ValueError("linking matrix must be symmetric with zero diagonal")
-        if np.max(np.abs(self.quad - self.lk)) > 1e-3:
-            raise ValueError("quadrature strays more than 1e-3 from integers")
-
-
-def build_linking_matrix(curves: Sequence[FieldLine], seed: int = 0) -> LinkingMatrix:
+    Raises CurlwaveError when a quadrature lands more than 1e-3 from an
+    integer.
+    """
     n = len(curves)
     lk = np.zeros((n, n), dtype=int)
-    quad = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             val = gauss_linking(curves[i], curves[j], seed=seed)
@@ -447,8 +439,7 @@ def build_linking_matrix(curves: Sequence[FieldLine], seed: int = 0) -> LinkingM
             if abs(val - rounded) > 1e-3:
                 raise CurlwaveError(f"linking quadrature {val} is not integer-like")
             lk[i, j] = lk[j, i] = rounded
-            quad[i, j] = quad[j, i] = val
-    return LinkingMatrix(n, lk, quad)
+    return lk
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +499,9 @@ def asymptotic_hopf(
         raise ValueError(f"need at least 100 pairs, got {n_pairs}")
     if T < 2.0 * np.pi:
         raise ValueError(f"trace time must cover at least one period scale, got {T}")
+    states = trace_states(2 * n_pairs, T, h)
+    if states > MAX_TRACE_STATES:
+        raise ValueError(f"at most {MAX_TRACE_STATES} trace states, got {states:.0f}")
     starts = haar_sample(substream(seed, 0), 2 * n_pairs)
     speeds = np.linalg.norm(np.asarray(field(starts), dtype=float), axis=1)
     if float(np.max(speeds)) < 1e-13:
@@ -518,7 +512,7 @@ def asymptotic_hopf(
     failures = 0
 
     def close_path(xs: np.ndarray) -> FieldLine | None:
-        line = FieldLine.from_embedding(xs, closed=False, period_or_T=float(T))
+        line = FieldLine.from_embedding(xs, closed=False)
         try:
             return close_curve(line)
         except GapTooLarge:
@@ -576,7 +570,7 @@ def hopf_fiber(x0: np.ndarray, side: str = "right", n: int = 400) -> FieldLine:
     qx = qmul(q, x0) if side == "right" else qmul(x0, q)
     xs = np.cos(t)[:, None] * x0[None, :] + np.sin(t)[:, None] * qx[None, :]
     xs[-1] = xs[0]
-    return FieldLine.from_embedding(xs, closed=True, period_or_T=2.0 * np.pi)
+    return FieldLine.from_embedding(xs, closed=True)
 
 
 def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> FieldLine:
@@ -589,4 +583,4 @@ def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> Fiel
     pts[:, j] += r3 * np.sin(t)
     xs = chart_embed(pts, 0)
     xs[-1] = xs[0]
-    return FieldLine.from_embedding(xs, closed=True, period_or_T=2.0 * np.pi)
+    return FieldLine.from_embedding(xs, closed=True)

@@ -167,8 +167,6 @@ def milnor_curvatures(spec: LieFrameSpec) -> tuple[float, float, float]:
     K(i,j) = sum_m ( Gamma[j,j,m] Gamma[i,m,i] - Gamma[i,j,m] Gamma[j,m,i]
                      - ct[i,j,m] Gamma[m,j,i] ).
     """
-    if np.any(spec.g <= 0):
-        raise DegenerateMetric(f"metric entries must be positive, got {spec.g}")
     ct = orthonormal_constants(spec)
     # gam[i,j,k] = (ct[i,j,k] - ct[j,k,i] + ct[k,i,j]) / 2
     gam = (ct - np.transpose(ct, (2, 0, 1)) + np.transpose(ct, (1, 2, 0))) / 2.0

@@ -8,13 +8,9 @@ frames lives in s3; the finite-difference curvature oracle lives in chartlab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonPositiveLambda
 from .frames import (
-    LieFrameSpec,
     curl_eigenvalues,
     helicity_density_algebraic,
     lambda_fields,
@@ -30,46 +26,6 @@ from .frames import (
 COVER_VOLUME_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class LambdaFrame:
-    """Frame family member at vertical scale lam.
-
-    normalized=True carries the unit-helicity left triple (curl eigenvalues
-    -2/lam); normalized=False carries the raw right triple, whose frame
-    volume equals lam.
-    """
-
-    lam: float
-    spec: LieFrameSpec
-    normalized: bool
-
-
-def build_lambda_frame(lam: float, normalized: bool = True) -> LambdaFrame:
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
-    spec = lambda_fields(lam) if normalized else lambda_right(lam)
-    return LambdaFrame(float(lam), spec, bool(normalized))
-
-
-def frame_volume(frame: LambdaFrame) -> float:
-    """Signed volume of the frame parallelepiped."""
-    return float(frame.spec.orientation * np.sqrt(np.prod(frame.spec.g)))
-
-
-def cs_density_lambda(frame: LambdaFrame) -> tuple[float, float]:
-    """(helicity density per component, triple-form density).
-
-    Requires the normalized frame; helicity is -2 independent of lam, the
-    triple density scales as 1/lam.
-    """
-    if not frame.normalized:
-        raise ValueError("densities are defined for the normalized frame")
-    per_leg = [helicity_density_algebraic(frame.spec, l) for l in (1, 2, 3)]
-    if max(per_leg) - min(per_leg) > 1e-12:
-        raise ValueError(f"legs disagree on helicity density: {per_leg}")
-    return per_leg[0], triple_density_algebraic(frame.spec)
-
-
 def sectional_profile(lam: float) -> tuple[float, float, float]:
     """(horizontal, vertical1, vertical2) plane curvatures at scale lam.
 
@@ -77,19 +33,25 @@ def sectional_profile(lam: float) -> tuple[float, float, float]:
     formula; the horizontal plane decays like lam^(-2/3), the two vertical
     planes like lam^(-5/3).
     """
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
     k12, k13, k23 = milnor_curvatures(lambda_geometry(lam))
     return k23, k12, k13
 
 
 def lambda_report_row(lam: float) -> dict:
-    """Per-lambda record used by the CLI grid scan."""
-    frame = build_lambda_frame(lam, normalized=True)
-    raw = build_lambda_frame(lam, normalized=False)
-    h_density, t_density = cs_density_lambda(frame)
+    """Per-lambda record used by the CLI grid scan.
+
+    The normalized triple carries helicity -2 on every leg and a triple
+    density scaling as 1/lam; the raw right triple's frame volume is lam.
+    """
+    spec = lambda_fields(lam)
+    raw = lambda_right(lam)
+    per_leg = [helicity_density_algebraic(spec, l) for l in (1, 2, 3)]
+    if max(per_leg) - min(per_leg) > 1e-12:
+        raise ValueError(f"legs disagree on helicity density: {per_leg}")
+    h_density = per_leg[0]
+    t_density = triple_density_algebraic(spec)
     horizontal, vert1, vert2 = sectional_profile(lam)
-    eigs = curl_eigenvalues(frame.spec)
+    eigs = curl_eigenvalues(spec)
     return {
         "lambda": lam,
         "curl_eig_1": eigs[0],
@@ -101,6 +63,6 @@ def lambda_report_row(lam: float) -> dict:
         "horizontal_curvature": horizontal,
         "vertical_curvature_1": vert1,
         "vertical_curvature_2": vert2,
-        "raw_right_volume": frame_volume(raw),
+        "raw_right_volume": float(raw.orientation * np.sqrt(np.prod(raw.g))),
         "cover_volume_factor": COVER_VOLUME_FACTOR,
     }

@@ -11,7 +11,7 @@ metric; the disk radius is measured in the same units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,12 +37,17 @@ from .seeds import fixed_chunks, ordered_map, substream
 KOLMOGOROV_FIELD = -5.0 / 3.0
 KOLMOGOROV_FLOW = -7.0 / 6.0
 BALANCE_MODE = "direct"
+# The claimed exponent of the zero-cutoff triangle density in lambda.
+ALPHA_EXPONENT = -1.0 / 3.0
 
 MIN_CHORDS = 1000
 EXACT_TRIPLE_BUDGET = 300_000_000
 # Caps the sampled triples: the raw draw, its distinct-row copy and the
 # min-angle array stay under about 0.9 GiB.
 MAX_TRIPLES = 16_000_000
+# Caps the chord sample: pair_intersection_density peaks at about 200 bytes
+# per chord, so under about 1 GiB.
+MAX_CHORDS = 5_000_000
 
 
 def lambda_to_curvature(lam: float) -> float:
@@ -135,12 +140,9 @@ class GeodesicChord:
     Hyperboloid data (normal, base, tangent) drive all predicates; the
     upper-half-plane descriptor (circle center/radius or vertical line)
     backs the on-geodesic residual check.  Lengths in point()/endpoints
-    are in curvature units; multiply by rho for physical lengths.
+    are in curvature units; multiply by 1/sqrt(-K) for physical lengths.
     """
 
-    K: float
-    R: float
-    rho: float
     rr: float
     foot_distance: float
     foot_direction: float
@@ -182,13 +184,13 @@ class GeodesicChord:
 
 def chord_from_foot(K: float, R: float, p: float, theta: float) -> GeodesicChord:
     """Chord at foot distance p (curvature units) in direction theta."""
-    rho, rr = _shape_params(K, R)
+    _, rr = _shape_params(K, R)
     if not 0.0 <= p < rr:
         raise ValueError(f"foot distance must lie in [0, {rr}), got {p}")
     data = _normals_from_foot(np.array([np.sinh(p)]), np.array([theta]))
     half = float(np.arccosh(np.cosh(rr) / np.cosh(p)))
     return GeodesicChord(
-        K, R, rho, rr, float(p), float(theta),
+        rr, float(p), float(theta),
         data["normal"][0], data["base"][0], data["tangent"][0], half,
     )
 
@@ -196,10 +198,10 @@ def chord_from_foot(K: float, R: float, p: float, theta: float) -> GeodesicChord
 def sample_geodesic(K: float, R: float, rng: np.random.Generator | int) -> GeodesicChord:
     """One chord from the isometry-invariant measure on geodesics meeting the disk."""
     rng = np.random.default_rng(rng)
-    rho, rr = _shape_params(K, R)
+    _, rr = _shape_params(K, R)
     data = _sample_normals(rr, 1, rng)
     return GeodesicChord(
-        K, R, rho, rr,
+        rr,
         float(np.arcsinh(data["sp"][0])), float(data["theta"][0]),
         data["normal"][0], data["base"][0], data["tangent"][0],
         float(data["half_length"][0]),
@@ -437,24 +439,19 @@ def triangle_density(
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares scaling fit with a 95% confidence half-width on the slope."""
+    """Least-squares fit with a 95% confidence half-width on the slope
+    (loglog_fit) or the intercept (epsilon_limit_scan, whose metadata holds
+    the triangle counts and the triple total)."""
 
     x: np.ndarray
     y: np.ndarray
     slope: float
     intercept: float
     half_width: float
-    residuals: np.ndarray
-    claimed: float | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def consistent(self, window: float = 0.0) -> bool:
-        if self.claimed is None:
-            return True
-        return abs(self.slope - self.claimed) <= max(self.half_width, window)
+    metadata: dict
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, np.ndarray]:
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Slope, intercept, and their standard errors for y = a + b x."""
     n = x.size
     A = np.stack([np.ones(n), x], axis=1)
@@ -463,15 +460,10 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, floa
     dof = max(n - 2, 1)
     s2 = float(np.sum(resid**2)) / dof
     cov = s2 * np.linalg.inv(A.T @ A)
-    return float(coef[1]), float(coef[0]), float(np.sqrt(cov[1, 1])), float(np.sqrt(cov[0, 0])), resid
+    return float(coef[1]), float(coef[0]), float(np.sqrt(cov[1, 1])), float(np.sqrt(cov[0, 0]))
 
 
-def loglog_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    claimed: float | None = None,
-    metadata: dict | None = None,
-) -> ScalingFit:
+def loglog_fit(x: np.ndarray, y: np.ndarray) -> ScalingFit:
     """Power-law exponent fit of y against x on log-log axes."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -479,11 +471,9 @@ def loglog_fit(
         raise ValueError("need at least two points for a scaling fit")
     if np.any(y <= 0) or np.any(x <= 0):
         raise ExtrapolationUnstable("log-log fit requires positive values")
-    slope, intercept, se_slope, _, resid = _linear_fit(np.log(x), np.log(y))
+    slope, intercept, se_slope, _ = _linear_fit(np.log(x), np.log(y))
     tq = float(stats.t.ppf(0.975, max(x.size - 2, 1)))
-    return ScalingFit(
-        x, y, slope, intercept, tq * se_slope, resid, claimed, dict(metadata or {})
-    )
+    return ScalingFit(x, y, slope, intercept, tq * se_slope, {})
 
 
 def epsilon_limit_scan(
@@ -515,19 +505,12 @@ def epsilon_limit_scan(
     tail_y = dens[-3:]
     if np.any(np.diff(tail_y) < 0):
         raise ExtrapolationUnstable("density tail is not monotone in the cutoff")
-    slope, intercept, _, se_int, resid = _linear_fit(tail_x, tail_y)
+    slope, intercept, _, se_int = _linear_fit(tail_x, tail_y)
     if intercept <= 0:
         raise ExtrapolationUnstable(f"non-positive extrapolated density {intercept}")
     tq = float(stats.t.ppf(0.975, 1))
     return ScalingFit(
-        eps,
-        dens,
-        slope,
-        intercept,
-        tq * se_int,
-        resid,
-        None,
-        {"counts": counts.tolist(), "total": total, "tail_points": 3},
+        eps, dens, slope, intercept, tq * se_int, {"counts": counts.tolist(), "total": total}
     )
 
 
@@ -536,18 +519,16 @@ def epsilon_limit_scan(
 # ---------------------------------------------------------------------------
 
 
-def parallelism_ratio(K: float, R1: float, x1: float) -> float:
+def parallelism_ratio(K: float, R1: float) -> float:
     """Parallelism angle at a circle point over the circle perimeter.
 
-    The point sits at angular position x1 on the radius-R1 circle; the
-    reference geodesic is the diameter perpendicular to the radius through
-    the point, at distance R1.  By rotational symmetry the value does not
-    depend on x1.
+    The reference geodesic is the diameter perpendicular to the radius
+    through the point, at distance R1; by rotational symmetry the point's
+    position on the radius-R1 circle is immaterial.
     """
     rho, rr = _shape_params(K, R1)
     if rr < 5.0 * (1.0 - 1e-12):
         raise RadiusTooSmall(f"circle radius must reach 5 curvature units, got {rr:.3f}")
-    del x1
     angle = 2.0 * np.arctan(np.exp(-rr))
     return float(angle / disk_perimeter(K, R1))
 
@@ -596,11 +577,11 @@ def m5_quintuple_details(lines: Sequence[FieldLine], seed: int = 0) -> dict:
     """Triangle count and linking product for a quintuple of closed curves."""
     if len(lines) != 5:
         raise ValueError(f"need exactly 5 curves, got {len(lines)}")
-    matrix = build_linking_matrix(list(lines), seed=seed)
+    lk = build_linking_matrix(list(lines), seed=seed)
     product = 1
     for i in range(5):
         for j in range(i + 1, 5):
-            product *= int(matrix.lk[i, j])
+            product *= int(lk[i, j])
     polys = to_r3_polylines([ln.embedding for ln in lines], seed=seed)
     polys = [resample_polyline(p, 0.08) for p in polys]
     rng = substream(seed, 55)
@@ -627,21 +608,24 @@ def m5_quintuple_details(lines: Sequence[FieldLine], seed: int = 0) -> dict:
         "triangles": triangles,
         "linking_product": product,
         "estimate": float(triangles * product),
-        "linking": matrix.lk,
+        "linking": lk,
     }
 
 
 def alpha_scaling(
     lambda_grid: Sequence[float],
-    mc_params: dict | None = None,
-    rng: np.random.Generator | int = 0,
+    n_chords: int,
+    r_rel: float,
+    eps_list: Sequence[float],
+    n_triples: int,
+    workers: int,
+    rng: np.random.Generator | int,
 ) -> ScalingFit:
     """Exponent of the zero-cutoff triangle density against the deformation.
 
     Runs the cutoff extrapolation at each grid value with the disk radius
-    fixed in curvature units, then fits the extrapolates on log-log axes.
-    The balance convention and the fixed turbulence exponents ride along as
-    metadata.
+    fixed at r_rel curvature units, then fits the extrapolates on log-log
+    axes; the claimed exponent is ALPHA_EXPONENT.
     """
     grid = np.asarray(list(lambda_grid), dtype=float)
     if grid.size < 5:
@@ -650,36 +634,14 @@ def alpha_scaling(
         raise NonPositiveLambda("grid values must be positive")
     if grid.max() / grid.min() < 10.0 * (1.0 - 1e-9):
         raise ValueError("grid must span at least a decade")
-    params = {
-        "n_chords": 20_000,
-        "r_rel": 3.0,
-        "eps_list": (0.4, 0.3, 0.2, 0.15, 0.1),
-        "n_triples": 2_000_000,
-        "workers": 1,
-    }
-    params.update(mc_params or {})
     rng = np.random.default_rng(rng)
     child_seeds = rng.integers(0, 2**63 - 1, size=grid.size)
     intercepts = []
     for lam, child in zip(grid, child_seeds):
         K = lambda_to_curvature(lam)
-        R = params["r_rel"] / np.sqrt(-K)
         scan = epsilon_limit_scan(
-            K,
-            R,
-            params["n_chords"],
-            params["eps_list"],
-            int(child),
-            n_triples=params["n_triples"],
-            workers=params["workers"],
+            K, r_rel / np.sqrt(-K), n_chords, eps_list, int(child),
+            n_triples=n_triples, workers=workers,
         )
         intercepts.append(scan.intercept)
-    meta = {
-        "balance": BALANCE_MODE,
-        "kolmogorov_field": KOLMOGOROV_FIELD,
-        "kolmogorov_flow": KOLMOGOROV_FLOW,
-        "r_rel": params["r_rel"],
-        "n_chords": params["n_chords"],
-        "eps_list": list(params["eps_list"]),
-    }
-    return loglog_fit(grid, np.asarray(intercepts), claimed=-1.0 / 3.0, metadata=meta)
+    return loglog_fit(grid, np.asarray(intercepts))

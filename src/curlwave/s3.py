@@ -30,6 +30,10 @@ TRACE_NORMALIZATION = -2.0
 
 COMPLEX_STEP = 1e-20
 
+# Caps ym_residual's sample: about 500 bytes per point at peak, so under
+# about 1 GiB.
+MAX_CURL_POINTS = 2_000_000
+
 
 def trace_pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Normalized trace form of a product of two algebra values."""
@@ -133,10 +137,6 @@ class S3Frame:
 
     def legs(self) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
         return tuple(self.leg(l) for l in (1, 2, 3))
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """All three leg values at points x, shape (3,) + x.shape."""
-        return np.stack([self.leg(l)(x) for l in (1, 2, 3)], axis=0)
 
 
 def build_frame(side: str) -> S3Frame:

@@ -64,9 +64,9 @@ def test_criterion_03_helicity_constant_in_lambda():
     for l in (1, 2, 3):
         vals[("s3", l)] = frames.helicity_density_algebraic(frames.su2_unit(), l)
     for lam in (0.5, 1.0, 2.0, 4.0, 8.0):
-        fr = hyperbolic.build_lambda_frame(lam)
+        spec = frames.lambda_fields(lam)
         for l in (1, 2, 3):
-            vals[(lam, l)] = frames.helicity_density_algebraic(fr.spec, l)
+            vals[(lam, l)] = frames.helicity_density_algebraic(spec, l)
     worst = max(abs(v + 2.0) for v in vals.values())
     spread = max(vals.values()) - min(vals.values())
     exact = all(vals[(lam, l)] == -2.0 for lam in ("s3", 1.0, 4.0) for l in (1, 2, 3))
@@ -79,7 +79,7 @@ def test_criterion_03_helicity_constant_in_lambda():
 
 def test_criterion_04_triple_density_compensation():
     prods = [
-        lam * frames.triple_density_algebraic(hyperbolic.build_lambda_frame(lam).spec)
+        lam * frames.triple_density_algebraic(frames.lambda_fields(lam))
         for lam in (0.5, 1.0, 2.0, 4.0, 8.0)
     ]
     spread = max(prods) - min(prods)

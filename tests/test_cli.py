@@ -3,14 +3,21 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curlwave import cli
+from curlwave import cli, s3
 from curlwave.cli import ExperimentConfig, emit_report, main, run
 from curlwave.errors import ConfigInvalid, IoFailure, VerbUnknown
-from curlwave.hypermc import MAX_TRIPLES
+from curlwave.fieldlines import MAX_QUAD_POINTS, MAX_TRACE_STATES
+from curlwave.hypermc import MAX_CHORDS, MAX_TRIPLES
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def _cfg(**kw):
@@ -20,10 +27,11 @@ def _cfg(**kw):
 
 def test_config_json_round_trip_byte_exact():
     cfg = _cfg(seed=11, lambda_grid=(0.5, 1.0, 2.0), eps_list=(0.3, 0.2))
-    text = cfg.to_json()
+    text = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     again = ExperimentConfig.from_dict(json.loads(text))
     assert again == cfg
-    assert again.to_json() == text
+    assert json.dumps(dataclasses.asdict(again), sort_keys=True) == text
+    assert again.config_hash() == cfg.config_hash()
 
 
 def test_config_rejects_unknown_and_missing_fields():
@@ -67,48 +75,33 @@ def test_config_hash_ignores_execution_resources():
     assert dataclasses.replace(cfg, n_chords=999).config_hash() != cfg.config_hash()
 
 
+def _results(rows=(), summary=None):
+    return {"rows": list(rows), "summary": summary or {}, "config_hash": "cafe01", "seed": 7}
+
+
 def test_emit_report_csv(tmp_path):
-    path = str(tmp_path / "out.csv")
-    results = {
-        "rows": [{"name": "a", "value": 1.5, "count": 3, "ok": True}],
-        "config_hash": "cafe01",
-        "seed": 7,
-    }
-    emit_report(results, "csv", path)
-    lines = open(path).read().splitlines()
+    base = str(tmp_path / "out")
+    rows = [{"name": "a", "value": 1.5, "count": 3, "ok": True}]
+    paths = emit_report(_results(rows), base)
+    assert paths == [base + ".csv", base + "_summary.txt"]
+    lines = open(paths[0]).read().splitlines()
     assert lines[0] == "# config_hash=cafe01 seed=7"
     assert lines[1] == "name,value,count,ok"
     assert lines[2] == "a,1.5,3,True"
     assert len(lines) == 3
 
 
-def test_emit_report_header_only_csv(tmp_path):
-    path = str(tmp_path / "empty.csv")
-    results = {"rows": [], "columns": ["x", "y"], "config_hash": "h", "seed": 0}
-    emit_report(results, "csv", path)
-    lines = open(path).read().splitlines()
-    assert lines == ["# config_hash=h seed=0", "x,y"]
-
-
 def test_emit_report_record_sorted(tmp_path):
-    path = str(tmp_path / "out.txt")
-    results = {
-        "summary": {"zeta": 2, "alpha": 0.25},
-        "config_hash": "beef",
-        "seed": 3,
-    }
-    emit_report(results, "record", path)
-    lines = open(path).read().splitlines()
-    assert lines == ["alpha=0.25", "config_hash=beef", "seed=3", "zeta=2"]
+    paths = emit_report(_results(summary={"zeta": 2, "alpha": 0.25}), str(tmp_path / "out"))
+    lines = open(paths[1]).read().splitlines()
+    assert lines == ["alpha=0.25", "config_hash=cafe01", "seed=7", "zeta=2"]
 
 
 def test_emit_report_bad_format_and_unwritable(tmp_path):
-    with pytest.raises(ConfigInvalid):
-        emit_report({}, "xml", str(tmp_path / "x"))
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     with pytest.raises(IoFailure):
-        emit_report({"rows": []}, "csv", str(blocker / "sub" / "x.csv"))
+        emit_report(_results(), str(blocker / "sub" / "x"))
 
 
 def test_run_writes_reports_and_manifest(tmp_path):
@@ -240,6 +233,54 @@ def test_main_rejects_over_budget_triples_before_the_verb(tmp_path, monkeypatch,
     assert main(["triangle-scan", "--config", "cfg.json"]) == 1
     assert "n_triples: at most" in capsys.readouterr().err
     _cfg(n_triples=MAX_TRIPLES).validate()
+
+
+# 2 * 100 lines * (ceil(T / h) + 1) trace states; h = 2^-7 keeps T / h exact.
+_H = 2.0**-7
+_STEPS_AT_CAP = MAX_TRACE_STATES // 200 - 1
+
+
+@pytest.mark.parametrize(
+    "verb, at_cap, over_cap",
+    [
+        ("verify-s3", {"n_points": s3.MAX_CURL_POINTS}, {"n_points": s3.MAX_CURL_POINTS + 1}),
+        ("hopf-asymptotic", {"n_quad": MAX_QUAD_POINTS}, {"n_quad": MAX_QUAD_POINTS + 1}),
+        ("triangle-scan", {"n_chords": MAX_CHORDS}, {"n_chords": MAX_CHORDS + 1}),
+        (
+            "hopf-asymptotic",
+            {"n_pairs": 100, "trace_step": _H, "trace_T": _STEPS_AT_CAP * _H},
+            {"n_pairs": 100, "trace_step": _H, "trace_T": (_STEPS_AT_CAP + 1) * _H},
+        ),
+        # 400 lines of 1,000,001 states each: an 11.9 GiB path array.
+        ("hopf-asymptotic", {}, {"trace_T": 1e4}),
+    ],
+    ids=["n_points", "n_quad", "n_chords", "trace_states", "trace_T_1e4"],
+)
+def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, capsys, verb, at_cap, over_cap):
+    # validate() caps every size that sets a verb's memory, so a config over
+    # a cap exits 1 without running the verb; the cap itself is allowed.
+    def verb_must_not_run(config, timings):
+        raise AssertionError(f"{verb} ran on an over-cap config")
+
+    monkeypatch.setitem(cli._VERB_TABLE, verb, verb_must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(over_cap))
+    assert main([verb, "--config", "cfg.json"]) == 1
+    assert "at most" in capsys.readouterr().err
+    _cfg(verb=verb, **at_cap).validate()
+
+
+def test_module_run_imports_cleanly(tmp_path):
+    # The package must not import cli itself, or runpy warns that
+    # curlwave.cli was already in sys.modules.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "curlwave.cli",
+         "verify-hyperbolic", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "verify-hyperbolic.csv").is_file()
 
 
 def test_flags_override_config(tmp_path, capsys):

@@ -29,13 +29,12 @@ def test_hopf_fiber_closed_unit_circle():
     assert line.closed
     assert np.allclose(np.linalg.norm(line.embedding, axis=1), 1.0, atol=1e-12)
     assert np.allclose(line.embedding[0], line.embedding[-1], atol=1e-12)
-    assert np.isclose(line.period_or_T, 2.0 * np.pi)
 
 
 def test_from_embedding_rejects_non_finite_point():
     xs = np.array([[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     with pytest.raises(ChartEscape):
-        fl.FieldLine.from_embedding(xs, closed=False, period_or_T=1.0)
+        fl.FieldLine.from_embedding(xs, closed=False)
 
 
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
@@ -47,7 +46,7 @@ def test_distance_scans_match_brute_force(n):
     pq = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=-1)
     pp = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
     assert fl._min_distance(p, q) == fl._min_distance(q, p) == float(np.min(pq))
-    line = fl.FieldLine.from_embedding(p, closed=False, period_or_T=1.0)
+    line = fl.FieldLine.from_embedding(p, closed=False)
     assert line.diameter() == float(np.max(pp))
 
 
@@ -221,13 +220,13 @@ def _mirror_line(line):
     # Reflect the last embedding coordinate (orientation-reversing).
     xs = line.embedding.copy()
     xs[:, 3] = -xs[:, 3]
-    return fl.FieldLine.from_embedding(xs, closed=line.closed, period_or_T=line.period_or_T)
+    return fl.FieldLine.from_embedding(xs, closed=line.closed)
 
 
 def _reverse_line(line):
     # Reverse the traversal orientation of a closed line.
     xs = line.embedding[::-1].copy()
-    return fl.FieldLine.from_embedding(xs, closed=line.closed, period_or_T=line.period_or_T)
+    return fl.FieldLine.from_embedding(xs, closed=line.closed)
 
 
 def test_mirror_and_reversal_negate_linking():
@@ -277,7 +276,7 @@ def test_traced_orbit_pair_links():
     starts = haar_sample(np.random.default_rng(10), 2)
     paths, _ = fl.trace_batch(_left_field, starts, np.pi, h=PERIOD_STEP)
     lines = [
-        fl.close_curve(fl.FieldLine.from_embedding(xs, closed=False, period_or_T=np.pi))
+        fl.close_curve(fl.FieldLine.from_embedding(xs, closed=False))
         for xs in paths
     ]
     lk = fl.gauss_linking(lines[0], lines[1])
@@ -294,7 +293,7 @@ def test_close_curve_rejects_wide_gap():
     x0 = haar_sample(np.random.default_rng(11), 1)
     # An open 0.7 rad arc: its endpoint gap equals its diameter.
     paths, _ = fl.trace_batch(_LEFT_LEG, x0, 0.7, h=0.005)
-    line = fl.FieldLine.from_embedding(paths[0], closed=False, period_or_T=0.7)
+    line = fl.FieldLine.from_embedding(paths[0], closed=False)
     with pytest.raises(GapTooLarge):
         fl.close_curve(line)
 
@@ -312,16 +311,16 @@ def test_close_curve_bound_keeps_the_diameter_decision(monkeypatch):
     # Out to +0.5 rad and back through the start to -0.5 rad: the farthest
     # point from the start is at half the diameter.
     out_and_back = np.concatenate([np.linspace(0.0, 0.5, 50), np.linspace(0.5, -0.5, 100)])
-    small_gap = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.03)), False, 1.0)
+    small_gap = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.03)), False)
     closed = fl.close_curve(small_gap)
     assert closed.closed and calls == []
     # Gap chord 0.08: above 10% of the reach (0.0495), within 10% of the
     # diameter (0.0959), so only the exact check accepts it.
-    ambiguous = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.08)), False, 1.0)
+    ambiguous = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.08)), False)
     assert 0.1 * ambiguous.diameter() >= ambiguous.gap() > 0.1 * 2.0 * np.sin(0.25)
     calls.clear()
     assert fl.close_curve(ambiguous).closed and calls == [1]
-    wide = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.2)), False, 1.0)
+    wide = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.2)), False)
     with pytest.raises(GapTooLarge, match="diameter"):
         fl.close_curve(wide)
 
@@ -336,12 +335,12 @@ def test_identical_curves_rejected():
 def test_linking_matrix_three_fibers():
     base = haar_sample(np.random.default_rng(13), 3)
     curves = [fl.hopf_fiber(b, "right") for b in base]
-    mat = fl.build_linking_matrix(curves)
-    assert mat.n == 3
-    off = mat.lk[~np.eye(3, dtype=bool)]
+    lk = fl.build_linking_matrix(curves)
+    assert lk.shape == (3, 3) and lk.dtype.kind == "i"
+    off = lk[~np.eye(3, dtype=bool)]
     assert np.all(off == 1)
-    assert np.all(np.diag(mat.lk) == 0)
-    assert np.array_equal(mat.lk, mat.lk.T)
+    assert np.all(np.diag(lk) == 0)
+    assert np.array_equal(lk, lk.T)
 
 
 def test_helicity_integral_left_pair():
@@ -370,6 +369,17 @@ def test_asymptotic_hopf_preconditions():
         fl.asymptotic_hopf(field, 50, 4.0 * np.pi)
     with pytest.raises(ValueError):
         fl.asymptotic_hopf(field, 100, 1.0)
+
+
+def test_asymptotic_hopf_caps_trace_states_before_tracing(monkeypatch):
+    monkeypatch.setattr(fl, "trace_batch", lambda *a, **k: pytest.fail("traced past the cap"))
+    field = s3.build_frame("left").leg(1)
+    # 2 * 100 lines * (ceil(T / h) + 1) states; h = 2^-7 keeps T / h exact.
+    h = 2.0**-7
+    steps = fl.MAX_TRACE_STATES // 200 - 1
+    assert fl.trace_states(200, steps * h, h) == fl.MAX_TRACE_STATES
+    with pytest.raises(ValueError, match="trace states"):
+        fl.asymptotic_hopf(field, 100, (steps + 1) * h, h=h)
 
 
 def test_asymptotic_hopf_zero_field():

@@ -11,44 +11,31 @@ GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
 def test_helicity_density_minus_two_all_lambda():
     for lam in GRID:
-        frame = hyperbolic.build_lambda_frame(lam)
-        h, _ = hyperbolic.cs_density_lambda(frame)
+        h = hyperbolic.lambda_report_row(lam)["h_density"]
         assert abs(h + 2.0) <= 1e-15, lam
     # perfect-square lambdas evaluate bit-exactly
     for lam in (0.25, 1.0, 4.0):
-        h, _ = hyperbolic.cs_density_lambda(hyperbolic.build_lambda_frame(lam))
-        assert h == -2.0
+        assert hyperbolic.lambda_report_row(lam)["h_density"] == -2.0
 
 
 def test_triple_density_product_constant():
-    products = []
-    for lam in GRID:
-        _, t = hyperbolic.cs_density_lambda(hyperbolic.build_lambda_frame(lam))
-        products.append(t * lam)
+    products = [hyperbolic.lambda_report_row(lam)["t_density"] * lam for lam in GRID]
     spread = max(products) - min(products)
     assert spread < 1e-10
     assert abs(products[0] - 3.0) < 1e-12
 
 
 def test_normalized_curl_eigenvalues():
-    from curlwave import frames
-
     for lam in (0.25, 1.0, 4.0):
-        frame = hyperbolic.build_lambda_frame(lam)
-        eigs = frames.curl_eigenvalues(frame.spec)
+        row = hyperbolic.lambda_report_row(lam)
+        eigs = np.array([row[f"curl_eig_{l}"] for l in (1, 2, 3)])
+        assert np.array_equal(eigs, frames.curl_eigenvalues(frames.lambda_fields(lam)))
         assert np.max(np.abs(eigs + 2.0 / lam)) < 1e-12
-
-
-def test_cs_density_requires_normalized():
-    raw = hyperbolic.build_lambda_frame(2.0, normalized=False)
-    with pytest.raises(ValueError):
-        hyperbolic.cs_density_lambda(raw)
 
 
 def test_frame_volume_raw_equals_lambda():
     for lam in (0.5, 1.0, 4.0):
-        raw = hyperbolic.build_lambda_frame(lam, normalized=False)
-        assert np.isclose(hyperbolic.frame_volume(raw), lam, rtol=1e-12)
+        assert np.isclose(hyperbolic.lambda_report_row(lam)["raw_right_volume"], lam, rtol=1e-12)
 
 
 def test_rescale_rejects_nonpositive():
@@ -59,8 +46,11 @@ def test_rescale_rejects_nonpositive():
     for l in (0.0, -1.0):
         with pytest.raises(ValueError):
             s3.S3Frame("left", frames.su2_unit(), radius=l)
-    with pytest.raises(NonPositiveLambda):
-        hyperbolic.build_lambda_frame(-1.0)
+    for lam in (0.0, -1.0):
+        with pytest.raises(NonPositiveLambda):
+            hyperbolic.lambda_report_row(lam)
+        with pytest.raises(NonPositiveLambda):
+            hyperbolic.sectional_profile(lam)
 
 
 def test_sectional_profile_unit_lambda():

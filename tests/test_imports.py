@@ -1,5 +1,6 @@
-"""Module boundaries: no private imports across modules, no public name that
-only tests use, and the benchmark tracer finds every name it wraps."""
+"""Module boundaries: no private imports across modules, no public name or
+class member that only tests use, and the benchmark tracer finds every name
+it wraps."""
 
 import ast
 import importlib
@@ -86,6 +87,47 @@ def test_every_public_name_has_a_caller_in_src():
     assert sorted(unused - listed) == [], "public names only tests use"
     # An entry that gained a caller, or no longer exists, leaves the list.
     assert sorted(listed - unused) == [], "REFERENCES entries with a caller in src/ or no definition"
+
+
+# Class members that no module in src/ reads as an attribute, kept on purpose.
+MEMBER_REFERENCES = (
+    ("GeodesicChord", "foot_distance", "the reference chord's foot point, read by the scalar chord tests"),
+    ("GeodesicChord", "foot_direction", "the reference chord's foot direction, read by the scalar chord tests"),
+    ("GeodesicChord", "endpoints", "the reference chord's end points, read by the scalar chord tests"),
+    ("GeodesicChord", "uhp_residual", "the reference chord's half-plane check, read by the scalar chord tests"),
+    ("RunManifest", "version", "written to the manifest through dataclasses.asdict"),
+    ("RunManifest", "timings", "written to the manifest through dataclasses.asdict"),
+)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in _names_in(d) for d in node.decorator_list)
+
+
+def _unread_members() -> set[tuple[str, str]]:
+    # Dataclass fields and non-dunder methods of every class in src/, less
+    # the names that src/ reads as an attribute anywhere.
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    read = {
+        n.attr for tree in trees for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    members = set()
+    for tree in trees:
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and _is_dataclass(cls):
+                    members.add((cls.name, stmt.target.id))
+                elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+                    members.add((cls.name, stmt.name))
+    return {(cls, name) for cls, name in members if name not in read}
+
+
+def test_every_class_member_is_read_in_src():
+    unread = _unread_members()
+    listed = {(cls, name) for cls, name, _ in MEMBER_REFERENCES}
+    assert sorted(unread - listed) == [], "fields and methods that src/ never reads"
+    assert sorted(listed - unread) == [], "MEMBER_REFERENCES entries that src/ reads or that no longer exist"
 
 
 def test_benchmark_tracer_installs(monkeypatch):
