@@ -11,7 +11,6 @@ from .frames import (
     lambda_fields,
     lambda_geometry,
     lambda_right,
-    load_fleet,
     milnor_curvatures,
     su2_halved,
     su2_right,
@@ -27,7 +26,6 @@ from .hypermc import (
     pair_intersection_density,
     parallelism_ratio,
     sample_geodesic,
-    triangle_density,
 )
 from .fieldlines import (
     FieldLine,

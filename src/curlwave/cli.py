@@ -33,7 +33,7 @@ from .fieldlines import (
     trace_states,
 )
 from .quaternions import haar_sample
-from .seeds import substream
+from .seeds import MAX_WORKERS, substream
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -77,6 +77,7 @@ class ExperimentConfig:
             "n_quad": MAX_QUAD_POINTS,
             "n_chords": hypermc.MAX_CHORDS,
             "n_triples": hypermc.MAX_TRIPLES,
+            "workers": MAX_WORKERS,
         }
         for name in ("n_points", "n_quad", "n_chords", "n_triples", "n_pairs", "workers"):
             v = getattr(self, name)
@@ -302,8 +303,8 @@ def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
             "estimate": est.estimate,
             "stderr": est.stderr,
             "target": target,
-            "n_pairs": est.n_pairs,
-            "T": est.T,
+            "n_pairs": cfg.n_pairs,
+            "T": float(cfg.trace_T),
             "failures": est.failures,
             "resamples": est.resamples,
         }

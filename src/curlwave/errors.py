@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every raise in the package uses one of these classes so callers can catch
-CurlwaveError and map failures to exit codes without string matching.
+Domain failures raise one of these classes, so callers can catch
+CurlwaveError without string matching.  Arguments outside the range a
+function supports raise ValueError instead; the command line maps both
+kinds to exit code 1.
 """
 
 

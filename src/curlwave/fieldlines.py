@@ -78,9 +78,11 @@ class FieldLine:
         return float(np.linalg.norm(self.embedding[-1] - self.embedding[0]))
 
     def diameter(self) -> float:
-        """Largest distance between two points, in row blocks of O(512 n) memory."""
+        """Largest distance between two points, in row blocks of at most
+        2**19 distances (4 MiB) whatever the number of points."""
         xs = self.embedding
-        return max(float(cdist(xs[lo:hi], xs).max()) for lo, hi in fixed_chunks(xs.shape[0], 512))
+        rows = max(1, 2**19 // xs.shape[0])
+        return max(float(cdist(xs[lo:hi], xs).max()) for lo, hi in fixed_chunks(xs.shape[0], rows))
 
 
 def _rk4_step(field: Callable, y: np.ndarray, h: float) -> np.ndarray:
@@ -456,7 +458,7 @@ def helicity_integral(field_a: Callable, field_b: Callable, n_quad: int, seed: i
     if n_quad < 100:
         raise QuadratureUnderflow(f"need at least 100 quadrature points, got {n_quad}")
     probe = haar_sample(substream(seed, 991), 8)
-    _, _, _, rot = curl_field(field_a, probe)
+    _, _, rot = curl_field(field_a, probe)
     b_chart = np.empty_like(rot)
     for ch, idx, u in group_by_chart(probe, 1.0):
         b_chart[idx] = np.real(field_in_chart(field_b, u, ch))
@@ -473,8 +475,6 @@ class HopfEstimate:
 
     estimate: float
     stderr: float
-    n_pairs: int
-    T: float
     failures: int
     resamples: int
 
@@ -505,7 +505,7 @@ def asymptotic_hopf(
     starts = haar_sample(substream(seed, 0), 2 * n_pairs)
     speeds = np.linalg.norm(np.asarray(field(starts), dtype=float), axis=1)
     if float(np.max(speeds)) < 1e-13:
-        return HopfEstimate(0.0, 0.0, n_pairs, float(T), 0, 0)
+        return HopfEstimate(0.0, 0.0, 0, 0)
     paths, _ = trace_batch(field, starts, T, h=h)
 
     resamples = 0
@@ -549,7 +549,7 @@ def asymptotic_hopf(
     lks = np.asarray(lks)
     estimate = float(np.mean(lks)) / T**2
     stderr = float(np.std(lks, ddof=1)) / np.sqrt(lks.size) / T**2
-    return HopfEstimate(estimate, stderr, n_pairs, float(T), failures, resamples)
+    return HopfEstimate(estimate, stderr, failures, resamples)
 
 
 # ---------------------------------------------------------------------------

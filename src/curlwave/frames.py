@@ -13,8 +13,6 @@ are 0-based.
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,16 +64,6 @@ class LieFrameSpec:
         g.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "g", g)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieFrameSpec):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.orientation == other.orientation
-            and np.array_equal(self.c, other.c)
-            and np.array_equal(self.g, other.g)
-        )
 
     def __repr__(self) -> str:
         return f"LieFrameSpec(name={self.name!r}, orientation={self.orientation})"
@@ -285,7 +273,7 @@ def lambda_geometry(lam: float) -> LieFrameSpec:
 
 
 def default_fleet() -> dict[str, LieFrameSpec]:
-    """Named specs serialized under specs/ and used across the test suite."""
+    """Named specs whose curl spectra verify-s3 reports."""
     fleet = [
         su2_unit(),
         su2_right(),
@@ -295,60 +283,3 @@ def default_fleet() -> dict[str, LieFrameSpec]:
     ]
     return {spec.name: spec for spec in fleet}
 
-
-# ---------------------------------------------------------------------------
-# Text serialization (bit-exact decimal round trip via repr floats)
-
-
-def to_text(spec: LieFrameSpec) -> str:
-    """Serialize as line records; floats printed with repr for exact round trip."""
-    buf = io.StringIO()
-    buf.write(f"name {spec.name}\n")
-    buf.write(f"orientation {spec.orientation:d}\n")
-    buf.write("g " + " ".join(repr(float(v)) for v in spec.g) + "\n")
-    for k in range(3):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                v = spec.c[k, i, j]
-                if v != 0.0:
-                    buf.write(f"c {k + 1} {i + 1} {j + 1} {float(v)!r}\n")
-    return buf.getvalue()
-
-
-def from_text(text: str) -> LieFrameSpec:
-    name = None
-    orientation = None
-    g = None
-    c = np.zeros((3, 3, 3))
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag, rest = line.split(None, 1)
-        if tag == "name":
-            name = rest
-        elif tag == "orientation":
-            orientation = int(rest)
-        elif tag == "g":
-            g = np.array([float(v) for v in rest.split()])
-        elif tag == "c":
-            k, i, j, v = rest.split()
-            k, i, j = int(k) - 1, int(i) - 1, int(j) - 1
-            c[k, i, j] = float(v)
-            c[k, j, i] = -float(v)
-        else:
-            raise FrameSpecInvalid(f"unknown record tag {tag!r}")
-    if name is None or orientation is None or g is None:
-        raise FrameSpecInvalid("record must contain name, orientation and g lines")
-    return LieFrameSpec(name=name, c=c, g=g, orientation=orientation)
-
-
-def load_fleet(dirpath: str) -> dict[str, LieFrameSpec]:
-    fleet = {}
-    for fname in sorted(os.listdir(dirpath)):
-        if not fname.endswith(".frame"):
-            continue
-        with open(os.path.join(dirpath, fname)) as fh:
-            spec = from_text(fh.read())
-        fleet[spec.name] = spec
-    return fleet

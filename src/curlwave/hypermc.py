@@ -1,12 +1,13 @@
 """Monte Carlo geometry of geodesic chords in the constant-curvature plane.
 
 Chords of a disk in the curvature-K plane (K < 0) are drawn from the
-kinematic measure and stored by their unit spacelike normals in the
+kinematic measure and stored by their unit spacelike normals alone, in the
 Minkowski hyperboloid model, where crossing predicates, crossing angles,
-and point-in-disk tests are short closed forms.  The upper-half-plane
-descriptor of every chord is kept alongside for the circle/line residual
-check.  Densities are reported in physical units of the curvature-K
-metric; the disk radius is measured in the same units.
+and point-in-disk tests are short closed forms.  The scalar GeodesicChord
+(chord_from_foot, sample_geodesic) adds the foot point, tangent and
+upper-half-plane descriptor as the reference for those arrays.  Densities
+are reported in physical units of the curvature-K metric; the disk radius
+is measured in the same units.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import (
     CurlwaveError,
@@ -105,42 +106,30 @@ def to_uhp(x: np.ndarray) -> np.ndarray:
     return np.stack([x[..., 1] / denom, 1.0 / denom], axis=-1)
 
 
-def _normals_from_foot(sp: np.ndarray, theta: np.ndarray) -> dict:
-    """Chord frame data from sinh(foot distance) and foot direction.
-
-    The chord is the geodesic at distance asinh(sp) from the disk center
-    with closest point in direction theta; base is that closest point and
-    tangent the unit velocity, so points are cosh(s) base + sinh(s) tangent.
-    """
-    cp = np.sqrt(1.0 + sp**2)
-    ct, st = np.cos(theta), np.sin(theta)
-    normal = np.stack([sp, cp * ct, cp * st], axis=-1)
-    base = np.stack([cp, sp * ct, sp * st], axis=-1)
-    tangent = np.stack([np.zeros_like(theta), -st, ct], axis=-1)
-    return {"normal": normal, "base": base, "tangent": tangent, "sp": sp, "theta": theta}
-
-
-def _sample_normals(rr: float, n: int, rng: np.random.Generator) -> dict:
-    """Kinematic-measure chord sample for the radius-rr disk.
+def _sample_normals(rr: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit normals of a kinematic-measure chord sample of the radius-rr disk.
 
     The invariant measure in (foot distance p, direction) coordinates is
-    cosh(p) dp dtheta, so sinh(p) is uniform on [0, sinh rr).
+    cosh(p) dp dtheta, so sinh(p) is uniform on [0, sinh rr).  The chord at
+    distance p in direction theta has normal (sinh p, cosh p cos theta,
+    cosh p sin theta).
     """
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     sp = rng.uniform(0.0, 1.0, size=n) * np.sinh(rr)
-    data = _normals_from_foot(sp, theta)
-    data["half_length"] = np.arccosh(np.cosh(rr) / np.sqrt(1.0 + sp**2))
-    return data
+    cp = np.sqrt(1.0 + sp**2)
+    return np.stack([sp, cp * np.cos(theta), cp * np.sin(theta)], axis=-1)
 
 
 @dataclass(frozen=True)
 class GeodesicChord:
     """One geodesic chord of the sampling disk, arc-length parameterized.
 
-    Hyperboloid data (normal, base, tangent) drive all predicates; the
-    upper-half-plane descriptor (circle center/radius or vertical line)
-    backs the on-geodesic residual check.  Lengths in point()/endpoints
-    are in curvature units; multiply by 1/sqrt(-K) for physical lengths.
+    The scalar reference for the chord arrays: the samplers keep only unit
+    normals, while this chord also carries its foot point (base), unit
+    tangent and half-length, and checks itself against its upper-half-plane
+    descriptor (circle center/radius or vertical line).  Lengths in
+    point()/endpoints are in curvature units; multiply by 1/sqrt(-K) for
+    physical lengths.
     """
 
     rr: float
@@ -183,29 +172,36 @@ class GeodesicChord:
 
 
 def chord_from_foot(K: float, R: float, p: float, theta: float) -> GeodesicChord:
-    """Chord at foot distance p (curvature units) in direction theta."""
+    """Chord at foot distance p (curvature units) in direction theta.
+
+    Its points are cosh(s) base + sinh(s) tangent, with base the point
+    closest to the disk center.
+    """
     _, rr = _shape_params(K, R)
     if not 0.0 <= p < rr:
         raise ValueError(f"foot distance must lie in [0, {rr}), got {p}")
-    data = _normals_from_foot(np.array([np.sinh(p)]), np.array([theta]))
-    half = float(np.arccosh(np.cosh(rr) / np.cosh(p)))
+    sp = np.sinh(p)
+    cp = np.sqrt(1.0 + sp**2)
+    ct, st = np.cos(theta), np.sin(theta)
     return GeodesicChord(
         rr, float(p), float(theta),
-        data["normal"][0], data["base"][0], data["tangent"][0], half,
+        np.array([sp, cp * ct, cp * st]),
+        np.array([cp, sp * ct, sp * st]),
+        np.array([0.0, -st, ct]),
+        float(np.arccosh(np.cosh(rr) / np.cosh(p))),
     )
 
 
 def sample_geodesic(K: float, R: float, rng: np.random.Generator | int) -> GeodesicChord:
-    """One chord from the isometry-invariant measure on geodesics meeting the disk."""
+    """One chord from the isometry-invariant measure on geodesics meeting the disk.
+
+    The normal comes from the sampler of the chord arrays; the chord is
+    rebuilt from its foot point.
+    """
     rng = np.random.default_rng(rng)
     _, rr = _shape_params(K, R)
-    data = _sample_normals(rr, 1, rng)
-    return GeodesicChord(
-        rr,
-        float(np.arcsinh(data["sp"][0])), float(data["theta"][0]),
-        data["normal"][0], data["base"][0], data["tangent"][0],
-        float(data["half_length"][0]),
-    )
+    n = _sample_normals(rr, 1, rng)[0]
+    return chord_from_foot(K, R, float(np.arcsinh(n[0])), float(np.arctan2(n[2], n[1])))
 
 
 def chords_cross_inside(c1: GeodesicChord, c2: GeodesicChord) -> bool:
@@ -291,7 +287,7 @@ def pair_intersection_density(
         raise ValueError(f"need at least {MIN_CHORDS} chords, got {N}")
     rng = np.random.default_rng(rng)
     rho, rr = _shape_params(K, R)
-    normals = _sample_normals(rr, N, rng)["normal"]
+    normals = _sample_normals(rr, N, rng)
     counts = _pair_row_counts(normals, rr)
     p_hat = float(np.sum(counts)) / (N * (N - 1))
     ci = counts / (N - 1.0)
@@ -394,7 +390,7 @@ def _triple_counts(
         raise ValueError(f"need at least {MIN_CHORDS} chords, got {N}")
     rng = np.random.default_rng(rng)
     rho, rr = _shape_params(K, R)
-    normals = _sample_normals(rr, N, rng)["normal"]
+    normals = _sample_normals(rr, N, rng)
     n_all = N * (N - 1) * (N - 2) // 6
     if n_all <= EXACT_TRIPLE_BUDGET:
         return exact_triangle_counts(normals, rr, eps_values).astype(float), n_all
@@ -404,32 +400,6 @@ def _triple_counts(
     min_ang = _triple_min_angles(normals, rr, idx, workers)
     counts = np.array([np.sum(min_ang >= e) for e in eps_values], dtype=float)
     return counts, int(min_ang.shape[0])
-
-
-def triangle_density(
-    K: float,
-    R: float,
-    N: int,
-    eps: float,
-    rng: np.random.Generator | int,
-    n_triples: int = 2_000_000,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Kinematic measure of angle-eps triangles per unit volume of triples.
-
-    Counts triples of chords whose three pairwise intersections all lie
-    inside the disk with folded crossing angles >= eps, scales the fraction
-    by the cubed chord measure, and divides by the cubed disk area.  The
-    quoted error covers the triple subsampling only (zero on the exact
-    enumeration path).
-    """
-    if not 0.0 < eps < 0.5 * np.pi:
-        raise EpsilonTooLarge(f"angle threshold must lie in (0, pi/2), got {eps}")
-    counts, total = _triple_counts(K, R, N, rng, np.array([eps]), n_triples, workers)
-    frac = counts[0] / total
-    err = np.sqrt(max(frac * (1.0 - frac), 0.0) / total)
-    scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 3
-    return float(frac * scale), float(err * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +442,7 @@ def loglog_fit(x: np.ndarray, y: np.ndarray) -> ScalingFit:
     if np.any(y <= 0) or np.any(x <= 0):
         raise ExtrapolationUnstable("log-log fit requires positive values")
     slope, intercept, se_slope, _ = _linear_fit(np.log(x), np.log(y))
-    tq = float(stats.t.ppf(0.975, max(x.size - 2, 1)))
+    tq = float(stdtrit(max(x.size - 2, 1), 0.975))
     return ScalingFit(x, y, slope, intercept, tq * se_slope, {})
 
 
@@ -508,7 +478,7 @@ def epsilon_limit_scan(
     slope, intercept, _, se_int = _linear_fit(tail_x, tail_y)
     if intercept <= 0:
         raise ExtrapolationUnstable(f"non-positive extrapolated density {intercept}")
-    tq = float(stats.t.ppf(0.975, 1))
+    tq = float(stdtrit(1, 0.975))
     return ScalingFit(
         eps, dens, slope, intercept, tq * se_int, {"counts": counts.tolist(), "total": total}
     )

@@ -225,24 +225,22 @@ def group_by_chart(x: np.ndarray, radius: float) -> list[tuple[int, np.ndarray, 
 
 def curl_field(
     field: Callable, x: np.ndarray, radius: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Curl of an ambient field at embedded points.
 
-    Returns (charts, u, field_chart, curl_chart); components live in the
+    Returns (u, field_chart, curl_chart); components live in the
     per-point chart, so compare like against like.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
-    charts = np.empty(n, dtype=int)
     u_all = np.empty((n, 3))
     v_all = np.empty((n, 3))
     c_all = np.empty((n, 3))
     for ch, idx, u in group_by_chart(x, radius):
-        charts[idx] = ch
         u_all[idx] = u
         v_all[idx] = np.real(field_in_chart(field, u, ch, radius))
         c_all[idx] = curl_in_chart(field, u, ch, radius)
-    return charts, u_all, v_all, c_all
+    return u_all, v_all, c_all
 
 
 def chart_inner(u: np.ndarray, a: np.ndarray, b: np.ndarray, radius: float = 1.0) -> np.ndarray:
@@ -328,7 +326,7 @@ def cs_densities(frame: S3Frame, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     legs = frame.legs()
     dens1 = np.zeros(x.shape[0])
     for leg in legs:
-        charts, u, v, c = curl_field(leg, x, frame.radius)
+        u, v, c = curl_field(leg, x, frame.radius)
         dens1 = dens1 + chart_inner(u, v, c, frame.radius)
     nu_vals = np.stack([nu_of(leg, frame.radius)(x) for leg in legs], axis=0)
     dens2 = wedge_density_values(nu_vals, frame.spec)

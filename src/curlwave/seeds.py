@@ -13,6 +13,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+# ordered_map starts up to this many threads.  Each asymptotic_hopf worker
+# holds about 15 MiB at its peak, so sixteen of them beside the largest trace
+# that validate() admits stay within about 1 GiB.
+MAX_WORKERS = 16
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for a fixed substream of the given root seed."""
@@ -31,6 +36,8 @@ def fixed_chunks(n: int, chunk: int) -> list[tuple[int, int]]:
 
 def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
     """Map fn over items, preserving order; threads only parallelize evaluation."""
+    if workers > MAX_WORKERS:
+        raise ValueError(f"at most {MAX_WORKERS} workers, got {workers}")
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

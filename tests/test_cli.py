@@ -16,6 +16,7 @@ from curlwave.cli import ExperimentConfig, emit_report, main, run
 from curlwave.errors import ConfigInvalid, IoFailure, VerbUnknown
 from curlwave.fieldlines import MAX_QUAD_POINTS, MAX_TRACE_STATES
 from curlwave.hypermc import MAX_CHORDS, MAX_TRIPLES
+from curlwave.seeds import MAX_WORKERS
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -268,6 +269,24 @@ def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, caps
     assert main([verb, "--config", "cfg.json"]) == 1
     assert "at most" in capsys.readouterr().err
     _cfg(verb=verb, **at_cap).validate()
+
+
+def test_main_caps_workers_before_the_verb(tmp_path, monkeypatch, capsys):
+    # ordered_map starts up to one thread per item.  12,698 pairs is the most
+    # validate() admits at T = 2 pi, so a million workers would start about
+    # 12,700 threads; the cap stops the run before the verb starts any.
+    def verb_must_not_run(config, timings):
+        raise AssertionError("hopf-asymptotic ran with too many workers")
+
+    monkeypatch.setitem(cli._VERB_TABLE, "hopf-asymptotic", verb_must_not_run)
+    monkeypatch.chdir(tmp_path)
+    payload = {"n_pairs": 12_698, "trace_T": 2.0 * np.pi}
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    assert main(["hopf-asymptotic", "--config", "cfg.json", "--workers", "1000000"]) == 1
+    assert "workers: at most" in capsys.readouterr().err
+    assert main(["hopf-asymptotic", "--config", "cfg.json", "--workers", str(MAX_WORKERS + 1)]) == 1
+    capsys.readouterr()
+    _cfg(verb="hopf-asymptotic", workers=MAX_WORKERS, **payload).validate()
 
 
 def test_module_run_imports_cleanly(tmp_path):

@@ -37,9 +37,10 @@ def test_from_embedding_rejects_non_finite_point():
         fl.FieldLine.from_embedding(xs, closed=False)
 
 
-@pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 724, 725, 1300])
 def test_distance_scans_match_brute_force(n):
-    # 511, 512 and 513 sit on the 512-row block edge of FieldLine.diameter.
+    # FieldLine.diameter takes 2**19 // n rows per block: up to 724 points
+    # fit one block, 725 spill two rows into a second, and 1300 span four.
     rng = np.random.default_rng(n)
     p = haar_sample(rng, n)
     q = haar_sample(rng, 700)
@@ -48,6 +49,19 @@ def test_distance_scans_match_brute_force(n):
     assert fl._min_distance(p, q) == fl._min_distance(q, p) == float(np.min(pq))
     line = fl.FieldLine.from_embedding(p, closed=False)
     assert line.diameter() == float(np.max(pp))
+
+
+def test_diameter_memory_is_bounded_by_a_cell_budget():
+    # Row blocks of 512 would hold 78 MiB of distances at this size.
+    line = fl.FieldLine.from_embedding(haar_sample(np.random.default_rng(3), 20_000), closed=False)
+    tracemalloc.start()
+    try:
+        d = line.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.9 < d <= 2.0
+    assert peak < 16 * 2**20
 
 
 def _unit(v):

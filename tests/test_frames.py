@@ -1,8 +1,7 @@
-"""Structure-constant frames: curl spectra, curvatures, serialization."""
+"""Structure-constant frames: curl spectra and curvatures."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from curlwave import frames
 from curlwave.errors import FrameSpecInvalid, NonPositiveLambda, NotEigenfield
@@ -121,44 +120,3 @@ def test_check_lambda_rejects_nonpositive():
     with pytest.raises(NonPositiveLambda):
         frames.lambda_right(-2.0)
 
-
-def test_text_round_trip_fleet():
-    for spec in all_specs():
-        back = frames.from_text(frames.to_text(spec))
-        assert back.name == spec.name
-        assert back.orientation == spec.orientation
-        assert np.array_equal(back.c, spec.c)
-        assert np.array_equal(back.g, spec.g)
-
-
-coeff = st.floats(
-    min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False
-)
-
-
-@given(coeff, coeff, coeff, coeff, coeff, coeff)
-@settings(max_examples=40, deadline=None)
-def test_text_round_trip_random_cyclic(c1, c2, c3, g1, g2, g3):
-    spec = frames.LieFrameSpec(
-        "prop", frames._cyclic_c(c1, c2, c3), np.array([g1, g2, g3]), 1
-    )
-    back = frames.from_text(frames.to_text(spec))
-    assert np.array_equal(back.c, spec.c)
-    assert np.array_equal(back.g, spec.g)
-
-
-def test_specs_directory_matches_default_fleet():
-    fleet = frames.load_fleet("specs")
-    reference = frames.default_fleet()
-    assert set(fleet) == set(reference)
-    for name, spec in reference.items():
-        assert np.array_equal(fleet[name].c, spec.c)
-        assert np.array_equal(fleet[name].g, spec.g)
-        assert fleet[name].orientation == spec.orientation
-
-
-def test_from_text_rejects_unknown_tag():
-    with pytest.raises(FrameSpecInvalid):
-        frames.from_text("name x\norientation 1\ng 1.0 1.0 1.0\nzzz 1 2 3\n")
-    with pytest.raises(FrameSpecInvalid):
-        frames.from_text("name x\n")

@@ -95,7 +95,7 @@ def test_crossing_predicate_matches_flag_matrix():
 @pytest.mark.parametrize("rr", [0.5, 3.0, 12.0])
 def test_pair_row_counts_match_flag_matrix(rr):
     rng = np.random.default_rng(6)
-    normals = hm._sample_normals(rr, 1000, rng)["normal"]
+    normals = hm._sample_normals(rr, 1000, rng)
     counts = hm._pair_row_counts(normals, rr)
     flags, _ = hm._pair_flag_matrix(normals, rr)
     assert np.array_equal(counts, flags.sum(axis=1))
@@ -160,13 +160,13 @@ def test_triple_counts_exact_path_matches_direct_count():
     counts, total = hm._triple_counts(K1, 3.0, 1000, 12, cutoffs, 10**9, 1)
     assert total == 1000 * 999 * 998 // 6
     # replay the sampling stream and count from scratch
-    normals = hm._sample_normals(3.0, 1000, np.random.default_rng(12))["normal"]
+    normals = hm._sample_normals(3.0, 1000, np.random.default_rng(12))
     assert counts.tolist() == hm.exact_triangle_counts(normals, 3.0, cutoffs).tolist()
 
 
 def test_subsampled_min_angles_match_python_oracle():
     rng = np.random.default_rng(14)
-    normals = hm._sample_normals(3.0, 1300, rng)["normal"]
+    normals = hm._sample_normals(3.0, 1300, rng)
     idx = hm._sample_triples(1300, 2000, rng)
     angles = hm._triple_min_angles(normals, 3.0, idx)
     ch = np.cosh(3.0)
@@ -187,23 +187,24 @@ def test_subsampled_min_angles_match_python_oracle():
         assert np.isclose(got, want, atol=1e-12)
 
 
+def _one_cutoff(N, eps, seed, n_triples=2_000_000, workers=1):
+    # (triangle count, triples examined) at a single cutoff.
+    counts, total = hm._triple_counts(K1, 3.0, N, seed, np.array([eps]), n_triples, workers)
+    return counts[0], total
+
+
 def test_triangle_density_nested_in_cutoff():
-    loose = hm.triangle_density(K1, 3.0, 1500, 0.4, 3, n_triples=150_000)[0]
-    mid = hm.triangle_density(K1, 3.0, 1500, 0.25, 3, n_triples=150_000)[0]
-    tight = hm.triangle_density(K1, 3.0, 1500, 0.1, 3, n_triples=150_000)[0]
+    # One call per cutoff on the subsampled path (1500 chords), one seed.
+    runs = [_one_cutoff(1500, eps, 3, n_triples=150_000) for eps in (0.4, 0.25, 0.1)]
+    assert runs[0][1] == runs[1][1] == runs[2][1]
     # one seed, nested events: monotone without any stderr allowance
-    assert loose <= mid <= tight
+    assert runs[0][0] <= runs[1][0] <= runs[2][0]
 
 
 def test_cutoff_gates():
-    with pytest.raises(EpsilonTooLarge):
-        hm.triangle_density(K1, 3.0, 1500, 0.5 * np.pi, 0)
-    with pytest.raises(EpsilonTooLarge):
-        hm.triangle_density(K1, 3.0, 1500, 1.6, 0)
-    near = hm.triangle_density(K1, 3.0, 1200, 0.5 * np.pi - 1e-9, 0)[0]
-    assert near == 0.0
+    assert _one_cutoff(1200, 0.5 * np.pi - 1e-9, 0)[0] == 0.0
     with pytest.raises(ValueError):
-        hm.triangle_density(K1, 3.0, 900, 0.3, 0)
+        _one_cutoff(900, 0.3, 0)
 
 
 def test_pair_density_radius_doubling():
@@ -222,11 +223,12 @@ def test_pair_density_seed_stability():
 def test_triangle_bulk_density_radius_doubling():
     # bulk intensity: triangle measure per unit disk area
     def replicate_mean(radius):
-        area2 = hm.disk_area(K1, radius) ** 2
-        vals = [
-            hm.triangle_density(K1, radius, 1100, 0.3, s)[0] * area2
-            for s in range(200, 208)
-        ]
+        # triangle fraction times the cubed chord measure, per disk area
+        scale = hm.disk_perimeter(K1, radius) ** 3 / hm.disk_area(K1, radius)
+        vals = []
+        for s in range(200, 208):
+            counts, total = hm._triple_counts(K1, radius, 1100, s, np.array([0.3]), 2_000_000, 1)
+            vals.append(counts[0] / total * scale)
         v = np.asarray(vals)
         return v.mean(), v.std(ddof=1) / np.sqrt(v.size)
 
@@ -236,8 +238,8 @@ def test_triangle_bulk_density_radius_doubling():
 
 
 def test_worker_count_exact_on_subsample_path():
-    one = hm.triangle_density(K1, 3.0, 1400, 0.3, 5, n_triples=150_000, workers=1)
-    four = hm.triangle_density(K1, 3.0, 1400, 0.3, 5, n_triples=150_000, workers=4)
+    one = _one_cutoff(1400, 0.3, 5, n_triples=150_000, workers=1)
+    four = _one_cutoff(1400, 0.3, 5, n_triples=150_000, workers=4)
     assert one == four
 
 
@@ -256,6 +258,8 @@ def test_epsilon_limit_scan():
         hm.epsilon_limit_scan(K1, 3.0, 2000, (0.1, 0.15, 0.2, 0.3), 7)
     with pytest.raises(EpsilonTooLarge):
         hm.epsilon_limit_scan(K1, 3.0, 2000, (1.6, 0.3, 0.2, 0.1), 7)
+    with pytest.raises(EpsilonTooLarge):
+        hm.epsilon_limit_scan(K1, 3.0, 2000, (0.5 * np.pi, 0.3, 0.2, 0.1), 7)
 
 
 def test_loglog_fit_exact_power_law():

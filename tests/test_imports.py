@@ -1,9 +1,12 @@
 """Module boundaries: no private imports across modules, no public name or
-class member that only tests use, and the benchmark tracer finds every name
-it wraps."""
+class member that only tests use, no scipy.stats on the import path, and the
+benchmark tracer finds every name it wraps."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +39,22 @@ def test_no_private_imports_across_modules():
     assert offenders == []
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats loads about 300 modules, about half the start-up time of
+    # every command; hypermc takes its t quantile from scipy.special.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, curlwave.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
+
+
 # Public names that no module in src/ uses, kept on purpose: independent
-# routes that tests hold the live code against, and the specs/ text format.
+# routes that tests hold the live code against.
 REFERENCES = (
     ("chartlab", "fd_sectional_of_spec", "finite-difference curvatures, against milnor_curvatures"),
-    ("frames", "to_text", "writes the specs/ text format that from_text reads"),
-    ("frames", "load_fleet", "reads specs/, checked against default_fleet"),
-    ("hypermc", "chord_from_foot", "one chord at a chosen foot point, for the scalar chord tests"),
-    ("hypermc", "sample_geodesic", "one kinematic chord, for the scalar chord tests"),
+    ("hypermc", "sample_geodesic", "one kinematic chord through chord_from_foot, for the scalar chord tests"),
     ("hypermc", "chords_cross_inside", "scalar crossing predicate, against _crosses_inside"),
     ("hypermc", "parallelism_angle_shooting", "bisection on rays, against parallelism_ratio"),
-    ("hypermc", "triangle_density", "single-cutoff entry point that the scaling tests drive"),
     ("s3", "cs_functional", "chart quadrature of the Chern-Simons terms, criterion 05"),
 )
 

@@ -47,7 +47,7 @@ def test_left_frame_is_curl_eigenfield():
     frame = s3.build_frame("left")
     x = _sample(150, 3)
     for l in (1, 2, 3):
-        _, _, v, c = s3.curl_field(frame.leg(l), x)
+        _, v, c = s3.curl_field(frame.leg(l), x)
         assert np.max(np.abs(c + 2.0 * v)) < 1e-10, l
 
 
@@ -55,7 +55,7 @@ def test_right_frame_is_curl_eigenfield():
     frame = s3.build_frame("right")
     x = _sample(150, 4)
     for l in (1, 2, 3):
-        _, _, v, c = s3.curl_field(frame.leg(l), x)
+        _, v, c = s3.curl_field(frame.leg(l), x)
         assert np.max(np.abs(c - 2.0 * v)) < 1e-10, l
 
 
@@ -65,7 +65,7 @@ def test_lambda_realized_frame_eigenvalue():
     lam = 4.0
     frame = s3.S3Frame("left", frames.lambda_fields(lam), radius=lam, amp=lam**-0.5)
     x = lam * _sample(100, 5)
-    _, _, v, c = s3.curl_field(frame.leg(1), x, radius=lam)
+    _, v, c = s3.curl_field(frame.leg(1), x, radius=lam)
     assert np.max(np.abs(c + (2.0 / lam) * v)) < 1e-10
 
 
