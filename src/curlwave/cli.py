@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, hyperbolic, hypermc, s3
-from .errors import ConfigInvalid, CurlwaveError, IoFailure, NotEigenfield, VerbUnknown
+from .errors import ConfigInvalid, CurlwaveError, IoFailure, NotEigenfield
 from .fieldlines import (
     MAX_QUAD_POINTS,
     MAX_TRACE_STATES,
@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise ConfigInvalid(f"trace_step: must lie in (0, 0.01], got {self.trace_step!r}")
         states = trace_states(2 * self.n_pairs, self.trace_T, self.trace_step)
         if states > MAX_TRACE_STATES:
-            raise ConfigInvalid(f"trace_T: {states:.0f} trace states, at most {MAX_TRACE_STATES}")
+            raise ConfigInvalid(f"trace_T: {states:.3g} trace states, at most {MAX_TRACE_STATES}")
         for name in ("lambda_grid", "eps_list"):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)) or not all(_is_real(x) for x in v):
@@ -130,8 +130,6 @@ class ExperimentConfig:
         # Worker count and output location change where and how fast the run
         # executes, never what it computes, so they stay out of the hash.
         d = dataclasses.asdict(self)
-        d["lambda_grid"] = list(d["lambda_grid"])
-        d["eps_list"] = list(d["eps_list"])
         for name in ("workers", "out_dir"):
             d.pop(name)
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
@@ -236,9 +234,9 @@ def _run_verify_hyperbolic(cfg: ExperimentConfig, timings: dict):
     spread = max(products) - min(products)
     violations = []
     for r in rows:
-        if abs(r["h_density"] + 2.0) > 1e-10:
+        if not abs(r["h_density"] + 2.0) <= 1e-10:
             violations.append(f"helicity density at lambda={r['lambda']} is {r['h_density']!r}")
-    if spread > 1e-10:
+    if not spread <= 1e-10:
         violations.append(f"triple-density product spread {spread!r} exceeds 1e-10")
     summary = {
         "t_lambda_product": products[0],
@@ -312,7 +310,7 @@ def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
     gap = abs(est.estimate - target)
     tol = max(2.0 * est.stderr, 1e-6)
     violations = []
-    if gap > tol:
+    if not gap <= tol:
         violations.append(f"estimate gap {gap!r} exceeds {tol!r}")
     summary = {"estimate": est.estimate, "target": target, "gap": gap, "tolerance": tol}
     return rows, summary, violations
@@ -369,7 +367,7 @@ def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
             slope = hypermc.loglog_fit(lams, ys).slope
         summary[f"slope_{key}"] = slope
         summary[f"claimed_{key}"] = claimed
-        if abs(slope - claimed) > window:
+        if not abs(slope - claimed) <= window:
             violations.append(f"{key}: slope {slope!r} outside {claimed} +/- {window}")
     return rows, summary, violations
 
@@ -395,7 +393,7 @@ def _run_alpha_scaling(cfg: ExperimentConfig, timings: dict):
         "n_chords": cfg.n_chords,
     }
     violations = []
-    if abs(fit.slope - claimed) > 0.1:
+    if not abs(fit.slope - claimed) <= 0.1:
         violations.append(f"alpha exponent {fit.slope!r} outside {claimed} +/- 0.1")
     return rows, summary, violations
 
@@ -449,7 +447,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     """Validate, dispatch, persist reports, and return the run manifest."""
     config.validate()
     if config.verb not in _VERB_TABLE:
-        raise VerbUnknown(f"unknown verb {config.verb!r}; choose from {', '.join(VERBS)}")
+        raise ConfigInvalid(f"unknown verb {config.verb!r}; choose from {', '.join(VERBS)}")
     timings: dict = {}
     t_all = time.perf_counter()
     rows, summary, violations = _VERB_TABLE[config.verb](config, timings)

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Domain failures raise one of these classes, so callers can catch
-CurlwaveError without string matching.  Arguments outside the range a
-function supports raise ValueError instead; the command line maps both
-kinds to exit code 1.
+An argument outside the range a function supports raises ValueError.  A
+class here exists only for a failure that a caller catches by type, or one
+that comes from the data or from outside the program rather than from an
+argument; the command line maps these and ValueError to exit code 1.
+tests/test_imports.py::test_every_error_class_is_caught_or_listed holds
+every class to that rule.
 """
 
 
@@ -11,32 +13,12 @@ class CurlwaveError(Exception):
     """Base class for all package errors."""
 
 
-class FrameSpecInvalid(CurlwaveError):
-    """Structure constants or metric fail a validity check."""
-
-
 class NotEigenfield(CurlwaveError):
     """Requested a curl eigenvalue for a frame leg that is not an eigenfield."""
 
 
-class DegenerateMetric(CurlwaveError):
-    """Frame metric has a non-positive diagonal entry."""
-
-
-class NonPositiveLambda(CurlwaveError):
-    """Family parameter must be strictly positive."""
-
-
-class QuadratureUnderflow(CurlwaveError):
-    """Too few sample points requested for a quadrature."""
-
-
 class ChartEscape(CurlwaveError):
     """A traced point left the valid region of both charts."""
-
-
-class StepTooLarge(CurlwaveError):
-    """Integrator step size above the stability bound."""
 
 
 class GapTooLarge(CurlwaveError):
@@ -55,24 +37,12 @@ class ClosureFailures(CurlwaveError):
     """Too many sampled trajectories could not be closed into loops."""
 
 
-class EpsilonTooLarge(CurlwaveError):
-    """Crossing-angle cutoff outside the supported range."""
-
-
 class ExtrapolationUnstable(CurlwaveError):
-    """Scan too short or too noisy to extrapolate."""
-
-
-class RadiusTooSmall(CurlwaveError):
-    """Disk radius below the regime where the ratio law applies."""
+    """Sampled values cannot be fitted or extrapolated."""
 
 
 class ConfigInvalid(CurlwaveError):
-    """Experiment config file malformed or missing required keys."""
-
-
-class VerbUnknown(CurlwaveError):
-    """CLI verb not recognized."""
+    """Experiment config malformed, missing required keys, or naming an unknown verb."""
 
 
 class IoFailure(CurlwaveError):

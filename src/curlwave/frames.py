@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric, FrameSpecInvalid, NonPositiveLambda, NotEigenfield
+from .errors import NotEigenfield
 
 EIGEN_TOL = 1e-10  # absolute bound on off-diagonal curl components
 JACOBI_TOL = 1e-12
@@ -26,7 +26,7 @@ JACOBI_TOL = 1e-12
 def _as_c_array(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (3, 3, 3):
-        raise FrameSpecInvalid(f"structure constants must be 3x3x3, got {c.shape}")
+        raise ValueError(f"structure constants must be 3x3x3, got {c.shape}")
     return c
 
 
@@ -49,17 +49,17 @@ class LieFrameSpec:
         c = _as_c_array(self.c)
         g = np.asarray(self.g, dtype=float)
         if g.shape != (3,):
-            raise FrameSpecInvalid(f"metric must have 3 entries, got shape {g.shape}")
+            raise ValueError(f"metric must have 3 entries, got shape {g.shape}")
         if np.any(g <= 0) or not np.all(np.isfinite(g)):
-            raise DegenerateMetric(f"metric entries must be positive, got {g}")
+            raise ValueError(f"metric entries must be positive, got {g}")
         if self.orientation not in (-1, 1):
-            raise FrameSpecInvalid(f"orientation must be +1 or -1, got {self.orientation}")
+            raise ValueError(f"orientation must be +1 or -1, got {self.orientation}")
         anti = np.max(np.abs(c + np.swapaxes(c, 1, 2)))
         if anti > 1e-12:
-            raise FrameSpecInvalid(f"structure constants not antisymmetric, residual {anti:g}")
+            raise ValueError(f"structure constants not antisymmetric, residual {anti:g}")
         jac = jacobi_residual_of(c)
         if jac > JACOBI_TOL:
-            raise FrameSpecInvalid(f"Jacobi identity residual {jac:g} exceeds {JACOBI_TOL:g}")
+            raise ValueError(f"Jacobi identity residual {jac:g} exceeds {JACOBI_TOL:g}")
         c.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "c", c)
@@ -72,7 +72,7 @@ class LieFrameSpec:
 def _leg(l) -> int:
     """Normalize a 1-based leg argument to a 0-based index."""
     if l not in (1, 2, 3):
-        raise FrameSpecInvalid(f"frame leg must be 1, 2 or 3, got {l!r}")
+        raise ValueError(f"frame leg must be 1, 2 or 3, got {l!r}")
     return l - 1
 
 
@@ -220,7 +220,7 @@ def su2_halved() -> LieFrameSpec:
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
     if not lam > 0 or not np.isfinite(lam):
-        raise NonPositiveLambda(f"family parameter must be a positive real, got {lam}")
+        raise ValueError(f"family parameter must be a positive real, got {lam}")
     return lam
 
 

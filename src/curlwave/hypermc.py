@@ -18,14 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import (
-    CurlwaveError,
-    DegenerateProjection,
-    EpsilonTooLarge,
-    ExtrapolationUnstable,
-    NonPositiveLambda,
-    RadiusTooSmall,
-)
+from .errors import CurlwaveError, DegenerateProjection, ExtrapolationUnstable
 from .fieldlines import (
     FieldLine,
     build_linking_matrix,
@@ -54,7 +47,7 @@ MAX_CHORDS = 5_000_000
 def lambda_to_curvature(lam: float) -> float:
     """Horizontal-plane sectional curvature of the deformed frame, -lam^(-2/3)."""
     if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+        raise ValueError(f"lambda must be positive, got {lam}")
     return -float(lam) ** (-2.0 / 3.0)
 
 
@@ -463,11 +456,11 @@ def epsilon_limit_scan(
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.size < 4:
-        raise ExtrapolationUnstable(f"need at least 4 cutoffs to extrapolate, got {eps.size}")
+        raise ValueError(f"need at least 4 cutoffs to extrapolate, got {eps.size}")
     if np.any(np.diff(eps) >= 0):
-        raise ExtrapolationUnstable("cutoff list must be strictly decreasing")
+        raise ValueError("cutoff list must be strictly decreasing")
     if np.any(eps <= 0) or np.any(eps >= 0.5 * np.pi):
-        raise EpsilonTooLarge("cutoffs must lie in (0, pi/2)")
+        raise ValueError("cutoffs must lie in (0, pi/2)")
     counts, total = _triple_counts(K, R, N, rng, eps, n_triples, workers)
     scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 2
     dens = counts / total * scale
@@ -498,7 +491,7 @@ def parallelism_ratio(K: float, R1: float) -> float:
     """
     rho, rr = _shape_params(K, R1)
     if rr < 5.0 * (1.0 - 1e-12):
-        raise RadiusTooSmall(f"circle radius must reach 5 curvature units, got {rr:.3f}")
+        raise ValueError(f"circle radius must reach 5 curvature units, got {rr:.3f}")
     angle = 2.0 * np.arctan(np.exp(-rr))
     return float(angle / disk_perimeter(K, R1))
 
@@ -513,7 +506,7 @@ def parallelism_angle_shooting(K: float, R1: float, x1: float) -> float:
     """
     rho, rr = _shape_params(K, R1)
     if rr < 5.0 * (1.0 - 1e-12):
-        raise RadiusTooSmall(f"circle radius must reach 5 curvature units, got {rr:.3f}")
+        raise ValueError(f"circle radius must reach 5 curvature units, got {rr:.3f}")
     c1, s1 = np.cos(x1), np.sin(x1)
     point = np.array([np.cosh(rr), np.sinh(rr) * c1, np.sinh(rr) * s1])
     inward = -np.array([np.sinh(rr), np.cosh(rr) * c1, np.cosh(rr) * s1])
@@ -578,7 +571,6 @@ def m5_quintuple_details(lines: Sequence[FieldLine], seed: int = 0) -> dict:
         "triangles": triangles,
         "linking_product": product,
         "estimate": float(triangles * product),
-        "linking": lk,
     }
 
 
@@ -601,7 +593,7 @@ def alpha_scaling(
     if grid.size < 5:
         raise ValueError(f"need at least 5 grid values, got {grid.size}")
     if np.any(grid <= 0):
-        raise NonPositiveLambda("grid values must be positive")
+        raise ValueError("grid values must be positive")
     if grid.max() / grid.min() < 10.0 * (1.0 - 1e-9):
         raise ValueError("grid must span at least a decade")
     rng = np.random.default_rng(rng)

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import QuadratureUnderflow
 from .frames import LieFrameSpec, su2_right, su2_unit
 from .quaternions import IMAG_UNITS, haar_sample, qconj, qmul
 from .seeds import fixed_chunks, ordered_map, substream
@@ -342,7 +341,7 @@ def cs_functional(
     volume.  Fixed chunking keeps results worker-count independent.
     """
     if n_quad < 1000:
-        raise QuadratureUnderflow(f"need at least 1000 quadrature points, got {n_quad}")
+        raise ValueError(f"need at least 1000 quadrature points, got {n_quad}")
     vol = VOL_UNIT_SPHERE * frame.radius**3
     chunks = fixed_chunks(n_quad, 8192)
 

@@ -13,7 +13,7 @@ import pytest
 
 from curlwave import cli, s3
 from curlwave.cli import ExperimentConfig, emit_report, main, run
-from curlwave.errors import ConfigInvalid, IoFailure, VerbUnknown
+from curlwave.errors import ConfigInvalid, IoFailure
 from curlwave.fieldlines import MAX_QUAD_POINTS, MAX_TRACE_STATES
 from curlwave.hypermc import MAX_CHORDS, MAX_TRIPLES
 from curlwave.seeds import MAX_WORKERS
@@ -123,7 +123,7 @@ def test_run_writes_reports_and_manifest(tmp_path):
 
 
 def test_run_unknown_verb():
-    with pytest.raises(VerbUnknown):
+    with pytest.raises(ConfigInvalid, match="unknown verb 'frobnicate'"):
         run(_cfg(verb="frobnicate"))
 
 
@@ -254,8 +254,10 @@ _STEPS_AT_CAP = MAX_TRACE_STATES // 200 - 1
         ),
         # 400 lines of 1,000,001 states each: an 11.9 GiB path array.
         ("hopf-asymptotic", {}, {"trace_T": 1e4}),
+        # About 5e303 states, a number the error line must not print in full.
+        ("hopf-asymptotic", {}, {"trace_step": 1e-300}),
     ],
-    ids=["n_points", "n_quad", "n_chords", "trace_states", "trace_T_1e4"],
+    ids=["n_points", "n_quad", "n_chords", "trace_states", "trace_T_1e4", "trace_step_1e-300"],
 )
 def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, capsys, verb, at_cap, over_cap):
     # validate() caps every size that sets a verb's memory, so a config over
@@ -267,8 +269,33 @@ def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(over_cap))
     assert main([verb, "--config", "cfg.json"]) == 1
-    assert "at most" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "at most" in err
+    assert all(len(line) < 200 for line in err.splitlines())
     _cfg(verb=verb, **at_cap).validate()
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        # A disk of 1e-300 curvature units: its perimeter and area underflow,
+        # so every density is 0/0.
+        ("triangle-scan", {"n_chords": 1300, "n_triples": 1000, "disk_radius": 1e-300}),
+        # Curvatures down to -1e200: the density scale overflows, so every
+        # extrapolate is NaN.
+        ("alpha-scaling", {"n_chords": 1300, "n_triples": 1000,
+                           "lambda_grid": [1e-300, 1e-299, 1e-298, 1e-297, 1e-290]}),
+    ],
+    ids=["triangle-scan", "alpha-scaling"],
+)
+def test_main_reports_nan_slopes_as_violations(tmp_path, monkeypatch, capsys, verb, payload):
+    # A NaN compares false against every bound, so each gate must ask
+    # whether the value is within its bound, not whether it exceeds it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    assert main([verb, "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert "VIOLATION:" in err and "nan" in err
 
 
 def test_main_caps_workers_before_the_verb(tmp_path, monkeypatch, capsys):

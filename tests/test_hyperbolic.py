@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from curlwave import frames, hyperbolic, s3
-from curlwave.errors import DegenerateMetric, NonPositiveLambda
 
 GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -41,15 +40,15 @@ def test_frame_volume_raw_equals_lambda():
 def test_rescale_rejects_nonpositive():
     # Criterion 05 realizes x -> l x as the radius-l sphere frame with leg
     # metric l^2: the metric rejects l = 0 and the radius rejects l <= 0.
-    with pytest.raises(DegenerateMetric):
+    with pytest.raises(ValueError, match="metric entries must be positive"):
         frames.LieFrameSpec("scaled", frames.su2_unit().c, np.zeros(3), 1)
     for l in (0.0, -1.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radius must be positive"):
             s3.S3Frame("left", frames.su2_unit(), radius=l)
     for lam in (0.0, -1.0):
-        with pytest.raises(NonPositiveLambda):
+        with pytest.raises(ValueError, match="family parameter must be a positive real"):
             hyperbolic.lambda_report_row(lam)
-        with pytest.raises(NonPositiveLambda):
+        with pytest.raises(ValueError, match="family parameter must be a positive real"):
             hyperbolic.sectional_profile(lam)
 
 

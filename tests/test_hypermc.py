@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from curlwave import hypermc as hm
-from curlwave.errors import (
-    EpsilonTooLarge,
-    ExtrapolationUnstable,
-    NonPositiveLambda,
-    RadiusTooSmall,
-)
-from curlwave.fieldlines import circle_in_chart, hopf_fiber
+from curlwave.errors import ExtrapolationUnstable
+from curlwave.fieldlines import build_linking_matrix, circle_in_chart, hopf_fiber
 from curlwave.quaternions import haar_sample
 
 K1 = -1.0
@@ -26,7 +21,7 @@ def _sample_chords(n, rr, seed):
 def test_lambda_to_curvature():
     assert hm.lambda_to_curvature(1.0) == -1.0
     assert np.isclose(hm.lambda_to_curvature(8.0), -0.25, atol=1e-15)
-    with pytest.raises(NonPositiveLambda):
+    with pytest.raises(ValueError, match="lambda must be positive"):
         hm.lambda_to_curvature(0.0)
 
 
@@ -252,13 +247,13 @@ def test_epsilon_limit_scan():
     counts = np.asarray(fit.metadata["counts"])
     assert np.all(np.diff(counts) >= 0)
     assert np.all(np.diff(fit.y) >= 0)
-    with pytest.raises(ExtrapolationUnstable):
+    with pytest.raises(ValueError, match="need at least 4 cutoffs"):
         hm.epsilon_limit_scan(K1, 3.0, 2000, (0.4, 0.3, 0.2), 7)
-    with pytest.raises(ExtrapolationUnstable):
+    with pytest.raises(ValueError, match="cutoff list must be strictly decreasing"):
         hm.epsilon_limit_scan(K1, 3.0, 2000, (0.1, 0.15, 0.2, 0.3), 7)
-    with pytest.raises(EpsilonTooLarge):
+    with pytest.raises(ValueError, match=r"cutoffs must lie in \(0, pi/2\)"):
         hm.epsilon_limit_scan(K1, 3.0, 2000, (1.6, 0.3, 0.2, 0.1), 7)
-    with pytest.raises(EpsilonTooLarge):
+    with pytest.raises(ValueError, match=r"cutoffs must lie in \(0, pi/2\)"):
         hm.epsilon_limit_scan(K1, 3.0, 2000, (0.5 * np.pi, 0.3, 0.2, 0.1), 7)
 
 
@@ -284,9 +279,9 @@ def test_parallelism_angle_closed_form_vs_shooting():
         assert np.isclose(
             ratio, 2.0 * np.arctan(np.exp(-rr)) / hm.disk_perimeter(K1, rr)
         )
-    with pytest.raises(RadiusTooSmall):
+    with pytest.raises(ValueError, match="circle radius must reach 5 curvature units"):
         hm.parallelism_ratio(K1, 4.9)
-    with pytest.raises(RadiusTooSmall):
+    with pytest.raises(ValueError, match="circle radius must reach 5 curvature units"):
         hm.parallelism_angle_shooting(K1, 4.9, 0.0)
 
 
@@ -312,11 +307,11 @@ def test_alpha_scaling_small_run():
 
 
 def test_alpha_scaling_grid_gates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 5 grid values"):
         _alpha_scaling((1.0, 2.0, 4.0, 8.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid must span at least a decade"):
         _alpha_scaling((1.0, 2.0, 3.0, 4.0, 5.0))
-    with pytest.raises(NonPositiveLambda):
+    with pytest.raises(ValueError, match="grid values must be positive"):
         _alpha_scaling((-1.0, 2.0, 4.0, 8.0, 16.0))
 
 
@@ -327,7 +322,8 @@ def test_m5_fiber_quintuple():
     assert out["triangles"] == 10
     assert out["linking_product"] == 1
     assert out["estimate"] == 10.0
-    assert np.all(out["linking"][~np.eye(5, dtype=bool)] == 1)
+    lk = build_linking_matrix(fibers)
+    assert np.all(lk[~np.eye(5, dtype=bool)] == 1)
 
 
 def test_m5_far_circles_and_mixed():
@@ -344,7 +340,7 @@ def test_m5_far_circles_and_mixed():
     out = hm.m5_quintuple_details(mixed)
     assert out["linking_product"] == 0
     assert out["estimate"] == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need exactly 5 curves"):
         hm.m5_quintuple_details(mixed[:4])
 
 

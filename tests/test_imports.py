@@ -1,5 +1,6 @@
 """Module boundaries: no private imports across modules, no public name or
-class member that only tests use, no scipy.stats on the import path, and the
+class member that only tests use, no package re-exports, no error class that
+is neither caught nor data-driven, no scipy.stats on the import path, and the
 benchmark tracer finds every name it wraps."""
 
 import ast
@@ -39,13 +40,26 @@ def test_no_private_imports_across_modules():
     assert offenders == []
 
 
+def _cli_import_loads(module: str) -> bool:
+    # Whether a fresh interpreter has module loaded after importing the cli.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = f"import sys, curlwave.cli; sys.exit({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode != 0
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats loads about 300 modules, about half the start-up time of
     # every command; hypermc takes its t quantile from scipy.special.
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = "import sys, curlwave.cli; sys.exit('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert proc.returncode == 0
+    assert not _cli_import_loads("scipy.stats")
+
+
+def test_package_re_exports_nothing():
+    # Each object has one name, curlwave.<module>.<name>; the package
+    # imports no module, so the cli does not load chartlab, which only
+    # tests use.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))
+    assert not _cli_import_loads("curlwave.chartlab")
 
 
 # Public names that no module in src/ uses, kept on purpose: independent
@@ -136,6 +150,37 @@ def test_every_class_member_is_read_in_src():
     listed = {(cls, name) for cls, name, _ in MEMBER_REFERENCES}
     assert sorted(unread - listed) == [], "fields and methods that src/ never reads"
     assert sorted(listed - unread) == [], "MEMBER_REFERENCES entries that src/ reads or that no longer exist"
+
+
+# Error classes that no except clause in src/ names, kept on purpose: each
+# reports a failure that comes from the data or from outside the program.
+UNCAUGHT_ERRORS = (
+    ("ChartEscape", "a traced field line that left both charts"),
+    ("ClosureFailures", "too many traced lines that would not close"),
+    ("ExtrapolationUnstable", "sampled densities that cannot be fitted or extrapolated"),
+    ("ConfigInvalid", "a config file or verb that the command line rejects"),
+    ("IoFailure", "a report, manifest or config file that cannot be written or read"),
+)
+
+
+def test_every_error_class_is_caught_or_listed():
+    # An argument out of range raises ValueError; a class in errors.py must
+    # earn its name by being caught by type, or by naming a data failure.
+    classes = {
+        n.name for n in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(n, ast.ClassDef)
+    } - {"CurlwaveError"}
+    caught = {
+        name
+        for path in PACKAGE.glob("*.py")
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.ExceptHandler) and n.type is not None
+        for name in _names_in(n.type)
+    }
+    listed = {name for name, _ in UNCAUGHT_ERRORS}
+    assert sorted(classes - caught - listed) == [], "error classes neither caught nor listed"
+    # An entry that is caught somewhere, or no longer exists, leaves the list.
+    assert sorted(listed - (classes - caught)) == [], "UNCAUGHT_ERRORS entries caught in src/ or undefined"
 
 
 def test_benchmark_tracer_installs(monkeypatch):
