@@ -177,8 +177,9 @@ def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndar
     raise DegenerateProjection("no rotation kept the curves away from the chart pole")
 
 
-def _min_distance(p: np.ndarray, q: np.ndarray) -> float:
-    return float(cKDTree(q).query(p)[0].min())
+def _min_distance(p: np.ndarray, q: np.ndarray, bound: float) -> float:
+    """Smallest distance from a point of p to q when it is below bound, else inf."""
+    return float(cKDTree(q).query(p, distance_upper_bound=bound)[0].min())
 
 
 def resample_polyline(points: np.ndarray, target_seg: float) -> np.ndarray:
@@ -206,11 +207,13 @@ def _prepare_pair(c1: FieldLine, c2: FieldLine, seed: int = 0) -> tuple[np.ndarr
             raise GapTooLarge("linking requires closed curves")
         if c.gap() > CLOSURE_TOL * 10.0:
             raise GapTooLarge(f"closed line has endpoint gap {c.gap():.3g}")
-    sep = _min_distance(c1.embedding, c2.embedding)
+    sep = _min_distance(c1.embedding, c2.embedding, MIN_SEPARATION)
     if sep < MIN_SEPARATION:
         raise CurvesTooClose(f"minimum curve separation {sep:.3g} below {MIN_SEPARATION}")
     p1, p2 = to_r3_polylines([c1.embedding, c2.embedding], seed=seed)
-    sep3 = _min_distance(p1, p2)
+    # 3.0 * 0.08 is 0.24 exactly, and sep3 / 3.0 < 0.08 exactly when
+    # sep3 < 0.24: a separation at or past the bound leaves the target 0.08.
+    sep3 = _min_distance(p1, p2, 3.0 * 0.08)
     target = min(0.08, sep3 / 3.0)
     return resample_polyline(p1, target), resample_polyline(p2, target)
 

@@ -44,7 +44,11 @@ def test_distance_scans_match_brute_force(n):
     q = haar_sample(rng, 700)
     pq = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=-1)
     pp = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
-    assert fl._min_distance(p, q) == fl._min_distance(q, p) == float(np.min(pq))
+    want = float(np.min(pq))
+    assert fl._min_distance(p, q, np.inf) == fl._min_distance(q, p, np.inf) == want
+    # A bound above the minimum returns the same float; one below finds nothing.
+    assert fl._min_distance(p, q, 1.001 * want) == fl._min_distance(q, p, 1.001 * want) == want
+    assert fl._min_distance(p, q, 0.999 * want) == fl._min_distance(q, p, 0.999 * want) == np.inf
     line = fl.FieldLine.from_embedding(p, closed=False)
     assert line.diameter() == float(np.max(pp))
 

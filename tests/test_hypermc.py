@@ -182,6 +182,38 @@ def test_subsampled_min_angles_match_python_oracle():
         assert np.isclose(got, want, atol=1e-12)
 
 
+def _row_gather_min_angles(normals, rr, idx):
+    # The triple scan before it gathered columns: two (n, 3) row gathers per
+    # pair and np.sum over a strided axis of two.  _triple_min_angles must
+    # return the same bits.
+    ch2 = np.cosh(rr) ** 2
+    out = np.full(idx.shape[0], -1.0)
+    max_abs_kappa = np.zeros(idx.shape[0])
+    valid = np.ones(idx.shape[0], dtype=bool)
+    for u, v in ((0, 1), (0, 2), (1, 2)):
+        a = normals[idx[:, u]]
+        b = normals[idx[:, v]]
+        kappa = np.sum(a[:, 1:] * b[:, 1:], axis=1) - a[:, 0] * b[:, 0]
+        p0 = a[:, 2] * b[:, 1] - a[:, 1] * b[:, 2]
+        valid &= hm._crosses_inside(kappa, p0, ch2)
+        max_abs_kappa = np.maximum(max_abs_kappa, np.abs(kappa))
+    out[valid] = np.arccos(np.clip(max_abs_kappa[valid], 0.0, 1.0))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_column_gathered_scan_matches_row_gather_bits(workers):
+    # 150,000 triples span three chunks of 65,536.
+    rng = np.random.default_rng(21)
+    normals = hm._sample_normals(3.0, 1500, rng)
+    idx = hm._sample_triples(1500, 150_000, rng)
+    want = _row_gather_min_angles(normals, 3.0, idx)
+    got = hm._triple_min_angles(normals, 3.0, idx, workers)
+    assert idx.shape[0] > 2 * 65_536
+    assert 0 < np.count_nonzero(want >= 0.0) < want.size
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _one_cutoff(N, eps, seed, n_triples=2_000_000, workers=1):
     # (triangle count, triples examined) at a single cutoff.
     counts, total = hm._triple_counts(K1, 3.0, N, seed, np.array([eps]), n_triples, workers)

@@ -1,10 +1,13 @@
 """Sphere frames: curl residuals, gauge residual, functional quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from curlwave import frames, s3
 from curlwave.quaternions import haar_sample, qmul
+from curlwave.seeds import substream
 
 
 def _sample(n=200, seed=0):
@@ -74,6 +77,68 @@ def test_ym_residual_left_vanishes_right_does_not():
     right = s3.ym_residual(s3.build_frame("right"), n_points=300, seed=0)
     assert left < 1e-8
     assert right > 0.1
+
+
+def _unblocked_ym_residual(frame, n_points, seed):
+    # The residual loop before it split each chart into blocks of points:
+    # every complex temporary spans the whole chart.  ym_residual must return
+    # the same float.
+    x = haar_sample(substream(seed, 0), n_points)
+    legs = frame.legs()
+    worst = 0.0
+    for l in range(3):
+        i, j = (l + 1) % 3, (l + 2) % 3
+        pair = s3.gauge_bracket(legs[i], legs[j])
+        cubic_i = s3.gauge_bracket(legs[i], s3.gauge_bracket(legs[l], legs[i]))
+        cubic_j = s3.gauge_bracket(legs[j], s3.gauge_bracket(legs[l], legs[j]))
+        for ch, idx, u in s3.group_by_chart(x, frame.radius):
+            res = s3.curl_in_chart(pair, u, ch, frame.radius)
+            res = res + np.real(s3.field_in_chart(cubic_i, u, ch, frame.radius))
+            res = res + np.real(s3.field_in_chart(cubic_j, u, ch, frame.radius))
+            norms = np.sqrt(s3.chart_inner(u, res, res, frame.radius))
+            worst = max(worst, float(np.max(norms)))
+    return worst
+
+
+def _with_squared_norms(monkeypatch, residual):
+    # (residual(), every squared norm it computed, in order of computation)
+    seen = []
+    inner = s3.chart_inner
+
+    def recording(u, a, b, radius=1.0):
+        seen.append(inner(u, a, b, radius))
+        return seen[-1]
+
+    monkeypatch.setattr(s3, "chart_inner", recording)
+    value = residual()
+    monkeypatch.undo()
+    return value, np.concatenate(seen)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_blocked_ym_residual_matches_unblocked_loop(side, monkeypatch):
+    frame = s3.build_frame(side)
+    groups = s3.group_by_chart(haar_sample(substream(5, 0), 10_000), 1.0)
+    assert groups[0][1].size > 2 * 4096  # chart 0 spans three blocks
+    got, got_sq = _with_squared_norms(monkeypatch, lambda: s3.ym_residual(frame, 10_000, 5))
+    want, want_sq = _with_squared_norms(monkeypatch, lambda: _unblocked_ym_residual(frame, 10_000, 5))
+    assert got == want
+    # Every point of every leg, not only the maximum, is the same float.
+    assert got_sq.shape == (3 * 10_000,)
+    assert np.array_equal(got_sq.view(np.int64), want_sq.view(np.int64))
+
+
+def test_ym_residual_memory_is_bounded_by_its_blocks():
+    # Whole-chart temporaries peaked at 29 MiB at this size (about 500 B per point).
+    frame = s3.build_frame("right")
+    tracemalloc.start()
+    try:
+        right = s3.ym_residual(frame, n_points=60_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert right > 0.1
+    assert peak < 16 * 2**20
 
 
 def test_helicity_density_left_constant():
