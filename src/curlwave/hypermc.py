@@ -61,6 +61,10 @@ def _shape_params(K: float, R: float) -> tuple[float, float]:
     rr = R / rho
     if rr > 50.0:
         raise ValueError(f"disk radius {rr:.1f} curvature units overflows hyperbolic functions")
+    # disk_area takes cosh(rr) - 1, whose relative error is up to 2e-16 / rr**2:
+    # 2e-8 at rr = 1e-4, and every density is 0/0 once rr**2 underflows.
+    if not rr >= 1e-4 * (1.0 - 1e-12):
+        raise ValueError(f"disk radius {rr:.3g} curvature units is below 1e-4")
     return float(rho), float(rr)
 
 
@@ -440,7 +444,7 @@ def loglog_fit(x: np.ndarray, y: np.ndarray) -> ScalingFit:
     y = np.asarray(y, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two points for a scaling fit")
-    if np.any(y <= 0) or np.any(x <= 0):
+    if not (np.all(y > 0) and np.all(x > 0)):
         raise ExtrapolationUnstable("log-log fit requires positive values")
     slope, intercept, se_slope, _ = _linear_fit(np.log(x), np.log(y))
     tq = float(stdtrit(max(x.size - 2, 1), 0.975))
@@ -469,15 +473,20 @@ def epsilon_limit_scan(
         raise ValueError("cutoff list must be strictly decreasing")
     if np.any(eps <= 0) or np.any(eps >= 0.5 * np.pi):
         raise ValueError("cutoffs must lie in (0, pi/2)")
+    # At extreme curvatures the scale over- or underflows; report that
+    # rather than sample and fit the infinities and NaNs it would leave.
+    with np.errstate(all="ignore"):
+        scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 2
+    if not np.isfinite(scale):
+        raise ExtrapolationUnstable(f"non-finite density scale at curvature {K:.3g} and disk radius {R:.3g}")
     counts, total = _triple_counts(K, R, N, rng, eps, n_triples, workers)
-    scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 2
     dens = counts / total * scale
     tail_x = eps[-3:]
     tail_y = dens[-3:]
     if np.any(np.diff(tail_y) < 0):
         raise ExtrapolationUnstable("density tail is not monotone in the cutoff")
     slope, intercept, _, se_int = _linear_fit(tail_x, tail_y)
-    if intercept <= 0:
+    if not intercept > 0:
         raise ExtrapolationUnstable(f"non-positive extrapolated density {intercept}")
     tq = float(stdtrit(1, 0.975))
     return ScalingFit(

@@ -29,9 +29,10 @@ TRACE_NORMALIZATION = -2.0
 
 COMPLEX_STEP = 1e-20
 
-# Caps ym_residual's sample.  Its temporaries span one block of 4,096 points;
-# the sample and its chart copies add about 150-165 bytes per point, so the
-# peak stays near 300 MiB at the cap.
+# Caps ym_residual's sample.  Its temporaries span one block of 4,096 points
+# (a 3.4 MiB peak for a one-block sample); the sample and its chart copies add
+# about 143 bytes per point (a tracemalloc peak of 8.2 MiB at 60,000 points),
+# so the peak stays near 275 MiB at the cap.
 MAX_CURL_POINTS = 2_000_000
 
 
@@ -156,17 +157,12 @@ def nu_of(field: Callable, radius: float = 1.0) -> Callable[[np.ndarray], np.nda
     return lambda x: qmul(qconj(np.asarray(x)), field(x)) / (2.0 * radius)
 
 
-def gauge_bracket(fa: Callable, fb: Callable) -> Callable:
-    """Pointwise algebra commutator of two fields on the unit sphere, mapped back to a field."""
-    na = nu_of(fa)
-    nb = nu_of(fb)
+def _bracket_values(x: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Gauge bracket at unit-sphere points x of two fields with profiles pa, pb.
 
-    def bracket(x: np.ndarray) -> np.ndarray:
-        pa = na(x)
-        pb = nb(x)
-        return 2.0 * qmul(np.asarray(x), qmul(pa, pb) - qmul(pb, pa))
-
-    return bracket
+    The algebra commutator of the profiles, mapped back to a tangent field.
+    """
+    return 2.0 * qmul(x, qmul(pa, pb) - qmul(pb, pa))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +193,12 @@ def curl_in_chart(field: Callable, u: np.ndarray, chart: int, radius: float = 1.
         up = u.astype(complex).copy()
         up[..., j] += 1j * COMPLEX_STEP
         grads.append(np.imag(weighted(up)) / COMPLEX_STEP)
-    rot_flat = np.stack(
+    return _rot_flat(grads) / conformal_factor(u, radius)[..., None] ** 3
+
+
+def _rot_flat(grads: Sequence[np.ndarray]) -> np.ndarray:
+    """Flat curl from the three partial derivatives of a chart field."""
+    return np.stack(
         [
             grads[1][..., 2] - grads[2][..., 1],
             grads[2][..., 0] - grads[0][..., 2],
@@ -205,7 +206,6 @@ def curl_in_chart(field: Callable, u: np.ndarray, chart: int, radius: float = 1.
         ],
         axis=-1,
     )
-    return rot_flat / conformal_factor(u, radius)[..., None] ** 3
 
 
 def group_by_chart(x: np.ndarray, radius: float) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -270,26 +270,45 @@ def ym_residual(frame: S3Frame, n_points: int = 1000, seed: int = 0) -> float:
     Per leg l with partners i, j: rot [A_i, A_j] + [A_i, [A_l, A_i]]
     + [A_j, [A_l, A_j]], all brackets in the gauge sense.  Vanishes for the
     left frame, stays order one for the right frame.  Each chart's points run
-    in blocks of 4,096; every point's value is the same float at any block
-    size, and a max is exact.
+    in blocks of 4,096, and each block embeds its points and builds the leg
+    profiles once for all three legs; every point's value is the same float
+    at any block size or loop order, and a max is exact.
     """
     if frame.radius != 1.0:
         raise ValueError("residual check is defined on the unit sphere")
     groups = group_by_chart(haar_sample(substream(seed, 0), n_points), frame.radius)
     legs = frame.legs()
+    partners = [((l + 1) % 3, (l + 2) % 3) for l in range(3)]
+
+    def profiles(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        # conj(x) and the leg profiles nu_k = conj(x) * A_k(x) / 2 (see nu_of)
+        xc = qconj(x)
+        return xc, [qmul(xc, leg(x)) / 2.0 for leg in legs]
+
     worst = 0.0
-    for l in range(3):
-        i, j = (l + 1) % 3, (l + 2) % 3
-        pair = gauge_bracket(legs[i], legs[j])
-        cubic_i = gauge_bracket(legs[i], gauge_bracket(legs[l], legs[i]))
-        cubic_j = gauge_bracket(legs[j], gauge_bracket(legs[l], legs[j]))
-        for ch, _, u_chart in groups:
-            for lo, hi in fixed_chunks(u_chart.shape[0], 4096):
-                u = u_chart[lo:hi]
-                res = curl_in_chart(pair, u, ch, frame.radius)
-                res = res + np.real(field_in_chart(cubic_i, u, ch, frame.radius))
-                res = res + np.real(field_in_chart(cubic_j, u, ch, frame.radius))
-                norms = np.sqrt(chart_inner(u, res, res, frame.radius))
+    for ch, _, u_chart in groups:
+        for lo, hi in fixed_chunks(u_chart.shape[0], 4096):
+            u = u_chart[lo:hi]
+            # grads[l][d]: complex-step partial along d of Omega^2 [A_i, A_j]
+            grads = [[], [], []]
+            for d in range(3):
+                up = u.astype(complex)
+                up[..., d] += 1j * COMPLEX_STEP
+                x = chart_embed(up, ch)
+                _, nu = profiles(x)
+                weight = conformal_factor(up)[..., None] ** 2
+                for l, (i, j) in enumerate(partners):
+                    pair = chart_push(x, _bracket_values(x, nu[i], nu[j]), ch)
+                    grads[l].append(np.imag(weight * pair) / COMPLEX_STEP)
+            x = chart_embed(u, ch)
+            xc, nu = profiles(x)
+            cube = conformal_factor(u)[..., None] ** 3
+            for l, (i, j) in enumerate(partners):
+                res = _rot_flat(grads[l]) / cube
+                for k in (i, j):
+                    inner = qmul(xc, _bracket_values(x, nu[l], nu[k])) / 2.0
+                    res = res + np.real(chart_push(x, _bracket_values(x, nu[k], inner), ch))
+                norms = np.sqrt(chart_inner(u, res, res))
                 worst = max(worst, float(np.max(norms)))
     return worst
 

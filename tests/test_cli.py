@@ -276,26 +276,30 @@ def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize(
-    "verb, payload",
+    "verb, payload, cause",
     [
         # A disk of 1e-300 curvature units: its perimeter and area underflow,
-        # so every density is 0/0.
-        ("triangle-scan", {"n_chords": 1300, "n_triples": 1000, "disk_radius": 1e-300}),
+        # so every density would be 0/0.
+        ("triangle-scan", {"n_chords": 1300, "n_triples": 1000, "disk_radius": 1e-300},
+         "disk radius 1e-300 curvature units is below 1e-4"),
         # Curvatures down to -1e200: the density scale overflows, so every
-        # extrapolate is NaN.
+        # extrapolate would be NaN.
         ("alpha-scaling", {"n_chords": 1300, "n_triples": 1000,
-                           "lambda_grid": [1e-300, 1e-299, 1e-298, 1e-297, 1e-290]}),
+                           "lambda_grid": [1e-300, 1e-299, 1e-298, 1e-297, 1e-290]},
+         "non-finite density scale at curvature -1e+200"),
     ],
     ids=["triangle-scan", "alpha-scaling"],
 )
-def test_main_reports_nan_slopes_as_violations(tmp_path, monkeypatch, capsys, verb, payload):
-    # A NaN compares false against every bound, so each gate must ask
-    # whether the value is within its bound, not whether it exceeds it.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_names_degenerate_disk_scales(tmp_path, monkeypatch, capsys, verb, payload, cause):
+    # A disk whose densities cannot be represented is rejected with its
+    # cause before any NaN reaches a fit or a gate.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(payload))
-    assert main([verb, "--config", "cfg.json"]) == 2
+    assert main([verb, "--config", "cfg.json"]) == 1
     err = capsys.readouterr().err
-    assert "VIOLATION:" in err and "nan" in err
+    assert f"error: {cause}" in err
+    assert not list(tmp_path.glob(f"{verb}*"))
 
 
 def test_main_caps_workers_before_the_verb(tmp_path, monkeypatch, capsys):

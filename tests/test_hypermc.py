@@ -29,6 +29,10 @@ def test_disk_geometry_closed_forms():
     # rho = 2, rr = 1.5
     assert np.isclose(hm.disk_perimeter(-0.25, 3.0), 2 * np.pi * 2 * np.sinh(1.5))
     assert np.isclose(hm.disk_area(-0.25, 3.0), 2 * np.pi * 4 * (np.cosh(1.5) - 1))
+    assert hm.disk_area(-1.0, 1e-4) > 0
+    for radius in (0.99e-4, 1e-300):
+        with pytest.raises(ValueError, match="curvature units is below 1e-4"):
+            hm.disk_area(-1.0, radius)
 
 
 def test_chord_invariants():
@@ -297,6 +301,8 @@ def test_loglog_fit_exact_power_law():
     assert fit.half_width < 1e-12
     with pytest.raises(ExtrapolationUnstable):
         hm.loglog_fit(x, np.array([1.0, 2.0, 0.0, 4.0, 5.0]))
+    with pytest.raises(ExtrapolationUnstable, match="requires positive values"):
+        hm.loglog_fit(x, np.array([1.0, 2.0, np.nan, 4.0, 5.0]))
     with pytest.raises(ValueError):
         hm.loglog_fit(x[:1], x[:1])
 

@@ -1,13 +1,14 @@
 """Sphere frames: curl residuals, gauge residual, functional quadrature."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from curlwave import frames, s3
 from curlwave.quaternions import haar_sample, qmul
-from curlwave.seeds import substream
+from curlwave.seeds import fixed_chunks, substream
 
 
 def _sample(n=200, seed=0):
@@ -79,18 +80,33 @@ def test_ym_residual_left_vanishes_right_does_not():
     assert right > 0.1
 
 
+def _gauge_bracket(fa, fb):
+    # Pointwise algebra commutator of two fields on the unit sphere, mapped
+    # back to a field: the field-level form of the brackets in the residual.
+    na = s3.nu_of(fa)
+    nb = s3.nu_of(fb)
+
+    def bracket(x):
+        pa = na(x)
+        pb = nb(x)
+        return 2.0 * qmul(np.asarray(x), qmul(pa, pb) - qmul(pb, pa))
+
+    return bracket
+
+
 def _unblocked_ym_residual(frame, n_points, seed):
-    # The residual loop before it split each chart into blocks of points:
-    # every complex temporary spans the whole chart.  ym_residual must return
-    # the same float.
+    # The residual loop before it split each chart into blocks of points and
+    # shared the profiles between legs: leg by leg, every bracket a field
+    # built from field brackets, every complex temporary spanning the whole
+    # chart.  ym_residual must return the same float.
     x = haar_sample(substream(seed, 0), n_points)
     legs = frame.legs()
     worst = 0.0
     for l in range(3):
         i, j = (l + 1) % 3, (l + 2) % 3
-        pair = s3.gauge_bracket(legs[i], legs[j])
-        cubic_i = s3.gauge_bracket(legs[i], s3.gauge_bracket(legs[l], legs[i]))
-        cubic_j = s3.gauge_bracket(legs[j], s3.gauge_bracket(legs[l], legs[j]))
+        pair = _gauge_bracket(legs[i], legs[j])
+        cubic_i = _gauge_bracket(legs[i], _gauge_bracket(legs[l], legs[i]))
+        cubic_j = _gauge_bracket(legs[j], _gauge_bracket(legs[l], legs[j]))
         for ch, idx, u in s3.group_by_chart(x, frame.radius):
             res = s3.curl_in_chart(pair, u, ch, frame.radius)
             res = res + np.real(s3.field_in_chart(cubic_i, u, ch, frame.radius))
@@ -100,8 +116,9 @@ def _unblocked_ym_residual(frame, n_points, seed):
     return worst
 
 
-def _with_squared_norms(monkeypatch, residual):
-    # (residual(), every squared norm it computed, in order of computation)
+def _with_squared_norms(monkeypatch, residual, slots, n_points):
+    # (residual(), its squared norms by leg and point).  slots gives the
+    # (leg, point indices) of each chart_inner call, in call order.
     seen = []
     inner = s3.chart_inner
 
@@ -112,7 +129,13 @@ def _with_squared_norms(monkeypatch, residual):
     monkeypatch.setattr(s3, "chart_inner", recording)
     value = residual()
     monkeypatch.undo()
-    return value, np.concatenate(seen)
+    assert len(seen) == len(slots)
+    by_leg = np.full((3, n_points), np.nan)
+    for sq, (l, idx) in zip(seen, slots):
+        assert sq.shape == idx.shape
+        by_leg[l, idx] = sq
+    assert not np.any(np.isnan(by_leg))
+    return value, by_leg
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -120,12 +143,42 @@ def test_blocked_ym_residual_matches_unblocked_loop(side, monkeypatch):
     frame = s3.build_frame(side)
     groups = s3.group_by_chart(haar_sample(substream(5, 0), 10_000), 1.0)
     assert groups[0][1].size > 2 * 4096  # chart 0 spans three blocks
-    got, got_sq = _with_squared_norms(monkeypatch, lambda: s3.ym_residual(frame, 10_000, 5))
-    want, want_sq = _with_squared_norms(monkeypatch, lambda: _unblocked_ym_residual(frame, 10_000, 5))
+    # ym_residual runs chart, block, leg; the reference runs leg, chart.
+    blocked = [
+        (l, idx[lo:hi])
+        for _, idx, _ in groups
+        for lo, hi in fixed_chunks(idx.size, 4096)
+        for l in range(3)
+    ]
+    unblocked = [(l, idx) for l in range(3) for _, idx, _ in groups]
+    got, got_sq = _with_squared_norms(
+        monkeypatch, lambda: s3.ym_residual(frame, 10_000, 5), blocked, 10_000
+    )
+    want, want_sq = _with_squared_norms(
+        monkeypatch, lambda: _unblocked_ym_residual(frame, 10_000, 5), unblocked, 10_000
+    )
     assert got == want
     # Every point of every leg, not only the maximum, is the same float.
-    assert got_sq.shape == (3 * 10_000,)
     assert np.array_equal(got_sq.view(np.int64), want_sq.view(np.int64))
+
+
+def test_ym_residual_shares_profiles_between_legs(monkeypatch):
+    # 4,000 points make one block per chart.  Evaluated leg by leg, each
+    # block made 141 qmul, 42 qconj and 15 chart_embed calls; sharing the
+    # embeddings, conj(x) and the leg profiles leaves 93, 4 and 4.
+    blocks = len(s3.group_by_chart(haar_sample(substream(0, 0), 4000), 1.0))
+    assert blocks == 2
+    calls = Counter()
+    for name in ("qmul", "qconj", "chart_embed"):
+        def counting(*args, _fn=getattr(s3, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(s3, name, counting)
+    assert s3.ym_residual(s3.build_frame("right"), n_points=4000, seed=0) > 0.1
+    assert 0 < calls["qmul"] <= 93 * blocks
+    assert 0 < calls["qconj"] <= 4 * blocks
+    assert 0 < calls["chart_embed"] <= 4 * blocks
 
 
 def test_ym_residual_memory_is_bounded_by_its_blocks():
@@ -209,6 +262,10 @@ def test_gauge_bracket_antisymmetric():
     frame = s3.build_frame("left")
     a, b = frame.leg(1), frame.leg(2)
     x = _sample(40, 9)
-    ab = s3.gauge_bracket(a, b)(x)
-    ba = s3.gauge_bracket(b, a)(x)
+    ab = _gauge_bracket(a, b)(x)
+    ba = _gauge_bracket(b, a)(x)
     assert np.max(np.abs(ab + ba)) < 1e-12
+    # The value-level bracket of the residual loop is the same float.
+    pa, pb = s3.nu_of(a)(x), s3.nu_of(b)(x)
+    assert np.array_equal(s3._bracket_values(x, pa, pb), ab)
+    assert np.array_equal(s3._bracket_values(x, pb, pa), ba)
