@@ -36,8 +36,8 @@ ALPHA_EXPONENT = -1.0 / 3.0
 
 MIN_CHORDS = 1000
 EXACT_TRIPLE_BUDGET = 300_000_000
-# Caps the sampled triples: the raw draw, its distinct-row copy and the
-# min-angle array stay under about 0.9 GiB.
+# Caps the sampled triples: the int32 draw holds 12 bytes per triple and a
+# worker's chunk about 7 MiB, so the scan stays under 0.3 GiB.
 MAX_TRIPLES = 16_000_000
 # Caps the chord sample: pair_intersection_density peaks at about 200 bytes
 # per chord, so under about 1 GiB.
@@ -235,39 +235,37 @@ def _pair_row_counts(normals: np.ndarray, rr: float) -> np.ndarray:
     sit at angles theta +/- phi with cos(phi) = tanh(p) / tanh(rr) (right
     triangle at the foot).  With all 2N endpoints ranked once, the endpoints
     strictly between chord i's own two belong either to crossing chords
-    (one each) or to chords nested inside chord i (two each).  The nested
-    counts come from a Fenwick tree over the upper ranks, filled in
-    decreasing order of the lower rank: O(N log N) time and O(N) memory.
-    Chords that share an endpoint meet on the circle, not inside it; such
-    ties have measure zero and the sort breaks them by chord index.
+    (one each) or to chords nested inside chord i (two each): those later
+    in lower-rank order with a smaller upper rank, counted in merge levels
+    in O(N log^2 N) time and O(N) memory.  Chords that share an endpoint
+    meet on the circle, not inside it; such ties have measure zero and the
+    sort breaks them by chord index.
     """
     n = normals.shape[0]
-    size = 2 * n
     sp = normals[:, 0]
     theta = np.arctan2(normals[:, 2], normals[:, 1])
     # Roundoff can lift tanh(p) / tanh(rr) above 1 when p is next to rr.
     phi = np.arccos(np.minimum(sp / np.sqrt(1.0 + sp**2) / np.tanh(rr), 1.0))
     ends = np.stack([theta - phi, theta + phi], axis=1) % (2.0 * np.pi)
     ends.sort(axis=1)
-    rank = np.empty(size, dtype=np.int64)
-    rank[np.argsort(ends.ravel(), kind="stable")] = np.arange(size)
+    rank = np.empty(2 * n, dtype=np.int64)
+    rank[np.argsort(ends.ravel(), kind="stable")] = np.arange(2 * n)
     lo, hi = rank[0::2], rank[1::2]
-    tree = [0] * (size + 1)
-    his = hi.tolist()
-    nested = [0] * n
-    for i in np.argsort(lo)[::-1].tolist():
-        # Chords already in the tree start after chord i; those that also
-        # end before it are nested inside it.
-        k, total = his[i], 0
-        while k > 0:
-            total += tree[k]
-            k &= k - 1
-        nested[i] = total
-        k = his[i] + 1
-        while k <= size:
-            tree[k] += 1
-            k += k & -k
-    return hi - lo - 1 - 2 * np.array(nested, dtype=np.int64)
+    order = np.argsort(lo)
+    pos = np.arange(n)
+    nested = np.zeros(n, dtype=np.int64)
+    s = 1
+    while s < n:
+        # Each chord in the left half of a 2s-block counts the smaller upper
+        # ranks in its right half.  Upper ranks are below 2**32, so keys sort
+        # by block first; all blocks but the last hold s right-half keys.
+        block = pos // (2 * s)
+        key = (block << 32) + hi[order]
+        left = (pos & s) == 0
+        found = np.searchsorted(np.sort(key[~left]), key[left])
+        nested[order[left]] += found - block[left] * s
+        s *= 2
+    return hi - lo - 1 - 2 * nested
 
 
 def pair_intersection_density(
@@ -332,47 +330,48 @@ def exact_triangle_counts(normals: np.ndarray, rr: float, eps_values: np.ndarray
 
 def _triple_min_angles(
     normals: np.ndarray, rr: float, idx: np.ndarray, workers: int = 1
-) -> np.ndarray:
-    """Minimum folded crossing angle per triple; -1 where no triangle forms.
+) -> tuple[np.ndarray, int]:
+    """Minimum folded crossing angle of each triangle among the rows of idx,
+    and the number of rows with three distinct chords.
 
-    A triple forms a triangle when all three pairwise intersections exist
-    and lie strictly inside the disk.
+    A triangle has its three pairwise intersections strictly inside the
+    disk.  A repeated chord forms none, although a chord can pass the
+    crossing predicate with itself (kappa rounds just below 1, p0 = 0).
     """
     ch2 = np.cosh(rr) ** 2
     cols = [np.ascontiguousarray(normals[:, k]) for k in range(3)]
 
-    def one_chunk(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        rows = idx[lo:hi]
-        # Each chord's three normal components, gathered once per chunk.
-        chord = [[c[rows[:, t]] for c in cols] for t in range(3)]
-        max_abs_kappa = np.zeros(rows.shape[0])
-        valid = np.ones(rows.shape[0], dtype=bool)
-        for u, v in ((0, 1), (0, 2), (1, 2)):
-            a0, a1, a2 = chord[u]
-            b0, b1, b2 = chord[v]
-            # The bracket adds in np.sum's order over two elements; the two
-            # differ at most in the sign of a zero kappa, which enters only
-            # through |kappa| and kappa**2.
-            kappa = (a1 * b1 + a2 * b2) - a0 * b0
-            p0 = a2 * b1 - a1 * b2
-            valid &= _crosses_inside(kappa, p0, ch2)
-            np.maximum(max_abs_kappa, np.abs(kappa), out=max_abs_kappa)
-        out = np.full(rows.shape[0], -1.0)
-        out[valid] = np.arccos(np.clip(max_abs_kappa[valid], 0.0, 1.0))
-        return out
+    def crossing(a: list, b: list) -> tuple[np.ndarray, np.ndarray]:
+        # The bracket adds as np.sum does over two elements, up to the sign
+        # of a zero kappa, which enters only through |kappa| and kappa**2.
+        kappa = (a[1] * b[1] + a[2] * b[2]) - a[0] * b[0]
+        p0 = a[2] * b[1] - a[1] * b[2]
+        return _crosses_inside(kappa, p0, ch2), kappa
+
+    def one_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, int]:
+        # numpy gathers through intp positions several times faster than
+        # through the int32 draw or a boolean mask.
+        i, j, k = idx[bounds[0]:bounds[1]].T.astype(np.intp, order="C")
+        distinct = (i != j) & (i != k) & (j != k)
+        a, b = [c[i] for c in cols], [c[j] for c in cols]
+        ok, kappa = crossing(a, b)
+        # Pair (0, 2) runs on the distinct rows that pass pair (0, 1), pair
+        # (1, 2) on those that pass both; survivors are gathered once.
+        keep = np.flatnonzero(ok & distinct)
+        chord = [[x[keep] for x in a], [x[keep] for x in b], [c[k[keep]] for c in cols]]
+        max_abs_kappa = np.abs(kappa[keep])
+        for u, v in ((0, 2), (1, 2)):
+            ok, kappa = crossing(chord[u], chord[v])
+            keep = np.flatnonzero(ok)
+            chord = [[x[keep] for x in comps] for comps in chord]
+            max_abs_kappa = np.maximum(max_abs_kappa[keep], np.abs(kappa[keep]))
+        return np.arccos(np.clip(max_abs_kappa, 0.0, 1.0)), int(np.count_nonzero(distinct))
 
     # Each value depends on its own triple alone, so the chunk size moves
-    # no bit; a chunk of 65,536 triples holds its nine columns in 4.5 MiB.
-    chunks = fixed_chunks(idx.shape[0], 65_536)
-    parts = ordered_map(one_chunk, chunks, workers)
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _sample_triples(n: int, n_triples: int, rng: np.random.Generator) -> np.ndarray:
-    raw = rng.integers(0, n, size=(n_triples, 3))
-    distinct = (raw[:, 0] != raw[:, 1]) & (raw[:, 0] != raw[:, 2]) & (raw[:, 1] != raw[:, 2])
-    return raw[distinct]
+    # no bit; a chunk of 65,536 triples peaks at about 7 MiB.
+    parts = ordered_map(one_chunk, fixed_chunks(idx.shape[0], 65_536), workers)
+    angles = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
+    return angles, sum(p[1] for p in parts)
 
 
 def _triple_counts(
@@ -401,10 +400,11 @@ def _triple_counts(
         return exact_triangle_counts(normals, rr, eps_values).astype(float), n_all
     if n_triples > MAX_TRIPLES:
         raise ValueError(f"at most {MAX_TRIPLES} sampled triples, got {n_triples}")
-    idx = _sample_triples(N, n_triples, rng)
-    min_ang = _triple_min_angles(normals, rr, idx, workers)
-    counts = np.array([np.sum(min_ang >= e) for e in eps_values], dtype=float)
-    return counts, int(min_ang.shape[0])
+    # numpy draws ranges below 2**32 from one 32-bit stream, so the int32
+    # draw equals the int64 one and leaves the generator in the same state.
+    idx = rng.integers(0, N, size=(n_triples, 3), dtype=np.int32)
+    min_ang, total = _triple_min_angles(normals, rr, idx, workers)
+    return np.array([np.sum(min_ang >= e) for e in eps_values], dtype=float), total
 
 
 # ---------------------------------------------------------------------------

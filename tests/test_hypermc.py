@@ -100,6 +100,42 @@ def test_pair_row_counts_match_flag_matrix(rr):
     assert np.array_equal(counts, flags.sum(axis=1))
 
 
+def _fenwick_row_counts(normals, rr):
+    # The per-chord Fenwick loop that _pair_row_counts replaced: the same
+    # endpoint ranks, and the nested chords counted one chord at a time in
+    # decreasing order of the lower rank.
+    n = normals.shape[0]
+    size = 2 * n
+    sp = normals[:, 0]
+    theta = np.arctan2(normals[:, 2], normals[:, 1])
+    phi = np.arccos(np.minimum(sp / np.sqrt(1.0 + sp**2) / np.tanh(rr), 1.0))
+    ends = np.stack([theta - phi, theta + phi], axis=1) % (2.0 * np.pi)
+    ends.sort(axis=1)
+    rank = np.empty(size, dtype=np.int64)
+    rank[np.argsort(ends.ravel(), kind="stable")] = np.arange(size)
+    lo, hi = rank[0::2], rank[1::2]
+    tree = [0] * (size + 1)
+    his = hi.tolist()
+    nested = [0] * n
+    for i in np.argsort(lo)[::-1].tolist():
+        k, total = his[i], 0
+        while k > 0:
+            total += tree[k]
+            k &= k - 1
+        nested[i] = total
+        k = his[i] + 1
+        while k <= size:
+            tree[k] += 1
+            k += k & -k
+    return hi - lo - 1 - 2 * np.array(nested, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1000, 4500, 20_000])
+def test_pair_row_counts_match_fenwick_reference(n):
+    normals = hm._sample_normals(3.0, n, np.random.default_rng(n))
+    assert np.array_equal(hm._pair_row_counts(normals, 3.0), _fenwick_row_counts(normals, 3.0))
+
+
 # (foot distance, foot direction) per chord of the radius-3 disk, and the
 # per-chord crossing counts worked out from the endpoint arcs by hand.
 HAND_BUILT_CHORDS = {
@@ -163,13 +199,21 @@ def test_triple_counts_exact_path_matches_direct_count():
     assert counts.tolist() == hm.exact_triangle_counts(normals, 3.0, cutoffs).tolist()
 
 
+def _draw_triples(n, n_triples, rng):
+    # The raw draw _triple_counts makes, and its rows of three distinct chords.
+    raw = rng.integers(0, n, size=(n_triples, 3), dtype=np.int32)
+    distinct = (raw[:, 0] != raw[:, 1]) & (raw[:, 0] != raw[:, 2]) & (raw[:, 1] != raw[:, 2])
+    return raw, raw[distinct]
+
+
 def test_subsampled_min_angles_match_python_oracle():
     rng = np.random.default_rng(14)
     normals = hm._sample_normals(3.0, 1300, rng)
-    idx = hm._sample_triples(1300, 2000, rng)
-    angles = hm._triple_min_angles(normals, 3.0, idx)
+    raw, rows = _draw_triples(1300, 2000, rng)
+    angles, total = hm._triple_min_angles(normals, 3.0, raw)
     ch = np.cosh(3.0)
-    for row, got in zip(idx, angles):
+    want = []
+    for row in rows:
         kappas = []
         ok = True
         for u, v in ((0, 1), (0, 2), (1, 2)):
@@ -182,8 +226,12 @@ def test_subsampled_min_angles_match_python_oracle():
                 ok = False
                 break
             kappas.append(abs(kap))
-        want = np.arccos(max(kappas)) if ok else -1.0
-        assert np.isclose(got, want, atol=1e-12)
+        if ok:
+            want.append(np.arccos(max(kappas)))
+    assert 0 < rows.shape[0] < raw.shape[0]
+    assert total == rows.shape[0]
+    assert len(want) > 0
+    assert angles.tolist() == want
 
 
 def _row_gather_min_angles(normals, rr, idx):
@@ -210,12 +258,74 @@ def test_column_gathered_scan_matches_row_gather_bits(workers):
     # 150,000 triples span three chunks of 65,536.
     rng = np.random.default_rng(21)
     normals = hm._sample_normals(3.0, 1500, rng)
-    idx = hm._sample_triples(1500, 150_000, rng)
-    want = _row_gather_min_angles(normals, 3.0, idx)
-    got = hm._triple_min_angles(normals, 3.0, idx, workers)
-    assert idx.shape[0] > 2 * 65_536
+    raw, rows = _draw_triples(1500, 150_000, rng)
+    want = _row_gather_min_angles(normals, 3.0, rows)
+    got, total = hm._triple_min_angles(normals, 3.0, raw, workers)
+    assert rows.shape[0] > 2 * 65_536
+    assert total == rows.shape[0] < raw.shape[0]
     assert 0 < np.count_nonzero(want >= 0.0) < want.size
+    want = want[want >= 0.0]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_repeated_chords_form_no_triangle():
+    # A chord paired with itself can pass the crossing predicate: kappa
+    # rounds just below 1 while p0 = 0.  Rows that repeat such a chord i
+    # next to a chord j that crosses it would count as triangles.
+    rng = np.random.default_rng(23)
+    normals = hm._sample_normals(3.0, 2000, rng)
+    flags, _ = hm._pair_flag_matrix(normals, 3.0)
+    kappa = hm.mink_dot(normals, normals)
+    p0 = hm.mink_cross(normals, normals)[:, 0]
+    self_pass = np.flatnonzero(hm._crosses_inside(kappa, p0, np.cosh(3.0) ** 2))
+    i = int(self_pass[0])
+    j = int(np.flatnonzero(flags[i])[0])
+    raw, rows = _draw_triples(2000, 70_000, rng)
+    forced = np.array([[i, i, j], [i, j, i], [j, i, i]], dtype=np.int32)
+    # Without the filter each forced row would be a triangle.
+    assert np.all(_row_gather_min_angles(normals, 3.0, forced) >= 0.0)
+    # The forced rows land in both chunks of 65,536 rows.
+    mixed = np.concatenate([forced, raw[:65_600], forced, raw[65_600:]])
+    want, want_total = hm._triple_min_angles(normals, 3.0, rows)
+    got, got_total = hm._triple_min_angles(normals, 3.0, mixed, 2)
+    assert got_total == want_total == rows.shape[0]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    angles, total = hm._triple_min_angles(normals, 3.0, forced)
+    assert angles.size == 0 and total == 0
+
+
+def test_triple_counts_total_counts_distinct_rows():
+    counts, total = hm._triple_counts(K1, 3.0, 1500, 9, np.array([0.3]), 200_000, 1)
+    # replay the sampling stream: the chords, then the raw triple draw
+    rng = np.random.default_rng(9)
+    hm._sample_normals(3.0, 1500, rng)
+    raw, rows = _draw_triples(1500, 200_000, rng)
+    assert total == rows.shape[0] < raw.shape[0]
+    assert counts[0] > 0
+
+
+@pytest.mark.parametrize("n", [1000, 1217, 65_537, 2**20 + 3, hm.MAX_CHORDS])
+def test_int32_triple_draw_matches_int64_stream(n):
+    # _triple_counts draws int32 indices; its reports were pinned with the
+    # int64 draw, which must give the same values and generator state.
+    for seed in range(3):
+        narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = narrow.integers(0, n, size=(10_000, 3), dtype=np.int32)
+        want = wide.integers(0, n, size=(10_000, 3))
+        assert np.array_equal(got, want)
+        assert narrow.bit_generator.state == wide.bit_generator.state
+
+
+def test_triple_counts_memory_stays_bounded():
+    # The int64 draw, its distinct-row copy and a full min-angle array
+    # alone would take 53 MiB at this size.
+    tracemalloc.start()
+    try:
+        hm._triple_counts(K1, 3.0, 20_000, 3, np.array([0.3, 0.1]), 1_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def _one_cutoff(N, eps, seed, n_triples=2_000_000, workers=1):
