@@ -94,22 +94,23 @@ def _rk4_step(field: Callable, y: np.ndarray, h: float) -> np.ndarray:
 def trace_batch(field: Callable, x0s: np.ndarray, T: float, h: float = 0.01) -> np.ndarray:
     """Fixed-step 4th-order trace of many starting points for time T.
 
-    Returns paths of shape (n, steps+1, 4), each state renormalized to the
-    sphere after every step.
+    x0s holds the starts as rows, shape (n, 4), and field maps (4, n) points
+    to (4, n) vectors.  Returns paths of shape (n, steps+1, 4), each state
+    renormalized to the sphere after every step.
     """
     if h > MAX_STEP or h <= 0:
         raise ValueError(f"step must lie in (0, {MAX_STEP}], got {h}")
     if T <= 0:
         raise ValueError(f"trace time must be positive, got {T}")
-    y = np.atleast_2d(np.asarray(x0s, dtype=float))
-    y = y / np.linalg.norm(y, axis=1, keepdims=True)
+    y = np.atleast_2d(np.asarray(x0s, dtype=float)).T
+    y = y / np.linalg.norm(y, axis=0)
     n_steps = int(np.ceil(T / h))
-    paths = np.empty((y.shape[0], n_steps + 1, 4))
-    paths[:, 0] = y
+    paths = np.empty((y.shape[1], n_steps + 1, 4))
+    paths[:, 0] = y.T
     for k in range(n_steps):
         y = _rk4_step(field, y, h)
-        y = y / np.linalg.norm(y, axis=1, keepdims=True)
-        paths[:, k + 1] = y
+        y = y / np.linalg.norm(y, axis=0)
+        paths[:, k + 1] = y.T
     if not np.isfinite(paths).all():
         raise ChartEscape("batch trace left both charts")
     return paths
@@ -169,11 +170,12 @@ def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndar
     chart-0 pole; rotations preserve orientation and hence all linking
     numbers, and a single chart keeps the polylines honest in 3-space.
     """
+    columns = [np.ascontiguousarray(np.transpose(c), dtype=float) for c in curves]
     for a, b in _rotation_candidates(seed, 60):
-        rotated = [qmul(qmul(a, c), b) for c in curves]
-        margin = min(float(np.min(1.0 + c[:, 0])) for c in rotated)
+        rotated = [qmul(qmul(a, c), b) for c in columns]
+        margin = min(float(np.min(1.0 + c[0])) for c in rotated)
         if margin > 0.15:
-            return [np.asarray(chart_point(c, 0, 1.0), dtype=float) for c in rotated]
+            return [np.ascontiguousarray(chart_point(c, 0, 1.0).T) for c in rotated]
     raise DegenerateProjection("no rotation kept the curves away from the chart pole")
 
 
@@ -452,15 +454,15 @@ def helicity_integral(field_a: Callable, field_b: Callable, n_quad: int, seed: i
     """
     if n_quad < 100:
         raise ValueError(f"need at least 100 quadrature points, got {n_quad}")
-    probe = haar_sample(substream(seed, 991), 8)
+    probe = haar_sample(substream(seed, 991), 8).T
     _, _, rot = curl_field(field_a, probe)
     b_chart = np.empty_like(rot)
     for ch, idx, u in group_by_chart(probe, 1.0):
-        b_chart[idx] = np.real(field_in_chart(field_b, u, ch))
+        b_chart[:, idx] = np.real(field_in_chart(field_b, u, ch))
     err = np.max(np.abs(rot - b_chart)) / max(np.max(np.abs(b_chart)), 1e-30)
     if err > 1e-5:
         raise ValueError(f"B fails the curl spot check, relative error {err:.2e}")
-    x = haar_sample(substream(seed, 0), n_quad)
+    x = haar_sample(substream(seed, 0), n_quad).T
     return float(np.mean(helicity_density(field_a, field_b, x))) * VOL_UNIT_SPHERE
 
 
@@ -498,7 +500,7 @@ def asymptotic_hopf(
     if states > MAX_TRACE_STATES:
         raise ValueError(f"at most {MAX_TRACE_STATES} trace states, got {states:.3g}")
     starts = haar_sample(substream(seed, 0), 2 * n_pairs)
-    speeds = np.linalg.norm(np.asarray(field(starts), dtype=float), axis=1)
+    speeds = np.linalg.norm(np.asarray(field(starts.T), dtype=float), axis=0)
     if float(np.max(speeds)) < 1e-13:
         return HopfEstimate(0.0, 0.0, 0, 0)
     paths = trace_batch(field, starts, T, h=h)
@@ -572,10 +574,10 @@ def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> Fiel
     """Planar 256-gon circle in chart-0 coordinates, embedded back on the sphere."""
     center = np.asarray(center, dtype=float)
     t = np.linspace(0.0, 2.0 * np.pi, 257)
-    pts = np.tile(center, (t.size, 1))
+    pts = np.repeat(center[:, None], t.size, axis=1)
     i, j = [k for k in range(3) if k != normal_axis]
-    pts[:, i] += r3 * np.cos(t)
-    pts[:, j] += r3 * np.sin(t)
-    xs = chart_embed(pts, 0)
+    pts[i] += r3 * np.cos(t)
+    pts[j] += r3 * np.sin(t)
+    xs = np.ascontiguousarray(chart_embed(pts, 0).T)
     xs[-1] = xs[0]
     return FieldLine.from_embedding(xs, closed=True)

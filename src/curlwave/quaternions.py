@@ -1,9 +1,12 @@
 """Quaternion arithmetic on numpy arrays.
 
-A quaternion is stored as a length-4 array (w, x, y, z) with w the real part.
-All helpers broadcast over leading axes, so (N, 4) batches work everywhere.
-Complex dtypes are allowed (needed for complex-step derivatives), so qmul
-avoids abs/conj on components.
+A quaternion is stored component first: a (4, ...) array whose rows are
+(w, x, y, z), with w the real part.  qmul and qconj broadcast over the
+trailing axes, so a (4, N) batch keeps each component in one contiguous row,
+and a constant (4,) quaternion multiplies a whole batch.  Complex dtypes are
+allowed (needed for complex-step derivatives), so qmul avoids abs/conj on
+components.  The samplers haar_sample and slerp return points as rows,
+shape (N, 4); pass their transpose to qmul.
 """
 
 from __future__ import annotations
@@ -19,27 +22,43 @@ IMAG_UNITS = (I, J, K)
 
 
 def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product, broadcasting over leading axes."""
+    """Hamilton product of (4, ...) quaternions, broadcasting over trailing axes.
+
+    Each row is accumulated in place, left to right, so row 0 is
+    ((pw*qw - px*qx) - py*qy) - pz*qz and so on.
+    """
     p = np.asarray(p)
     q = np.asarray(q)
-    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ],
-        axis=-1,
-    )
+    # p[k, ...] keeps a single quaternion's components as 0-d arrays, so
+    # their products take numpy's array loops, not its scalar arithmetic.
+    pw, px, py, pz = (p[k, ...] for k in range(4))
+    qw, qx, qy, qz = (q[k, ...] for k in range(4))
+    out = np.empty((4,) + np.broadcast_shapes(p.shape[1:], q.shape[1:]), np.result_type(p, q))
+    w, x, y, z = (out[k, ...] for k in range(4))
+    np.multiply(pw, qw, out=w)
+    w -= px * qx
+    w -= py * qy
+    w -= pz * qz
+    np.multiply(pw, qx, out=x)
+    x += px * qw
+    x += py * qz
+    x -= pz * qy
+    np.multiply(pw, qy, out=y)
+    y -= px * qz
+    y += py * qw
+    y += pz * qx
+    np.multiply(pw, qz, out=z)
+    z += px * qy
+    z -= py * qx
+    z += pz * qw
+    return out
 
 
 def qconj(q: np.ndarray) -> np.ndarray:
     """Quaternion conjugate (negate the imaginary part)."""
     q = np.asarray(q)
     out = q.copy()
-    out[..., 1:] = -out[..., 1:]
+    out[1:] = -out[1:]
     return out
 
 

@@ -6,6 +6,11 @@ operators run in a two-chart stereographic atlas where the round metric is
 conformally flat, so curls reduce to flat curls of rescaled components.
 Derivatives use complex-step evaluation, which is exact to roundoff because
 the whole pipeline is rational in the chart coordinate.
+
+Arrays are component first, as in quaternions: embedded points and
+quaternion values are (4, n), chart points and chart vectors are (3, n), so
+each component is one contiguous row.  Leg fields map (4, n) points to (4, n)
+tangent vectors.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ MAX_CURL_POINTS = 2_000_000
 
 def trace_pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Normalized trace form of a product of two algebra values."""
-    return -4.0 * qmul(p, q)[..., 0]
+    return -4.0 * qmul(p, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -51,56 +56,56 @@ def trace_pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def chart_of(x: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Chart index per point: 0 unless the point is close to the -1 pole."""
     x = np.asarray(x)
-    return np.where(np.real(x[..., 0]) > -0.6 * radius, 0, 1).astype(int)
+    return np.where(np.real(x[0]) > -0.6 * radius, 0, 1).astype(int)
 
 
 def _reflect(u: np.ndarray) -> np.ndarray:
     out = u.copy()
-    out[..., 2] = -out[..., 2]
+    out[2] = -out[2]
     return out
 
 
 def chart_point(x: np.ndarray, chart: int, radius: float = 1.0) -> np.ndarray:
-    """Chart coordinates of embedded points, complex-step safe."""
+    """Chart coordinates (3, ...) of embedded points (4, ...), complex-step safe."""
     y = np.asarray(x) / radius
     if chart == 0:
-        u = y[..., 1:] / (1.0 + y[..., :1])
+        u = y[1:] / (1.0 + y[0])
     else:
-        u = _reflect(y[..., 1:] / (1.0 - y[..., :1]))
+        u = _reflect(y[1:] / (1.0 - y[0]))
     return radius * u
 
 
 def chart_embed(u: np.ndarray, chart: int, radius: float = 1.0) -> np.ndarray:
-    """Embedded point for chart coordinates, complex-step safe."""
+    """Embedded points (4, ...) for chart coordinates (3, ...), complex-step safe."""
     w = np.asarray(u) / radius
     if chart == 1:
         w = _reflect(w)
-    s = np.sum(w * w, axis=-1)[..., None]
+    s = np.sum(w * w, axis=0)
     first = (1.0 - s) / (1.0 + s)
     if chart == 1:
         first = -first
     rest = 2.0 * w / (1.0 + s)
-    return radius * np.concatenate([first, rest], axis=-1)
+    return radius * np.concatenate([first[None], rest])
 
 
 def chart_push(x: np.ndarray, xi: np.ndarray, chart: int, radius: float = 1.0) -> np.ndarray:
-    """Differential of the chart map applied to a tangent vector at x."""
+    """Differential of the chart map applied to a tangent vector xi (4, ...) at x (4, ...)."""
     y = np.asarray(x) / radius
     eta = np.asarray(xi)
-    y0 = y[..., :1]
-    e0 = eta[..., :1]
+    y0 = y[0]
+    e0 = eta[0]
     if chart == 0:
         den = (1.0 + y0) ** 2
-        return (eta[..., 1:] * (1.0 + y0) - y[..., 1:] * e0) / den
+        return (eta[1:] * (1.0 + y0) - y[1:] * e0) / den
     den = (1.0 - y0) ** 2
-    return _reflect((eta[..., 1:] * (1.0 - y0) + y[..., 1:] * e0) / den)
+    return _reflect((eta[1:] * (1.0 - y0) + y[1:] * e0) / den)
 
 
 def conformal_factor(u: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Round-metric conformal factor in either chart, complex-step safe."""
     u = np.asarray(u)
     r2 = radius * radius
-    return 2.0 * r2 / (r2 + np.sum(u * u, axis=-1))
+    return 2.0 * r2 / (r2 + np.sum(u * u, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +155,7 @@ def build_frame(side: str) -> S3Frame:
 
 
 def nu_of(field: Callable, radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Algebra-valued profile of a tangent field under left trivialization.
+    """Algebra-valued profile (4, n) of a tangent field under left trivialization.
 
     nu(xi)(x) = conj(x) * xi(x) / (2 R); constant q_l/2 on unit left legs.
     """
@@ -171,7 +176,7 @@ def _bracket_values(x: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray
 
 
 def field_in_chart(field: Callable, u: np.ndarray, chart: int, radius: float = 1.0) -> np.ndarray:
-    """Chart components of an ambient field at chart points u."""
+    """Chart components (3, n) of an ambient field at chart points u (3, n)."""
     x = chart_embed(u, chart, radius)
     return chart_push(x, field(x), chart, radius)
 
@@ -184,74 +189,71 @@ def curl_in_chart(field: Callable, u: np.ndarray, chart: int, radius: float = 1.
     """
 
     def weighted(uu: np.ndarray) -> np.ndarray:
-        return conformal_factor(uu, radius)[..., None] ** 2 * field_in_chart(
-            field, uu, chart, radius
-        )
+        return conformal_factor(uu, radius) ** 2 * field_in_chart(field, uu, chart, radius)
 
     grads = []
     for j in range(3):
-        up = u.astype(complex).copy()
-        up[..., j] += 1j * COMPLEX_STEP
+        up = u.astype(complex)
+        up[j] += 1j * COMPLEX_STEP
         grads.append(np.imag(weighted(up)) / COMPLEX_STEP)
-    return _rot_flat(grads) / conformal_factor(u, radius)[..., None] ** 3
+    return _rot_flat(grads) / conformal_factor(u, radius) ** 3
 
 
 def _rot_flat(grads: Sequence[np.ndarray]) -> np.ndarray:
-    """Flat curl from the three partial derivatives of a chart field."""
+    """Flat curl (3, n) from the three partial derivatives (3, n) of a chart field."""
     return np.stack(
         [
-            grads[1][..., 2] - grads[2][..., 1],
-            grads[2][..., 0] - grads[0][..., 2],
-            grads[0][..., 1] - grads[1][..., 0],
-        ],
-        axis=-1,
+            grads[1][2] - grads[2][1],
+            grads[2][0] - grads[0][2],
+            grads[0][1] - grads[1][0],
+        ]
     )
 
 
 def group_by_chart(x: np.ndarray, radius: float) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """[(chart, index_array, chart_points)] for a batch of embedded points.
+    """[(chart, index_array, chart_points)] for embedded points x (4, n).
 
-    Each point goes to the chart chart_of assigns it.
+    Each point goes to the chart chart_of assigns it; chart_points is (3, m).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     charts = chart_of(x, radius)
     groups = []
     for ch in (0, 1):
         idx = np.nonzero(charts == ch)[0]
         if idx.size:
-            groups.append((ch, idx, chart_point(x[idx], ch, radius)))
+            groups.append((ch, idx, chart_point(x[:, idx], ch, radius)))
     return groups
 
 
 def curl_field(
     field: Callable, x: np.ndarray, radius: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Curl of an ambient field at embedded points.
+    """Curl of an ambient field at embedded points x (4, n).
 
-    Returns (u, field_chart, curl_chart); components live in the
-    per-point chart, so compare like against like.
+    Returns (u, field_chart, curl_chart), each (3, n); components live in
+    the per-point chart, so compare like against like.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
-    u_all = np.empty((n, 3))
-    v_all = np.empty((n, 3))
-    c_all = np.empty((n, 3))
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    u_all = np.empty((3, n))
+    v_all = np.empty((3, n))
+    c_all = np.empty((3, n))
     for ch, idx, u in group_by_chart(x, radius):
-        u_all[idx] = u
-        v_all[idx] = np.real(field_in_chart(field, u, ch, radius))
-        c_all[idx] = curl_in_chart(field, u, ch, radius)
+        u_all[:, idx] = u
+        v_all[:, idx] = np.real(field_in_chart(field, u, ch, radius))
+        c_all[:, idx] = curl_in_chart(field, u, ch, radius)
     return u_all, v_all, c_all
 
 
 def chart_inner(u: np.ndarray, a: np.ndarray, b: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Round-metric inner product of chart components."""
-    return conformal_factor(u, radius) ** 2 * np.sum(a * b, axis=-1)
+    """Round-metric inner product of chart components (3, n)."""
+    return conformal_factor(u, radius) ** 2 * np.sum(a * b, axis=0)
 
 
 def helicity_density(field_a: Callable, field_b: Callable, x: np.ndarray) -> np.ndarray:
-    """Pointwise round-metric inner product <A, B> at embedded points of the unit sphere."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.empty(x.shape[0])
+    """Pointwise round-metric inner product <A, B> at embedded points (4, n) of the unit sphere."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[1])
     for ch, idx, u in group_by_chart(x, 1.0):
         a = np.real(field_in_chart(field_a, u, ch))
         b = np.real(field_in_chart(field_b, u, ch))
@@ -270,13 +272,14 @@ def ym_residual(frame: S3Frame, n_points: int = 1000, seed: int = 0) -> float:
     Per leg l with partners i, j: rot [A_i, A_j] + [A_i, [A_l, A_i]]
     + [A_j, [A_l, A_j]], all brackets in the gauge sense.  Vanishes for the
     left frame, stays order one for the right frame.  Each chart's points run
-    in blocks of 4,096, and each block embeds its points and builds the leg
-    profiles once for all three legs; every point's value is the same float
-    at any block size or loop order, and a max is exact.
+    in blocks of 4,096 held as C-contiguous (3, 4096) planes, and each block
+    embeds its points and builds the leg profiles once for all three legs;
+    every point's value is the same float at any block size or loop order,
+    and a max is exact.
     """
     if frame.radius != 1.0:
         raise ValueError("residual check is defined on the unit sphere")
-    groups = group_by_chart(haar_sample(substream(seed, 0), n_points), frame.radius)
+    groups = group_by_chart(haar_sample(substream(seed, 0), n_points).T, frame.radius)
     legs = frame.legs()
     partners = [((l + 1) % 3, (l + 2) % 3) for l in range(3)]
 
@@ -287,22 +290,22 @@ def ym_residual(frame: S3Frame, n_points: int = 1000, seed: int = 0) -> float:
 
     worst = 0.0
     for ch, _, u_chart in groups:
-        for lo, hi in fixed_chunks(u_chart.shape[0], 4096):
-            u = u_chart[lo:hi]
+        for lo, hi in fixed_chunks(u_chart.shape[1], 4096):
+            u = np.ascontiguousarray(u_chart[:, lo:hi])
             # grads[l][d]: complex-step partial along d of Omega^2 [A_i, A_j]
             grads = [[], [], []]
             for d in range(3):
                 up = u.astype(complex)
-                up[..., d] += 1j * COMPLEX_STEP
+                up[d] += 1j * COMPLEX_STEP
                 x = chart_embed(up, ch)
                 _, nu = profiles(x)
-                weight = conformal_factor(up)[..., None] ** 2
+                weight = conformal_factor(up) ** 2
                 for l, (i, j) in enumerate(partners):
                     pair = chart_push(x, _bracket_values(x, nu[i], nu[j]), ch)
                     grads[l].append(np.imag(weight * pair) / COMPLEX_STEP)
             x = chart_embed(u, ch)
             xc, nu = profiles(x)
-            cube = conformal_factor(u)[..., None] ** 3
+            cube = conformal_factor(u) ** 3
             for l, (i, j) in enumerate(partners):
                 res = _rot_flat(grads[l]) / cube
                 for k in (i, j):
@@ -323,9 +326,9 @@ def wedge_density_values(nu_values: np.ndarray, spec: LieFrameSpec) -> np.ndarra
 
     Evaluates the alternating triple product under the normalized trace and
     divides by the frame volume, i.e. the density against the orthonormal
-    coframe.  nu_values has shape (3, n, 4).
+    coframe.  nu_values has shape (3, 4, n).
     """
-    acc = np.zeros(nu_values.shape[1])
+    acc = np.zeros(nu_values.shape[2])
     for perm in permutations(range(3)):
         sgn = _perm_sign(perm)
         pair = qmul(nu_values[perm[0]], nu_values[perm[1]])
@@ -344,10 +347,10 @@ def _perm_sign(perm: Sequence[int]) -> float:
 
 
 def cs_densities(frame: S3Frame, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise helicity-term and wedge-term densities at embedded points."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """Pointwise helicity-term and wedge-term densities at embedded points x (4, n)."""
+    x = np.asarray(x, dtype=float)
     legs = frame.legs()
-    dens1 = np.zeros(x.shape[0])
+    dens1 = np.zeros(x.shape[1])
     for leg in legs:
         u, v, c = curl_field(leg, x, frame.radius)
         dens1 = dens1 + chart_inner(u, v, c, frame.radius)
@@ -371,7 +374,7 @@ def cs_functional(
 
     def run_chunk(args: tuple[int, tuple[int, int]]) -> tuple[float, float]:
         i, (lo, hi) = args
-        x = frame.radius * haar_sample(substream(seed, i), hi - lo)
+        x = frame.radius * haar_sample(substream(seed, i), hi - lo).T
         d1, d2 = cs_densities(frame, x)
         return float(np.sum(d1)), float(np.sum(d2))
 

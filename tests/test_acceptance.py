@@ -218,6 +218,57 @@ def test_criterion_09_scaling_exponents(tmp_path):
     )
 
 
+@pytest.mark.parametrize("rr", [0.5, 1.0, 3.0, 6.0])
+def test_criterion_09_pair_density_meets_santalo(rr):
+    # Two kinematic chords that meet a convex set cross inside it with
+    # probability 2 pi F / L^2 (Santalo, Integral Geometry and Geometric
+    # Probability, ch. 17-18), so pair_density is 2 pi at every curvature and
+    # radius.  A chord sampler off the kinematic measure moves it by many
+    # standard errors; scale bookkeeping alone cannot.
+    zs = []
+    for seed in range(5):
+        density, stderr = hypermc.pair_intersection_density(-1.0, rr, 20_000, seed)
+        zs.append((density - 2.0 * np.pi) / stderr)
+    _verdict(
+        f"Santalo pair density at r={rr}",
+        max(abs(z) for z in zs) <= 3.0,
+        "z-scores " + ", ".join(f"{z:+.2f}" for z in zs),
+    )
+
+
+def test_criterion_09_claimed_exponents_are_dimensional(tmp_path, monkeypatch):
+    # With the disk radius fixed in curvature units, every lambda runs the
+    # same dimensionless experiment: each reported density is a sampled
+    # number times a power of disk_perimeter and disk_area.  With every
+    # sampled number replaced by 1, the verbs fit the scale factors alone,
+    # and each slope must be the claimed exponent to roundoff.
+    def pair_scale(K, R, N, rng):
+        return hypermc.disk_perimeter(K, R) ** 2 / hypermc.disk_area(K, R), 0.0
+
+    def scan_scale(K, R, N, eps_list, rng, n_triples=0, workers=1):
+        scale = hypermc.disk_perimeter(K, R) ** 3 / hypermc.disk_area(K, R) ** 2
+        eps = np.asarray(eps_list, dtype=float)
+        return hypermc.ScalingFit(eps, np.full(eps.size, scale), 0.0, scale, 0.0, {"counts": [1], "total": 1})
+
+    monkeypatch.setattr(hypermc, "pair_intersection_density", pair_scale)
+    monkeypatch.setattr(hypermc, "epsilon_limit_scan", scan_scale)
+    gaps = {}
+    for verb in ("triangle-scan", "alpha-scaling"):
+        assert run(ExperimentConfig(verb=verb, out_dir=str(tmp_path))).violations == ()
+        lines = (tmp_path / f"{verb}_summary.txt").read_text().splitlines()
+        summary = dict(line.split("=", 1) for line in lines)
+        for key, value in summary.items():
+            if key.startswith("slope"):
+                claimed = summary["claimed" + key.removeprefix("slope")]
+                gaps[f"{verb}:{key}"] = float(value) - float(claimed)
+    assert len(gaps) == 6
+    _verdict(
+        "claimed exponents from scale factors",
+        all(abs(g) <= 1e-12 for g in gaps.values()),
+        ", ".join(f"{k} {g:+.1e}" for k, g in sorted(gaps.items())),
+    )
+
+
 def test_criterion_10_quintuple_estimator():
     base = haar_sample(substream(300, 0), 5)
     fibers = [hopf_fiber(b, "right") for b in base]

@@ -222,6 +222,22 @@ def test_main_maps_verb_preconditions_to_exit_1(tmp_path, monkeypatch, capsys, v
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_reports_disagreeing_helicity_legs_as_violation(tmp_path, monkeypatch, capsys):
+    # A failed claim is a violation (exit 2), not a usage error (exit 1).
+    agreeing = cli.hyperbolic.helicity_density_algebraic
+
+    def third_leg_off(spec, l):
+        return agreeing(spec, l) + (1e-9 if l == 3 else 0.0)
+
+    monkeypatch.setattr(cli.hyperbolic, "helicity_density_algebraic", third_leg_off)
+    assert main(["verify-hyperbolic", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("VIOLATION: helicity density at lambda=") == len(_cfg().lambda_grid)
+    header, *rows = (tmp_path / "verify-hyperbolic.csv").read_text().splitlines()[1:]
+    column = header.split(",").index("h_density")
+    assert rows and all(r.split(",")[column] == "nan" for r in rows)
+
+
 def test_main_rejects_over_budget_triples_before_the_verb(tmp_path, monkeypatch, capsys):
     # validate() caps the triple sample, so an over-budget config never
     # reaches the verb's pair-count stage or allocates its triples.

@@ -283,7 +283,7 @@ def test_traced_orbit_closes_with_period_pi():
     paths = fl.trace_batch(_left_field, x0, np.pi, h=PERIOD_STEP)
     assert paths.shape == (1, 701, 4)
     # One step from the unit start leaves the sphere by less than 1e-10.
-    y = fl._rk4_step(_left_field, x0, PERIOD_STEP)
+    y = fl._rk4_step(_left_field, x0.T, PERIOD_STEP)
     assert abs(np.linalg.norm(y) - 1.0) < 1e-10
     assert np.linalg.norm(paths[0, -1] - paths[0, 0]) < 1e-8
     # Half a period lands on the antipode, so pi is the first return.

@@ -87,9 +87,9 @@ def test_haar_sample_unit_and_deterministic():
 
 def test_batched_multiplication_shape():
     rng = np.random.default_rng(5)
-    p = rng.normal(size=(17, 4))
-    q = rng.normal(size=(17, 4))
+    p = rng.normal(size=(4, 17))
+    q = rng.normal(size=(4, 17))
     out = qmul(p, q)
-    assert out.shape == (17, 4)
+    assert out.shape == (4, 17)
     for k in range(17):
-        assert np.allclose(out[k], qmul(p[k], q[k]), atol=1e-12)
+        assert np.allclose(out[:, k], qmul(p[:, k], q[:, k]), atol=1e-12)

@@ -12,7 +12,8 @@ from curlwave.seeds import fixed_chunks, substream
 
 
 def _sample(n=200, seed=0):
-    return haar_sample(np.random.default_rng(seed), n)
+    # Points as columns, shape (4, n).
+    return haar_sample(np.random.default_rng(seed), n).T
 
 
 def test_chart_round_trip():
@@ -99,7 +100,7 @@ def _unblocked_ym_residual(frame, n_points, seed):
     # shared the profiles between legs: leg by leg, every bracket a field
     # built from field brackets, every complex temporary spanning the whole
     # chart.  ym_residual must return the same float.
-    x = haar_sample(substream(seed, 0), n_points)
+    x = haar_sample(substream(seed, 0), n_points).T
     legs = frame.legs()
     worst = 0.0
     for l in range(3):
@@ -141,7 +142,7 @@ def _with_squared_norms(monkeypatch, residual, slots, n_points):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_blocked_ym_residual_matches_unblocked_loop(side, monkeypatch):
     frame = s3.build_frame(side)
-    groups = s3.group_by_chart(haar_sample(substream(5, 0), 10_000), 1.0)
+    groups = s3.group_by_chart(haar_sample(substream(5, 0), 10_000).T, 1.0)
     assert groups[0][1].size > 2 * 4096  # chart 0 spans three blocks
     # ym_residual runs chart, block, leg; the reference runs leg, chart.
     blocked = [
@@ -166,7 +167,7 @@ def test_ym_residual_shares_profiles_between_legs(monkeypatch):
     # 4,000 points make one block per chart.  Evaluated leg by leg, each
     # block made 141 qmul, 42 qconj and 15 chart_embed calls; sharing the
     # embeddings, conj(x) and the leg profiles leaves 93, 4 and 4.
-    blocks = len(s3.group_by_chart(haar_sample(substream(0, 0), 4000), 1.0))
+    blocks = len(s3.group_by_chart(haar_sample(substream(0, 0), 4000).T, 1.0))
     assert blocks == 2
     calls = Counter()
     for name in ("qmul", "qconj", "chart_embed"):
@@ -231,8 +232,7 @@ def test_cs_functional_rotation_invariance():
     g = np.array([0.3, -0.5, 0.8, 0.1])
     g /= np.linalg.norm(g)
 
-    rot = haar_sample(np.random.default_rng(8), 3000)
-    rot = np.array([qmul(g, p) for p in rot])
+    rot = qmul(g, haar_sample(np.random.default_rng(8), 3000).T)
     t1 = np.mean(s3.cs_densities(frame, rot)[0]) * s3.VOL_UNIT_SPHERE
     t2 = np.mean(s3.cs_densities(frame, rot)[1]) * s3.VOL_UNIT_SPHERE
     assert abs(t1 - base[0]) / abs(base[0]) < 0.01
