@@ -102,6 +102,9 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{name}: must be a list of finite numbers, got {v!r}")
         if len(self.lambda_grid) == 0 or any(l <= 0 for l in self.lambda_grid):
             raise ConfigInvalid(f"lambda_grid: must be non-empty and positive, got {self.lambda_grid!r}")
+        n_grid = len(self.lambda_grid)
+        if n_grid > hypermc.MAX_FIT_POINTS:
+            raise ConfigInvalid(f"lambda_grid: at most {hypermc.MAX_FIT_POINTS} values, got {n_grid}")
         eps = self.eps_list
         if len(eps) == 0 or any(not 0 < e < 0.5 * np.pi for e in eps):
             raise ConfigInvalid(f"eps_list: entries must lie in (0, pi/2), got {eps!r}")

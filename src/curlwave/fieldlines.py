@@ -4,7 +4,10 @@ Curves live on the unit sphere in quaternion space and are stored by their
 embedded points only.  Integration runs in the embedding with per-step
 renormalization.  Linking numbers come from two independent routes: a
 per-segment-pair solid-angle quadrature (exact for polylines) and a
-signed-crossing count on a generic projection.
+signed-crossing count on a generic projection.  Curve separations, diameters
+and reaches are numpy scans in bounded blocks that sum each squared distance
+in component order, so they return the floats of a k-d tree query and of
+cdist.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ChartEscape,
@@ -41,6 +42,14 @@ CLOSURE_TOL = 1e-6
 MIN_SEPARATION = 1e-4
 MAX_GAP_FRACTION = 0.1
 MAX_RESAMPLE_POINTS = 2400
+# Distance scans go in blocks of at most _BLOCK distances, 512 KiB for each
+# component; blocks of 2**19 took up to twice as long.  The separation query
+# boxes runs of consecutive points down to _LEAF points and tests at most
+# _RUN_PAIRS run pairs at a time.
+_BLOCK = 2**16
+_LEAF = 16
+_LEAF_PAIRS = _BLOCK // _LEAF**2
+_RUN_PAIRS = 2**12
 # Memory caps, each keeping its stage under about 1 GiB: helicity_integral
 # peaks at about 230 bytes per quadrature point, and asymptotic_hopf at about
 # 52 bytes per stored trace state (see trace_states), 32 of them the path.
@@ -76,11 +85,30 @@ class FieldLine:
         return float(np.linalg.norm(self.embedding[-1] - self.embedding[0]))
 
     def diameter(self) -> float:
-        """Largest distance between two points, in row blocks of at most
-        2**19 distances (4 MiB) whatever the number of points."""
-        xs = self.embedding
-        rows = max(1, 2**19 // xs.shape[0])
-        return max(float(cdist(xs[lo:hi], xs).max()) for lo, hi in fixed_chunks(xs.shape[0], rows))
+        """Largest distance between two points."""
+        return _max_distance(self.embedding, self.embedding)
+
+
+def _squares_sum(d: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of d squared, added in component order,
+    ((d0² + d1²) + d2²) + d3², as a k-d tree query and cdist add; d is
+    squared and summed in place."""
+    d *= d
+    for x in d[1:]:
+        d[0] += x
+    return d[0]
+
+
+def _max_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest distance from a row of a to a row of b, in row blocks of at
+    most _BLOCK distances whatever the number of points."""
+    a, b = a.T, np.ascontiguousarray(b.T)
+    rows = max(1, _BLOCK // b.shape[1])
+    best = max(
+        float(_squares_sum(a[:, lo:hi, None] - b[:, None, :]).max())
+        for lo, hi in fixed_chunks(a.shape[1], rows)
+    )
+    return float(np.sqrt(best))
 
 
 def _rk4_step(field: Callable, y: np.ndarray, h: float) -> np.ndarray:
@@ -133,7 +161,7 @@ def close_curve(line: FieldLine) -> FieldLine:
         return line
     gap = line.gap()
     xs = line.embedding
-    reach = float(cdist(xs[:1], xs).max())
+    reach = _max_distance(xs[:1], xs)
     if not (reach > 0.0 and gap <= MAX_GAP_FRACTION * reach):
         diam = line.diameter()
         if diam == 0.0 or gap > MAX_GAP_FRACTION * diam:
@@ -142,7 +170,9 @@ def close_curve(line: FieldLine) -> FieldLine:
         arc = xs[:1]
     else:
         steps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
-        spacing = float(np.median(steps)) if steps.size else gap
+        # np.median's float, without the numpy.ma import it triggers.
+        mid = [(steps.size - 1) // 2, steps.size // 2]
+        spacing = float(np.partition(steps, mid)[mid].sum() / 2.0) if steps.size else gap
         n_arc = max(1, int(np.ceil(gap / max(spacing, 1e-12))))
         t = np.linspace(0.0, 1.0, n_arc + 1)[1:]
         arc = slerp(xs[-1], xs[0], t)
@@ -179,9 +209,64 @@ def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndar
     raise DegenerateProjection("no rotation kept the curves away from the chart pole")
 
 
+def _run_boxes(x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Points of x as component rows, padded by repeating the last point to
+    at most 32 runs of 16 * 2**k points, and the boxes (lo, hi) of the runs
+    at every level, from the 16-point leaves (level 0) to the top runs."""
+    k = (-(-len(x) // (32 * _LEAF)) - 1).bit_length()
+    n = -(-len(x) // (_LEAF << k)) * (_LEAF << k)
+    pts = np.ascontiguousarray(np.take(x, np.arange(n), axis=0, mode="clip").T)
+    # Halving from the points up, entry h holds the boxes of runs of 2**h points.
+    boxes = [(pts, pts)]
+    for _ in range((_LEAF << k).bit_length() - 1):
+        lo, hi = boxes[-1]
+        boxes.append((np.minimum(lo[:, ::2], lo[:, 1::2]), np.maximum(hi[:, ::2], hi[:, 1::2])))
+    return pts, boxes[_LEAF.bit_length() - 1:]
+
+
 def _min_distance(p: np.ndarray, q: np.ndarray, bound: float) -> float:
-    """Smallest distance from a point of p to q when it is below bound, else inf."""
-    return float(cKDTree(q).query(p, distance_upper_bound=bound)[0].min())
+    """Smallest distance from a point of p to q when it is below bound, else inf.
+
+    Branch and bound over runs of consecutive points, which stay close on a
+    traced curve.  A run pair is dropped when its boxes lie at least the best
+    distance found so far apart, or at least bound apart before one is
+    found; the others are halved down to 16-point leaves, whose distances go
+    in blocks of _BLOCK.  Squared distances are summed in component order and
+    kept below bound**2, as a k-d tree query does, so the float is the
+    query's.  Rounding is monotone, so a box gap squared the same way never
+    exceeds the squared distance of a point pair from its boxes.
+    """
+    (xp, bp), (xq, bq) = _run_boxes(p), _run_boxes(q)
+    bound2 = best = bound * bound
+    stack = []
+
+    def push(lp: int, lq: int, i: np.ndarray, j: np.ndarray) -> None:
+        size = _LEAF_PAIRS if lp == lq == 0 else _RUN_PAIRS
+        stack.extend((lp, lq, i[lo:hi], j[lo:hi]) for lo, hi in reversed(fixed_chunks(len(i), size)))
+
+    i, j = np.indices((bp[-1][0].shape[1], bq[-1][0].shape[1])).reshape(2, -1)
+    push(len(bp) - 1, len(bq) - 1, i, j)
+    while stack:
+        lp, lq, i, j = stack.pop()
+        (lo_p, hi_p), (lo_q, hi_q) = bp[lp], bq[lq]
+        gap = _squares_sum(np.maximum(np.maximum(lo_q[:, j] - hi_p[:, i], lo_p[:, i] - hi_q[:, j]), 0.0))
+        keep = gap < best
+        if not keep.any():
+            continue
+        i, j = i[keep], j[keep]
+        if lp == lq == 0:
+            rows = i[:, None] * _LEAF + np.arange(_LEAF)
+            cols = j[:, None] * _LEAF + np.arange(_LEAF)
+            best = min(best, float(_squares_sum(xp[:, rows][..., None] - xq[:, cols][:, :, None]).min()))
+            continue
+        # The first points of the runs: a real distance, so a bound on the best.
+        best = min(best, float(_squares_sum(xp[:, i * (_LEAF << lp)] - xq[:, j * (_LEAF << lq)]).min()))
+        if lp:
+            i, j, lp = np.concatenate([2 * i, 2 * i + 1]), np.concatenate([j, j]), lp - 1
+        if lq:
+            i, j, lq = np.concatenate([i, i]), np.concatenate([2 * j, 2 * j + 1]), lq - 1
+        push(lp, lq, i, j)
+    return float(np.sqrt(best)) if best < bound2 else np.inf
 
 
 def resample_polyline(points: np.ndarray, target_seg: float) -> np.ndarray:

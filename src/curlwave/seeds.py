@@ -11,7 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 # ordered_map starts up to this many threads.  Each asymptotic_hopf worker
 # holds about 15 MiB at its peak, so sixteen of them beside the largest trace
@@ -19,9 +19,9 @@ import numpy as np
 MAX_WORKERS = 16
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
+def substream(seed: int, *key: int) -> Generator:
     """Generator for a fixed substream of the given root seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return Generator(PCG64(SeedSequence(seed, spawn_key=key)))
 
 
 def fixed_chunks(n: int, chunk: int) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curlwave import cli, s3
+from curlwave import cli, hypermc, s3
 from curlwave.cli import ExperimentConfig, emit_report, main, run
 from curlwave.errors import ConfigInvalid, IoFailure
 from curlwave.fieldlines import MAX_QUAD_POINTS, MAX_TRACE_STATES
@@ -250,6 +250,32 @@ def test_main_rejects_over_budget_triples_before_the_verb(tmp_path, monkeypatch,
     assert main(["triangle-scan", "--config", "cfg.json"]) == 1
     assert "n_triples: at most" in capsys.readouterr().err
     _cfg(n_triples=MAX_TRIPLES).validate()
+
+
+def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, capsys):
+    # loglog_fit's stored t quantiles serve at most 64 points: 64 values run
+    # and fit with the last quantile, 65 exit 1 before any verb runs.
+    monkeypatch.chdir(tmp_path)
+    grid = [float(x) for x in np.geomspace(1.0, 16.0, 65)]
+    sizes = {"n_chords": 1300, "n_triples": 20000}
+    (tmp_path / "64.json").write_text(json.dumps({"lambda_grid": grid[:64], **sizes}))
+    (tmp_path / "65.json").write_text(json.dumps({"lambda_grid": grid, **sizes}))
+    assert main(["alpha-scaling", "--config", "64.json", "--out", "out"]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "out" / "alpha-scaling.csv").read_text().splitlines()[2:]
+    lams, ys = np.array([[float(v) for v in r.split(",")] for r in rows]).T
+    record = (tmp_path / "out" / "alpha-scaling_summary.txt").read_text()
+    summary = dict(line.split("=") for line in record.split())
+    _, _, se_slope, _ = hypermc._linear_fit(np.log(lams), np.log(ys))
+    assert lams.size == 64 and float(summary["half_width"]) == hypermc.T_QUANTILES_95[-1] * se_slope
+
+    def verb_must_not_run(config, timings):
+        raise AssertionError("a verb ran with 65 grid values")
+
+    for verb in ("alpha-scaling", "triangle-scan", "verify-hyperbolic"):
+        monkeypatch.setitem(cli._VERB_TABLE, verb, verb_must_not_run)
+        assert main([verb, "--config", "65.json"]) == 1
+        assert "lambda_grid: at most 64 values, got 65" in capsys.readouterr().err
 
 
 # 2 * 100 lines * (ceil(T / h) + 1) trace states; h = 2^-7 keeps T / h exact.

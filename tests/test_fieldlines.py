@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from curlwave import fieldlines as fl
 from curlwave import s3
@@ -35,10 +37,11 @@ def test_from_embedding_rejects_non_finite_point():
         fl.FieldLine.from_embedding(xs, closed=False)
 
 
-@pytest.mark.parametrize("n", [1, 511, 512, 513, 724, 725, 1300])
+@pytest.mark.parametrize("n", [1, 256, 257, 511, 512, 513, 1300])
 def test_distance_scans_match_brute_force(n):
-    # FieldLine.diameter takes 2**19 // n rows per block: up to 724 points
-    # fit one block, 725 spill two rows into a second, and 1300 span four.
+    # FieldLine.diameter takes 2**16 // n rows per block: up to 256 points
+    # fit one block, 257 spill two rows into a second, and 1300 span 26.
+    # The separation scan boxes one level of runs up to 512 points, two at 513.
     rng = np.random.default_rng(n)
     p = haar_sample(rng, n)
     q = haar_sample(rng, 700)
@@ -51,6 +54,92 @@ def test_distance_scans_match_brute_force(n):
     assert fl._min_distance(p, q, 0.999 * want) == fl._min_distance(q, p, 0.999 * want) == np.inf
     line = fl.FieldLine.from_embedding(p, closed=False)
     assert line.diameter() == float(np.max(pp))
+
+
+def _kd_min_distance(p, q, bound):
+    # The k-d tree query that the run-box scan replaced, as its == reference.
+    return float(cKDTree(q).query(p, distance_upper_bound=bound)[0].min())
+
+
+def _same_float(a, b):
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("n", [1, 15, 17, 300, 513, 1500])
+def test_min_distance_matches_the_kd_tree_query(dim, n):
+    # Up to 512 points make one level of 16-point runs; 513 make two and
+    # 1500 three (24 runs of 64 points).  Clouds prune little, walks much.
+    # On parallel strands out of step, the first points of two runs lie
+    # farther apart than the closest pair, whose run pair has a box gap
+    # close to that distance.
+    rng = np.random.default_rng(10 * n + dim)
+    clouds = rng.standard_normal((n, dim)), rng.standard_normal((700, dim)) + 0.5
+    walks = [np.cumsum(rng.standard_normal((m, dim)) * 0.02, axis=0) for m in (n, 900)]
+    walks[1] += 0.1
+    strands = [np.zeros((n, dim)), np.zeros((n, dim))]
+    strands[0][:, 0] = np.arange(n) * 1e-3
+    strands[1][:, 0] = np.arange(n) * 1e-3 + 5.3e-3
+    strands[1][:, 1] = 0.1
+    found = []
+    for p, q in (clouds, walks, strands):
+        for bound in (1e-4, 0.24, np.inf):
+            for a, b in ((p, q), (q, p)):
+                got = fl._min_distance(a, b, bound)
+                assert _same_float(got, _kd_min_distance(a, b, bound)), (bound, got)
+                found.append(got)
+    assert np.isinf(found).any() and np.isfinite(found).any()
+
+
+def test_min_distance_leaves_out_a_pair_at_the_bound():
+    # 0.25**2 is exact: a pair at the bound is not below it.
+    rng = np.random.default_rng(4)
+    p = np.concatenate([np.cumsum(rng.uniform(0.0, 0.01, (700, 3)), axis=0) + 5.0, [[0.0, 0.0, 0.0]]])
+    q = np.concatenate([[[0.25, 0.0, 0.0]], np.cumsum(rng.uniform(0.0, 0.01, (900, 3)), axis=0) - 5.0])
+    for a, b in ((p, q), (q, p)):
+        assert fl._min_distance(a, b, 0.25) == _kd_min_distance(a, b, 0.25) == np.inf
+        above = np.nextafter(0.25, 1.0)
+        assert fl._min_distance(a, b, above) == _kd_min_distance(a, b, above) == 0.25
+
+
+def test_min_distance_of_shared_and_repeated_points():
+    rng = np.random.default_rng(8)
+    q = haar_sample(rng, 600)
+    p = np.concatenate([haar_sample(rng, 400), q[[17, 17, 599]]])
+    repeated = np.repeat(haar_sample(rng, 40), 20, axis=0)
+    for a, b in ((p, q), (q, p), (repeated, q), (repeated, repeated)):
+        for bound in (1e-4, 0.24, np.inf):
+            got = fl._min_distance(a, b, bound)
+            assert _same_float(got, _kd_min_distance(a, b, bound))
+    assert _same_float(fl._min_distance(p, q, 1e-4), 0.0)
+
+
+def test_min_distance_memory_is_bounded_on_long_curves():
+    # Two 80,000-point curves winding one torus 127 times pass close to
+    # each other everywhere: 90,586 leaf pairs of 16 x 16 points, 185 MB of
+    # distances at once, go in blocks of 2**16.
+    t = np.arange(80_000) * 0.01
+    p, q = (
+        np.stack([np.cos(t), np.sin(t), np.cos(np.sqrt(2.0) * t + ph), np.sin(np.sqrt(2.0) * t + ph)], axis=1)
+        for ph in (0.0, 0.3)
+    )
+    tracemalloc.start()
+    try:
+        got = fl._min_distance(p, q, 0.24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_float(got, _kd_min_distance(p, q, 0.24))
+    assert 0.0 < got < 0.24
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 257, 1300])
+def test_diameter_and_reach_match_cdist(n):
+    rng = np.random.default_rng(n)
+    xs = haar_sample(rng, n) * rng.uniform(0.5, 2.0, (n, 1))
+    assert _same_float(fl.FieldLine.from_embedding(xs, closed=False).diameter(), float(cdist(xs, xs).max()))
+    assert _same_float(fl._max_distance(xs[:1], xs), float(cdist(xs[:1], xs).max()))
 
 
 def test_diameter_memory_is_bounded_by_a_cell_budget():

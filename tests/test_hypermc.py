@@ -417,6 +417,24 @@ def test_loglog_fit_exact_power_law():
         hm.loglog_fit(x[:1], x[:1])
 
 
+def test_t_quantiles_are_scipy_values():
+    from scipy.special import stdtrit
+
+    assert len(hm.T_QUANTILES_95) == hm.MAX_FIT_POINTS - 2 == 62
+    for df, tq in enumerate(hm.T_QUANTILES_95, start=1):
+        assert tq == float(stdtrit(df, 0.975)), df
+
+
+def test_loglog_fit_takes_at_most_64_points():
+    x = np.geomspace(1.0, 10.0, 65)
+    y = x**-0.5 * np.exp(np.random.default_rng(0).normal(0.0, 0.1, x.size))
+    fit = hm.loglog_fit(x[:64], y[:64])
+    _, _, se_slope, _ = hm._linear_fit(np.log(x[:64]), np.log(y[:64]))
+    assert fit.half_width == hm.T_QUANTILES_95[-1] * se_slope > 0
+    with pytest.raises(ValueError, match="need 2 to 64 points for a scaling fit, got 65"):
+        hm.loglog_fit(x, y)
+
+
 def test_parallelism_angle_closed_form_vs_shooting():
     for rr in (5.0, 8.0, 12.0):
         # rotational symmetry: position on the circle is immaterial

@@ -1,10 +1,12 @@
 """Module boundaries: no private imports across modules, no public name or
 class member that only tests use, no package re-exports, no error class that
-is neither caught nor data-driven, no scipy.stats on the import path, and the
-benchmark tracer finds every name it wraps."""
+is neither caught nor data-driven, no scipy on the import path, no module
+imported while a verb runs, and the benchmark tracer finds every name it
+wraps."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -40,17 +42,50 @@ def test_no_private_imports_across_modules():
     assert offenders == []
 
 
-def _cli_import_loads(module: str) -> bool:
-    # Whether a fresh interpreter has module loaded after importing the cli.
+def _modules_loaded_by(code: str, setup: str = "") -> set[str]:
+    # Modules that code adds to sys.modules in a fresh interpreter that ran
+    # setup first.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = f"import sys, curlwave.cli; sys.exit({module!r} in sys.modules)"
-    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode != 0
+    script = f"import json, sys\n{setup}\nbefore = set(sys.modules)\n{code}\n"
+    script += "print(json.dumps(sorted(set(sys.modules) - before)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats loads about 300 modules, about half the start-up time of
-    # every command; hypermc takes its t quantile from scipy.special.
-    assert not _cli_import_loads("scipy.stats")
+def test_cli_import_loads_no_scipy_module():
+    # scipy.spatial and scipy.special took about 0.45 s of the start-up of
+    # every command; scipy is a test dependency only.
+    loaded = _modules_loaded_by("import curlwave.cli")
+    assert "curlwave.fieldlines" in loaded
+    assert sorted(m for m in loaded if m.startswith("scipy")) == []
+
+
+# One small config per verb: all seven run in about a second.
+SMALL_CONFIGS = {
+    "verify-s3": {"n_points": 400},
+    "verify-hyperbolic": {},
+    "linking": {},
+    "hopf-asymptotic": {"n_pairs": 100, "trace_T": 6.283185307179586, "n_quad": 1000, "workers": 2},
+    "triangle-scan": {"n_chords": 1300, "n_triples": 20000, "workers": 2},
+    "alpha-scaling": {"n_chords": 1300, "n_triples": 20000, "workers": 2},
+    "m5-estimate": {},
+}
+
+
+def test_verbs_import_nothing_after_the_cli(tmp_path):
+    # Every module a verb needs is loaded with curlwave.cli, so start-up
+    # costs are paid before the first verb starts, not inside its timing.
+    # numpy imports numpy.random on first use and np.median numpy.ma.
+    assert sorted(SMALL_CONFIGS) == sorted(curlwave.cli.VERBS)
+    code = (
+        f"for verb, fields in {SMALL_CONFIGS!r}.items():\n"
+        f"    cli.run(cli.ExperimentConfig(verb=verb, out_dir={str(tmp_path)!r}, **fields))"
+    )
+    assert sorted(_modules_loaded_by(code, setup="import curlwave.cli as cli")) == []
+    assert len(list(tmp_path.glob("*_manifest.json"))) == len(SMALL_CONFIGS)
 
 
 def test_package_re_exports_nothing():
@@ -59,7 +94,7 @@ def test_package_re_exports_nothing():
     # tests use.
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))
-    assert not _cli_import_loads("curlwave.chartlab")
+    assert "curlwave.chartlab" not in _modules_loaded_by("import curlwave.cli")
 
 
 # Public names that no module in src/ uses, kept on purpose: independent
