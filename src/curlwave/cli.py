@@ -322,6 +322,9 @@ def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
 def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
     rows = []
     lams = np.asarray(cfg.lambda_grid, dtype=float)
+    # Every summary value is a slope in lambda; reject before any sampling.
+    if not lams.max() > lams.min():
+        raise ValueError(f"lambda_grid: slopes need at least 2 distinct values, got {cfg.lambda_grid!r}")
     t0 = time.perf_counter()
     for i, lam in enumerate(lams):
         K = hypermc.lambda_to_curvature(lam)

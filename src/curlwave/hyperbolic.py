@@ -3,7 +3,7 @@
 Everything here is algebraic: the frames enter through their structure
 constants and leg metrics, and densities are pointwise (the spaces are
 homogeneous, so one point suffices).  Chart quadrature of the sphere
-frames lives in s3; the finite-difference curvature oracle lives in chartlab.
+frames lives in s3.
 """
 
 from __future__ import annotations

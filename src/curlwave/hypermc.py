@@ -3,11 +3,9 @@
 Chords of a disk in the curvature-K plane (K < 0) are drawn from the
 kinematic measure and stored by their unit spacelike normals alone, in the
 Minkowski hyperboloid model, where crossing predicates, crossing angles,
-and point-in-disk tests are short closed forms.  The scalar GeodesicChord
-(chord_from_foot, sample_geodesic) adds the foot point, tangent and
-upper-half-plane descriptor as the reference for those arrays.  Densities
-are reported in physical units of the curvature-K metric; the disk radius
-is measured in the same units.
+and point-in-disk tests are short closed forms.  Densities are reported in
+physical units of the curvature-K metric; the disk radius is measured in the
+same units.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CurlwaveError, DegenerateProjection, ExtrapolationUnstable
+from .errors import DegenerateProjection, ExtrapolationUnstable
 from .fieldlines import (
     FieldLine,
     build_linking_matrix,
@@ -77,31 +75,6 @@ def disk_area(K: float, R: float) -> float:
     return 2.0 * np.pi * rho**2 * (np.cosh(rr) - 1.0)
 
 
-# ---------------------------------------------------------------------------
-# Hyperboloid-model primitives.
-# ---------------------------------------------------------------------------
-
-
-def mink_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0]
-
-
-def mink_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minkowski-orthogonal complement of a 2-plane; time component flipped."""
-    e = np.cross(a, b)
-    out = np.empty_like(e)
-    out[..., 0] = -e[..., 0]
-    out[..., 1] = e[..., 1]
-    out[..., 2] = e[..., 2]
-    return out
-
-
-def to_uhp(x: np.ndarray) -> np.ndarray:
-    """Hyperboloid point(s) to upper-half-plane coordinates (first, height)."""
-    denom = x[..., 0] - x[..., 2]
-    return np.stack([x[..., 1] / denom, 1.0 / denom], axis=-1)
-
-
 def _sample_normals(rr: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit normals of a kinematic-measure chord sample of the radius-rr disk.
 
@@ -114,100 +87,6 @@ def _sample_normals(rr: float, n: int, rng: np.random.Generator) -> np.ndarray:
     sp = rng.uniform(0.0, 1.0, size=n) * np.sinh(rr)
     cp = np.sqrt(1.0 + sp**2)
     return np.stack([sp, cp * np.cos(theta), cp * np.sin(theta)], axis=-1)
-
-
-@dataclass(frozen=True)
-class GeodesicChord:
-    """One geodesic chord of the sampling disk, arc-length parameterized.
-
-    The scalar reference for the chord arrays: the samplers keep only unit
-    normals, while this chord also carries its foot point (base), unit
-    tangent and half-length, and checks itself against its upper-half-plane
-    descriptor (circle center/radius or vertical line).  Lengths in
-    point()/endpoints are in curvature units; multiply by 1/sqrt(-K) for
-    physical lengths.
-    """
-
-    rr: float
-    foot_distance: float
-    foot_direction: float
-    normal: np.ndarray
-    base: np.ndarray
-    tangent: np.ndarray
-    half_length: float
-
-    def point(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.cosh(s)[..., None] * self.base + np.sinh(s)[..., None] * self.tangent
-
-    def endpoints(self) -> np.ndarray:
-        return self.point(np.array([-self.half_length, self.half_length]))
-
-    def uhp_points(self) -> np.ndarray:
-        s = np.linspace(-self.half_length, self.half_length, 33)
-        return to_uhp(self.point(s))
-
-    def uhp_descriptor(self) -> tuple[str, tuple[float, ...]]:
-        """Euclidean circle (center, radius) or vertical line (x0) in the chart."""
-        n0, n1, n2 = (float(v) for v in self.normal)
-        denom = n2 - n0
-        if abs(denom) < 1e-12 * max(1.0, abs(n1)):
-            return "vertical", (0.5 * (n0 + n2) / n1,)
-        center = -n1 / denom
-        rad2 = center**2 + (n0 + n2) / denom
-        return "circle", (center, float(np.sqrt(rad2)))
-
-    def uhp_residual(self) -> float:
-        """Worst circle/line equation residual along the arc (scale free)."""
-        pts = self.uhp_points()
-        kind, params = self.uhp_descriptor()
-        if kind == "vertical":
-            return float(np.max(np.abs(pts[:, 0] - params[0]))) / (1.0 + abs(params[0]))
-        c, r = params
-        return float(np.max(np.abs((pts[:, 0] - c) ** 2 + pts[:, 1] ** 2 - r**2))) / r**2
-
-
-def chord_from_foot(K: float, R: float, p: float, theta: float) -> GeodesicChord:
-    """Chord at foot distance p (curvature units) in direction theta.
-
-    Its points are cosh(s) base + sinh(s) tangent, with base the point
-    closest to the disk center.
-    """
-    _, rr = _shape_params(K, R)
-    if not 0.0 <= p < rr:
-        raise ValueError(f"foot distance must lie in [0, {rr}), got {p}")
-    sp = np.sinh(p)
-    cp = np.sqrt(1.0 + sp**2)
-    ct, st = np.cos(theta), np.sin(theta)
-    return GeodesicChord(
-        rr, float(p), float(theta),
-        np.array([sp, cp * ct, cp * st]),
-        np.array([cp, sp * ct, sp * st]),
-        np.array([0.0, -st, ct]),
-        float(np.arccosh(np.cosh(rr) / np.cosh(p))),
-    )
-
-
-def sample_geodesic(K: float, R: float, rng: np.random.Generator | int) -> GeodesicChord:
-    """One chord from the isometry-invariant measure on geodesics meeting the disk.
-
-    The normal comes from the sampler of the chord arrays; the chord is
-    rebuilt from its foot point.
-    """
-    rng = np.random.default_rng(rng)
-    _, rr = _shape_params(K, R)
-    n = _sample_normals(rr, 1, rng)[0]
-    return chord_from_foot(K, R, float(np.arcsinh(n[0])), float(np.arctan2(n[2], n[1])))
-
-
-def chords_cross_inside(c1: GeodesicChord, c2: GeodesicChord) -> bool:
-    """Whether two chords of the same disk intersect strictly inside it."""
-    kappa = float(mink_dot(c1.normal, c2.normal))
-    if abs(kappa) >= 1.0:
-        return False
-    p = mink_cross(c1.normal, c2.normal)
-    p0 = abs(p[0]) / np.sqrt(1.0 - kappa**2)
-    return bool(p0 < np.cosh(c1.rr))
 
 
 # ---------------------------------------------------------------------------
@@ -534,41 +413,6 @@ def parallelism_ratio(K: float, R1: float) -> float:
         raise ValueError(f"circle radius must reach 5 curvature units, got {rr:.3f}")
     angle = 2.0 * np.arctan(np.exp(-rr))
     return float(angle / disk_perimeter(K, R1))
-
-
-def parallelism_angle_shooting(K: float, R1: float, x1: float) -> float:
-    """Parallelism angle by bisection on geodesic rays (no closed form).
-
-    Shoots rays from the circle point at angles off the inward perpendicular
-    and bisects 80 times between hitting and missing the reference geodesic;
-    a ray hits when the shot geodesic crosses it within 40 curvature units
-    beyond the disk center.
-    """
-    rho, rr = _shape_params(K, R1)
-    if rr < 5.0 * (1.0 - 1e-12):
-        raise ValueError(f"circle radius must reach 5 curvature units, got {rr:.3f}")
-    c1, s1 = np.cos(x1), np.sin(x1)
-    point = np.array([np.cosh(rr), np.sinh(rr) * c1, np.sinh(rr) * s1])
-    inward = -np.array([np.sinh(rr), np.cosh(rr) * c1, np.cosh(rr) * s1])
-    side = np.array([0.0, -s1, c1])
-    line_normal = np.array([0.0, c1, s1])
-    s_max = rr + 40.0
-
-    def hits(alpha: float) -> bool:
-        t = np.cos(alpha) * inward + np.sin(alpha) * side
-        end = np.cosh(s_max) * point + np.sinh(s_max) * t
-        return mink_dot(end, line_normal) < 0.0
-
-    lo, hi = 0.0, 0.5 * np.pi
-    if not hits(lo):
-        raise CurlwaveError("perpendicular ray fails to reach the reference geodesic")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from curlwave import chartlab, frames, hyperbolic, hypermc, s3
+import oracles
+from curlwave import frames, hyperbolic, hypermc, s3
 from curlwave.cli import ExperimentConfig, run
 from curlwave.fieldlines import (
     asymptotic_hopf,
@@ -122,12 +123,12 @@ def test_criterion_06_sectional_curvatures():
     horiz = np.array([abs(hyperbolic.sectional_profile(l)[0]) for l in grid])
     slope = hypermc.loglog_fit(grid, horiz).slope
     fd_err = 0.0
-    for spec, lam in (
-        (frames.su2_unit(), None),
-        (frames.lambda_geometry(1.0), 1.0),
-        (frames.lambda_geometry(2.0), 2.0),
+    for spec, chart in (
+        (frames.su2_unit(), oracles.sphere_chart_setup("left", 1.0, np.ones(3))),
+        (frames.lambda_geometry(1.0), oracles.geometry_chart_setup(1.0)),
+        (frames.lambda_geometry(2.0), oracles.geometry_chart_setup(2.0)),
     ):
-        fd = np.asarray(chartlab.fd_sectional_of_spec(spec, lam))
+        fd = np.asarray(oracles.fd_sectional(*chart))
         closed = np.asarray(frames.milnor_curvatures(spec))
         fd_err = max(fd_err, float(np.max(np.abs(fd - closed))))
     _verdict(

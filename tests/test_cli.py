@@ -278,6 +278,23 @@ def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, 
         assert "lambda_grid: at most 64 values, got 65" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [[1.0], [2.0, 2.0]])
+@pytest.mark.filterwarnings("error")
+def test_triangle_scan_rejects_a_grid_without_two_lambdas_before_sampling(tmp_path, monkeypatch, capfd, grid):
+    # Every summary value is a slope in lambda.  Such a grid used to run the
+    # whole scan and then fail in the fit with a LAPACK message on stderr.
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("triangle-scan sampled chords for a grid it cannot fit")
+
+    for name in ("pair_intersection_density", "epsilon_limit_scan"):
+        monkeypatch.setattr(cli.hypermc, name, must_not_sample)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": grid, "n_chords": 1300, "n_triples": 20000}))
+    assert main(["triangle-scan", "--config", "cfg.json"]) == 1
+    want = f"error: lambda_grid: slopes need at least 2 distinct values, got {tuple(grid)!r}\n"
+    assert capfd.readouterr().err == want
+
+
 # 2 * 100 lines * (ceil(T / h) + 1) trace states; h = 2^-7 keeps T / h exact.
 _H = 2.0**-7
 _STEPS_AT_CAP = MAX_TRACE_STATES // 200 - 1

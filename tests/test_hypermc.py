@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from curlwave import hypermc as hm
 from curlwave.errors import ExtrapolationUnstable
 from curlwave.fieldlines import build_linking_matrix, circle_in_chart, hopf_fiber
@@ -15,7 +16,7 @@ K1 = -1.0
 
 def _sample_chords(n, rr, seed):
     rng = np.random.default_rng(seed)
-    return [hm.sample_geodesic(K1, rr, rng) for _ in range(n)]
+    return [oracles.sample_geodesic(K1, rr, rng) for _ in range(n)]
 
 
 def test_lambda_to_curvature():
@@ -38,34 +39,34 @@ def test_disk_geometry_closed_forms():
 def test_chord_invariants():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        c = hm.sample_geodesic(K1, 3.0, rng)
+        c = oracles.sample_geodesic(K1, 3.0, rng)
         assert c.uhp_residual() < 1e-9
         ends = c.endpoints()
         assert np.allclose(ends[:, 0], np.cosh(3.0), atol=1e-9)
-        assert np.isclose(hm.mink_dot(c.normal, c.normal), 1.0, atol=1e-12)
-        assert np.isclose(hm.mink_dot(c.base, c.base), -1.0, atol=1e-12)
-        assert np.isclose(hm.mink_dot(c.tangent, c.tangent), 1.0, atol=1e-12)
-        assert abs(hm.mink_dot(c.base, c.tangent)) < 1e-12
-        assert abs(hm.mink_dot(c.normal, c.base)) < 1e-12
-        assert abs(hm.mink_dot(c.normal, c.tangent)) < 1e-12
+        assert np.isclose(oracles.mink_dot(c.normal, c.normal), 1.0, atol=1e-12)
+        assert np.isclose(oracles.mink_dot(c.base, c.base), -1.0, atol=1e-12)
+        assert np.isclose(oracles.mink_dot(c.tangent, c.tangent), 1.0, atol=1e-12)
+        assert abs(oracles.mink_dot(c.base, c.tangent)) < 1e-12
+        assert abs(oracles.mink_dot(c.normal, c.base)) < 1e-12
+        assert abs(oracles.mink_dot(c.normal, c.tangent)) < 1e-12
         assert 0.0 <= c.foot_distance < 3.0
 
 
 def test_chord_from_foot_fields():
-    c = hm.chord_from_foot(K1, 3.0, 0.7, 1.2)
+    c = oracles.chord_from_foot(K1, 3.0, 0.7, 1.2)
     assert c.foot_distance == 0.7
     assert c.foot_direction == 1.2
     assert np.isclose(c.half_length, np.arccosh(np.cosh(3.0) / np.cosh(0.7)))
     assert np.allclose(c.endpoints()[:, 0], np.cosh(3.0), atol=1e-12)
     with pytest.raises(ValueError):
-        hm.chord_from_foot(K1, 3.0, 3.0, 0.0)
+        oracles.chord_from_foot(K1, 3.0, 3.0, 0.0)
 
 
 def test_uhp_descriptor_vertical_and_circle():
-    kind, params = hm.chord_from_foot(K1, 3.0, 0.0, 0.0).uhp_descriptor()
+    kind, params = oracles.chord_from_foot(K1, 3.0, 0.0, 0.0).uhp_descriptor()
     assert kind == "vertical"
     assert abs(params[0]) < 1e-12
-    kind, params = hm.chord_from_foot(K1, 3.0, 0.5, 1.0).uhp_descriptor()
+    kind, params = oracles.chord_from_foot(K1, 3.0, 0.5, 1.0).uhp_descriptor()
     assert kind == "circle"
     assert params[1] > 0
 
@@ -86,8 +87,8 @@ def test_crossing_predicate_matches_flag_matrix():
     flags, _ = hm._pair_flag_matrix(normals, 3.0)
     for i in range(300):
         for j in range(i + 1, 300):
-            hit = hm.chords_cross_inside(chords[i], chords[j])
-            assert hit == hm.chords_cross_inside(chords[j], chords[i])
+            hit = oracles.chords_cross_inside(chords[i], chords[j])
+            assert hit == oracles.chords_cross_inside(chords[j], chords[i])
             assert hit == bool(flags[i, j]) == bool(flags[j, i])
 
 
@@ -150,10 +151,10 @@ HAND_BUILT_CHORDS = {
 @pytest.mark.parametrize("name", sorted(HAND_BUILT_CHORDS))
 def test_pair_row_counts_hand_built_chords(name):
     feet, expected = HAND_BUILT_CHORDS[name]
-    chords = [hm.chord_from_foot(K1, 3.0, p, theta) for p, theta in feet]
+    chords = [oracles.chord_from_foot(K1, 3.0, p, theta) for p, theta in feet]
     counts = hm._pair_row_counts(np.stack([c.normal for c in chords]), 3.0)
     scalar = [
-        sum(hm.chords_cross_inside(c, d) for d in chords if d is not c) for c in chords
+        sum(oracles.chords_cross_inside(c, d) for d in chords if d is not c) for c in chords
     ]
     assert counts.tolist() == scalar == expected
 
@@ -178,8 +179,8 @@ def test_exact_triangle_count_vs_independent_oracle():
     angle = np.full((n, n), -1.0)
     for i in range(n):
         for j in range(i + 1, n):
-            if hm.chords_cross_inside(chords[i], chords[j]):
-                kappa = float(hm.mink_dot(chords[i].normal, chords[j].normal))
+            if oracles.chords_cross_inside(chords[i], chords[j]):
+                kappa = float(oracles.mink_dot(chords[i].normal, chords[j].normal))
                 angle[i, j] = angle[j, i] = np.arccos(abs(kappa))
     oracle = []
     for eps in cutoffs:
@@ -217,11 +218,11 @@ def test_subsampled_min_angles_match_python_oracle():
         kappas = []
         ok = True
         for u, v in ((0, 1), (0, 2), (1, 2)):
-            kap = float(hm.mink_dot(normals[row[u]], normals[row[v]]))
+            kap = float(oracles.mink_dot(normals[row[u]], normals[row[v]]))
             if abs(kap) >= 1.0:
                 ok = False
                 break
-            p = hm.mink_cross(normals[row[u]], normals[row[v]])
+            p = oracles.mink_cross(normals[row[u]], normals[row[v]])
             if abs(p[0]) / np.sqrt(1 - kap**2) >= ch:
                 ok = False
                 break
@@ -275,8 +276,8 @@ def test_repeated_chords_form_no_triangle():
     rng = np.random.default_rng(23)
     normals = hm._sample_normals(3.0, 2000, rng)
     flags, _ = hm._pair_flag_matrix(normals, 3.0)
-    kappa = hm.mink_dot(normals, normals)
-    p0 = hm.mink_cross(normals, normals)[:, 0]
+    kappa = oracles.mink_dot(normals, normals)
+    p0 = oracles.mink_cross(normals, normals)[:, 0]
     self_pass = np.flatnonzero(hm._crosses_inside(kappa, p0, np.cosh(3.0) ** 2))
     i = int(self_pass[0])
     j = int(np.flatnonzero(flags[i])[0])
@@ -439,7 +440,7 @@ def test_parallelism_angle_closed_form_vs_shooting():
     for rr in (5.0, 8.0, 12.0):
         # rotational symmetry: position on the circle is immaterial
         for x1 in (0.7, 2.9):
-            shot = hm.parallelism_angle_shooting(K1, rr, x1)
+            shot = oracles.parallelism_angle_shooting(K1, rr, x1)
             assert abs(shot - 2.0 * np.arctan(np.exp(-rr))) < 1e-10
         ratio = hm.parallelism_ratio(K1, rr)
         assert np.isclose(
@@ -448,7 +449,7 @@ def test_parallelism_angle_closed_form_vs_shooting():
     with pytest.raises(ValueError, match="circle radius must reach 5 curvature units"):
         hm.parallelism_ratio(K1, 4.9)
     with pytest.raises(ValueError, match="circle radius must reach 5 curvature units"):
-        hm.parallelism_angle_shooting(K1, 4.9, 0.0)
+        oracles.parallelism_angle_shooting(K1, 4.9, 0.0)
 
 
 def test_parallelism_ratio_scaling_exponent():
@@ -511,8 +512,8 @@ def test_m5_far_circles_and_mixed():
 
 
 def test_sample_geodesic_seed_forms():
-    a = hm.sample_geodesic(K1, 3.0, 19)
-    b = hm.sample_geodesic(K1, 3.0, np.random.default_rng(19))
+    a = oracles.sample_geodesic(K1, 3.0, 19)
+    b = oracles.sample_geodesic(K1, 3.0, np.random.default_rng(19))
     assert np.array_equal(a.normal, b.normal)
     assert np.array_equal(a.base, b.base)
     assert a.foot_distance == b.foot_distance

@@ -1,8 +1,8 @@
 """Module boundaries: no private imports across modules, no public name or
 class member that only tests use, no package re-exports, no error class that
-is neither caught nor data-driven, no scipy on the import path, no module
-imported while a verb runs, and the benchmark tracer finds every name it
-wraps."""
+is neither caught nor data-driven, no scipy on the import path, no package
+module that the cli leaves unloaded, no module imported while a verb runs,
+and the benchmark tracer finds every name it wraps."""
 
 import ast
 import importlib
@@ -89,22 +89,22 @@ def test_verbs_import_nothing_after_the_cli(tmp_path):
 
 
 def test_package_re_exports_nothing():
-    # Each object has one name, curlwave.<module>.<name>; the package
-    # imports no module, so the cli does not load chartlab, which only
-    # tests use.
+    # Each object has one name, curlwave.<module>.<name>.
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))
-    assert "curlwave.chartlab" not in _modules_loaded_by("import curlwave.cli")
 
 
-# Public names that no module in src/ uses, kept on purpose: independent
-# routes that tests hold the live code against.
+def test_cli_loads_every_module():
+    # A module that no verb loads holds code that only tests run; such
+    # independent routes live in tests/oracles.py.
+    modules = {f"curlwave.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    assert sorted(modules - _modules_loaded_by("import curlwave.cli")) == []
+
+
+# Public names that no module in src/ uses, kept on purpose.
 REFERENCES = (
-    ("chartlab", "fd_sectional_of_spec", "finite-difference curvatures, against milnor_curvatures"),
-    ("hypermc", "sample_geodesic", "one kinematic chord through chord_from_foot, for the scalar chord tests"),
-    ("hypermc", "chords_cross_inside", "scalar crossing predicate, against _crosses_inside"),
-    ("hypermc", "parallelism_angle_shooting", "bisection on rays, against parallelism_ratio"),
-    ("s3", "cs_functional", "chart quadrature of the Chern-Simons terms, criterion 05"),
+    ("s3", "cs_functional", "criterion 05's l^4 / l^3 scaling; the one user of s3.ordered_map, "
+     "which the benchmark tracer wraps by attribute"),
 )
 
 
@@ -148,10 +148,6 @@ def test_every_public_name_has_a_caller_in_src():
 
 # Class members that no module in src/ reads as an attribute, kept on purpose.
 MEMBER_REFERENCES = (
-    ("GeodesicChord", "foot_distance", "the reference chord's foot point, read by the scalar chord tests"),
-    ("GeodesicChord", "foot_direction", "the reference chord's foot direction, read by the scalar chord tests"),
-    ("GeodesicChord", "endpoints", "the reference chord's end points, read by the scalar chord tests"),
-    ("GeodesicChord", "uhp_residual", "the reference chord's half-plane check, read by the scalar chord tests"),
     ("RunManifest", "version", "written to the manifest through dataclasses.asdict"),
     ("RunManifest", "timings", "written to the manifest through dataclasses.asdict"),
 )
