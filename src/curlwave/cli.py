@@ -71,7 +71,8 @@ class ExperimentConfig:
     min_right_residual: float = 0.1
 
     def validate(self) -> None:
-        # Sizes that set a stage's memory are capped to keep it under about 1 GiB.
+        # Sizes that set a stage's memory are capped to keep it under about 1 GiB;
+        # n_triples, whose scan streams in fixed chunks, is capped to bound time.
         caps = {
             "n_points": s3.MAX_CURL_POINTS,
             "n_quad": MAX_QUAD_POINTS,
@@ -322,9 +323,12 @@ def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
 def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
     rows = []
     lams = np.asarray(cfg.lambda_grid, dtype=float)
-    # Every summary value is a slope in lambda; reject before any sampling.
+    # Every summary value is a slope in lambda, and every lambda extrapolates
+    # over the cutoffs; reject before any sampling.
     if not lams.max() > lams.min():
         raise ValueError(f"lambda_grid: slopes need at least 2 distinct values, got {cfg.lambda_grid!r}")
+    if len(cfg.eps_list) < 4:
+        raise ValueError(f"eps_list: need at least 4 cutoffs to extrapolate, got {len(cfg.eps_list)}")
     t0 = time.perf_counter()
     for i, lam in enumerate(lams):
         K = hypermc.lambda_to_curvature(lam)
@@ -335,7 +339,7 @@ def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
         )
         scan = hypermc.epsilon_limit_scan(
             K, R, cfg.n_chords, cfg.eps_list, substream(cfg.seed, 4, i),
-            n_triples=cfg.n_triples, workers=cfg.workers,
+            n_triples=cfg.n_triples,
         )
         counts = scan.metadata["counts"]
         total = scan.metadata["total"]
@@ -382,7 +386,7 @@ def _run_alpha_scaling(cfg: ExperimentConfig, timings: dict):
     t0 = time.perf_counter()
     fit = hypermc.alpha_scaling(
         cfg.lambda_grid, cfg.n_chords, cfg.disk_radius, cfg.eps_list,
-        cfg.n_triples, cfg.workers, cfg.seed,
+        cfg.n_triples, cfg.seed,
     )
     timings["alpha_scaling"] = time.perf_counter() - t0
     rows = [
@@ -491,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("verb", help=f"one of: {', '.join(VERBS)}")
     parser.add_argument("--config", help="JSON config file (fields of ExperimentConfig)")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--workers", type=int, help="worker cap; 1 is the reference mode")
+    parser.add_argument("--workers", type=int, help="hopf-asymptotic threads; 1 is the reference mode")
     parser.add_argument("--out", help="output directory override")
     args = parser.parse_args(argv)
     try:

@@ -426,9 +426,10 @@ def projected_crossings(
     """Transverse crossings of two polylines projected along direction.
 
     Returns (i, j, s, t): crossing k lies at parameter s[k] in (0, 1) along
-    segment i[k] of p and at t[k] along segment j[k] of q.  Parallel segment
-    pairs never cross.  Raises DegenerateProjection if a crossing touches a
-    segment endpoint.
+    segment i[k] of p and at t[k] along segment j[k] of q, in row-major
+    order.  Parallel segment pairs never cross.  Raises DegenerateProjection
+    if a crossing touches a segment endpoint.  Segments of p go in row blocks
+    of about 32k segment pairs, so temporaries stay small.
     """
     e1, e2, _ = _projection_frame(direction)
     pa = np.stack([p @ e1, p @ e2], axis=1)
@@ -436,7 +437,7 @@ def projected_crossings(
     a1, a2 = pa[:-1], pa[1:]
     b1, b2 = qa[:-1], qa[1:]
     found = []
-    for lo, hi in fixed_chunks(a1.shape[0], 512):
+    for lo, hi in fixed_chunks(a1.shape[0], max(1, 32768 // max(b1.shape[0], 1))):
         da = (a2 - a1)[lo:hi, None, :]
         db = (b2 - b1)[None, :, :]
         diff = b1[None, :, :] - a1[lo:hi, None, :]

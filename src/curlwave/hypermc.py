@@ -23,6 +23,7 @@ from .fieldlines import (
     resample_polyline,
     to_r3_polylines,
 )
+# ordered_map is unused here, but the benchmark tracer wraps hypermc.ordered_map.
 from .seeds import fixed_chunks, ordered_map, substream
 
 KOLMOGOROV_FIELD = -5.0 / 3.0
@@ -33,8 +34,9 @@ ALPHA_EXPONENT = -1.0 / 3.0
 
 MIN_CHORDS = 1000
 EXACT_TRIPLE_BUDGET = 300_000_000
-# Caps the sampled triples: the int32 draw holds 12 bytes per triple and a
-# worker's chunk about 7 MiB, so the scan stays under 0.3 GiB.
+# Caps the sampled triples.  The scan streams them in fixed chunks, so its
+# memory does not grow with the count; the cap bounds time: 16M triples took
+# 0.7 s per lambda at 20,000 chords and 2.3 s at MAX_CHORDS on 2 vCPUs.
 MAX_TRIPLES = 16_000_000
 # Caps the chord sample: pair_intersection_density peaks at about 200 bytes
 # per chord, so under about 1 GiB.
@@ -206,15 +208,14 @@ def exact_triangle_counts(normals: np.ndarray, rr: float, eps_values: np.ndarray
     return np.array(counts)
 
 
-def _triple_min_angles(
-    normals: np.ndarray, rr: float, idx: np.ndarray, workers: int = 1
-) -> tuple[np.ndarray, int]:
+def _triple_min_angles(normals: np.ndarray, rr: float, idx: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum folded crossing angle of each triangle among the rows of idx,
     and the number of rows with three distinct chords.
 
     A triangle has its three pairwise intersections strictly inside the
     disk.  A repeated chord forms none, although a chord can pass the
     crossing predicate with itself (kappa rounds just below 1, p0 = 0).
+    Each value depends on its own row alone.
     """
     ch2 = np.cosh(rr) ** 2
     cols = [np.ascontiguousarray(normals[:, k]) for k in range(3)]
@@ -226,30 +227,24 @@ def _triple_min_angles(
         p0 = a[2] * b[1] - a[1] * b[2]
         return _crosses_inside(kappa, p0, ch2), kappa
 
-    def one_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, int]:
-        # numpy gathers through intp positions several times faster than
-        # through the int32 draw or a boolean mask.
-        i, j, k = idx[bounds[0]:bounds[1]].T.astype(np.intp, order="C")
-        distinct = (i != j) & (i != k) & (j != k)
-        a, b = [c[i] for c in cols], [c[j] for c in cols]
-        ok, kappa = crossing(a, b)
-        # Pair (0, 2) runs on the distinct rows that pass pair (0, 1), pair
-        # (1, 2) on those that pass both; survivors are gathered once.
-        keep = np.flatnonzero(ok & distinct)
-        chord = [[x[keep] for x in a], [x[keep] for x in b], [c[k[keep]] for c in cols]]
-        max_abs_kappa = np.abs(kappa[keep])
-        for u, v in ((0, 2), (1, 2)):
-            ok, kappa = crossing(chord[u], chord[v])
-            keep = np.flatnonzero(ok)
-            chord = [[x[keep] for x in comps] for comps in chord]
-            max_abs_kappa = np.maximum(max_abs_kappa[keep], np.abs(kappa[keep]))
-        return np.arccos(np.clip(max_abs_kappa, 0.0, 1.0)), int(np.count_nonzero(distinct))
-
-    # Each value depends on its own triple alone, so the chunk size moves
-    # no bit; a chunk of 65,536 triples peaks at about 7 MiB.
-    parts = ordered_map(one_chunk, fixed_chunks(idx.shape[0], 65_536), workers)
-    angles = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-    return angles, sum(p[1] for p in parts)
+    # numpy gathers through intp positions several times faster than
+    # through the int32 draw or a boolean mask.
+    i, j, k = idx.T.astype(np.intp, order="C")
+    distinct = (i != j) & (i != k) & (j != k)
+    a, b = [c[i] for c in cols], [c[j] for c in cols]
+    ok, kappa = crossing(a, b)
+    # Pair (0, 2) runs on the distinct rows that pass pair (0, 1), pair
+    # (1, 2) on those that pass both; each survivor is gathered once per pair.
+    keep = np.flatnonzero(ok & distinct)
+    a, b, c = [x[keep] for x in a], [x[keep] for x in b], [x[k[keep]] for x in cols]
+    max_abs_kappa = np.abs(kappa[keep])
+    ok, kappa = crossing(a, c)
+    keep = np.flatnonzero(ok)
+    b, c = [x[keep] for x in b], [x[keep] for x in c]
+    max_abs_kappa = np.maximum(max_abs_kappa[keep], np.abs(kappa[keep]))
+    ok, kappa = crossing(b, c)
+    max_abs_kappa = np.maximum(max_abs_kappa[ok], np.abs(kappa[ok]))
+    return np.arccos(np.clip(max_abs_kappa, 0.0, 1.0)), int(np.count_nonzero(distinct))
 
 
 def _triple_counts(
@@ -259,14 +254,13 @@ def _triple_counts(
     rng: np.random.Generator | int,
     eps_values: np.ndarray,
     n_triples: int,
-    workers: int,
 ) -> tuple[np.ndarray, int]:
     """Triangle counts at each angle threshold, over one chord sample.
 
     Enumerates every triple when the total count fits the exact budget;
     otherwise subsamples at most MAX_TRIPLES triples.  Counts at the
-    thresholds are nested by construction (one crossing matrix or one
-    min-angle array, many cutoffs).
+    thresholds are nested by construction: every cutoff counts the same
+    triangles, from one crossing matrix or one scan.
     """
     if N < MIN_CHORDS:
         raise ValueError(f"need at least {MIN_CHORDS} chords, got {N}")
@@ -278,11 +272,22 @@ def _triple_counts(
         return exact_triangle_counts(normals, rr, eps_values).astype(float), n_all
     if n_triples > MAX_TRIPLES:
         raise ValueError(f"at most {MAX_TRIPLES} sampled triples, got {n_triples}")
-    # numpy draws ranges below 2**32 from one 32-bit stream, so the int32
-    # draw equals the int64 one and leaves the generator in the same state.
-    idx = rng.integers(0, N, size=(n_triples, 3), dtype=np.int32)
-    min_ang, total = _triple_min_angles(normals, rr, idx, workers)
-    return np.array([np.sum(min_ang >= e) for e in eps_values], dtype=float), total
+    counts = np.zeros(len(eps_values), dtype=np.int64)
+    total = 0
+    # Column-major, so that the scan of each chunk reads the columns in place.
+    normals = np.asfortranarray(normals)
+    # numpy draws ranges below 2**32 from one 32-bit stream whose spare half
+    # word lives in the generator state, so consecutive int32 chunk draws
+    # give the values of one int64 draw and leave the same state.  A chunk
+    # of 8,192 rows scans in 0.9 MiB of temporaries.  Chunks of 16,384 rows
+    # measured slower, as the allocator returned and re-faulted their pages,
+    # and chunks of 4,096 slower again from per-call overhead.
+    for lo, hi in fixed_chunks(n_triples, 8192):
+        idx = rng.integers(0, N, size=(hi - lo, 3), dtype=np.int32)
+        min_ang, distinct = _triple_min_angles(normals, rr, idx)
+        counts += np.count_nonzero(min_ang[:, None] >= eps_values, axis=0)
+        total += distinct
+    return counts.astype(float), total
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +365,6 @@ def epsilon_limit_scan(
     eps_list: Sequence[float],
     rng: np.random.Generator | int,
     n_triples: int = 2_000_000,
-    workers: int = 1,
 ) -> ScalingFit:
     """Triangle density (per squared disk area) against the angle cutoff.
 
@@ -381,7 +385,7 @@ def epsilon_limit_scan(
         scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 2
     if not np.isfinite(scale):
         raise ExtrapolationUnstable(f"non-finite density scale at curvature {K:.3g} and disk radius {R:.3g}")
-    counts, total = _triple_counts(K, R, N, rng, eps, n_triples, workers)
+    counts, total = _triple_counts(K, R, N, rng, eps, n_triples)
     dens = counts / total * scale
     tail_x = eps[-3:]
     tail_y = dens[-3:]
@@ -464,7 +468,6 @@ def alpha_scaling(
     r_rel: float,
     eps_list: Sequence[float],
     n_triples: int,
-    workers: int,
     rng: np.random.Generator | int,
 ) -> ScalingFit:
     """Exponent of the zero-cutoff triangle density against the deformation.
@@ -486,8 +489,7 @@ def alpha_scaling(
     for lam, child in zip(grid, child_seeds):
         K = lambda_to_curvature(lam)
         scan = epsilon_limit_scan(
-            K, r_rel / np.sqrt(-K), n_chords, eps_list, int(child),
-            n_triples=n_triples, workers=workers,
+            K, r_rel / np.sqrt(-K), n_chords, eps_list, int(child), n_triples=n_triples
         )
         intercepts.append(scan.intercept)
     return loglog_fit(grid, np.asarray(intercepts))

@@ -246,7 +246,7 @@ def test_criterion_09_claimed_exponents_are_dimensional(tmp_path, monkeypatch):
     def pair_scale(K, R, N, rng):
         return hypermc.disk_perimeter(K, R) ** 2 / hypermc.disk_area(K, R), 0.0
 
-    def scan_scale(K, R, N, eps_list, rng, n_triples=0, workers=1):
+    def scan_scale(K, R, N, eps_list, rng, n_triples=0):
         scale = hypermc.disk_perimeter(K, R) ** 3 / hypermc.disk_area(K, R) ** 2
         eps = np.asarray(eps_list, dtype=float)
         return hypermc.ScalingFit(eps, np.full(eps.size, scale), 0.0, scale, 0.0, {"counts": [1], "total": 1})

@@ -295,6 +295,23 @@ def test_triangle_scan_rejects_a_grid_without_two_lambdas_before_sampling(tmp_pa
     assert capfd.readouterr().err == want
 
 
+@pytest.mark.parametrize("eps", [[0.3], [0.3, 0.2, 0.1]])
+@pytest.mark.filterwarnings("error")
+def test_triangle_scan_rejects_too_few_cutoffs_before_sampling(tmp_path, monkeypatch, capfd, eps):
+    # Every lambda extrapolates over the last three cutoffs.  Such a list used
+    # to sample and count the first lambda's chord pairs before it failed.
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("triangle-scan sampled chords for cutoffs it cannot extrapolate")
+
+    for name in ("pair_intersection_density", "epsilon_limit_scan"):
+        monkeypatch.setattr(cli.hypermc, name, must_not_sample)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"eps_list": eps, "n_chords": 200000}))
+    assert main(["triangle-scan", "--config", "cfg.json"]) == 1
+    want = f"error: eps_list: need at least 4 cutoffs to extrapolate, got {len(eps)}\n"
+    assert capfd.readouterr().err == want
+
+
 # 2 * 100 lines * (ceil(T / h) + 1) trace states; h = 2^-7 keeps T / h exact.
 _H = 2.0**-7
 _STEPS_AT_CAP = MAX_TRACE_STATES // 200 - 1

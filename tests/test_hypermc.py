@@ -193,7 +193,7 @@ def test_exact_triangle_count_vs_independent_oracle():
 def test_triple_counts_exact_path_matches_direct_count():
     cutoffs = np.array([0.4, 0.3, 0.1])
     # 10**9 sampled triples would exceed MAX_TRIPLES; the exact path ignores it.
-    counts, total = hm._triple_counts(K1, 3.0, 1000, 12, cutoffs, 10**9, 1)
+    counts, total = hm._triple_counts(K1, 3.0, 1000, 12, cutoffs, 10**9)
     assert total == 1000 * 999 * 998 // 6
     # replay the sampling stream and count from scratch
     normals = hm._sample_normals(3.0, 1000, np.random.default_rng(12))
@@ -201,7 +201,8 @@ def test_triple_counts_exact_path_matches_direct_count():
 
 
 def _draw_triples(n, n_triples, rng):
-    # The raw draw _triple_counts makes, and its rows of three distinct chords.
+    # The rows _triple_counts draws, in one draw, and those of three distinct
+    # chords.
     raw = rng.integers(0, n, size=(n_triples, 3), dtype=np.int32)
     distinct = (raw[:, 0] != raw[:, 1]) & (raw[:, 0] != raw[:, 2]) & (raw[:, 1] != raw[:, 2])
     return raw, raw[distinct]
@@ -254,15 +255,12 @@ def _row_gather_min_angles(normals, rr, idx):
     return out
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_column_gathered_scan_matches_row_gather_bits(workers):
-    # 150,000 triples span three chunks of 65,536.
+def test_column_gathered_scan_matches_row_gather_bits():
     rng = np.random.default_rng(21)
     normals = hm._sample_normals(3.0, 1500, rng)
     raw, rows = _draw_triples(1500, 150_000, rng)
     want = _row_gather_min_angles(normals, 3.0, rows)
-    got, total = hm._triple_min_angles(normals, 3.0, raw, workers)
-    assert rows.shape[0] > 2 * 65_536
+    got, total = hm._triple_min_angles(normals, 3.0, raw)
     assert total == rows.shape[0] < raw.shape[0]
     assert 0 < np.count_nonzero(want >= 0.0) < want.size
     want = want[want >= 0.0]
@@ -281,22 +279,42 @@ def test_repeated_chords_form_no_triangle():
     self_pass = np.flatnonzero(hm._crosses_inside(kappa, p0, np.cosh(3.0) ** 2))
     i = int(self_pass[0])
     j = int(np.flatnonzero(flags[i])[0])
-    raw, rows = _draw_triples(2000, 70_000, rng)
+    raw, rows = _draw_triples(2000, 20_000, rng)
     forced = np.array([[i, i, j], [i, j, i], [j, i, i]], dtype=np.int32)
     # Without the filter each forced row would be a triangle.
     assert np.all(_row_gather_min_angles(normals, 3.0, forced) >= 0.0)
-    # The forced rows land in both chunks of 65,536 rows.
-    mixed = np.concatenate([forced, raw[:65_600], forced, raw[65_600:]])
-    want, want_total = hm._triple_min_angles(normals, 3.0, rows)
-    got, got_total = hm._triple_min_angles(normals, 3.0, mixed, 2)
-    assert got_total == want_total == rows.shape[0]
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     angles, total = hm._triple_min_angles(normals, 3.0, forced)
     assert angles.size == 0 and total == 0
+    # The forced rows open the first draw chunk of 8,192 rows, straddle its
+    # end and close the last, partial chunk.
+    script = np.concatenate([forced, raw[:8187], forced, raw[8187:], forced])
+    want, want_total = hm._triple_min_angles(normals, 3.0, rows)
+    got, got_total = hm._triple_min_angles(normals, 3.0, script)
+    assert got_total == want_total == rows.shape[0]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    cutoffs = np.array([0.3, 0.1])
+    gen = _ScriptedDraws(23, script)
+    counts, total = hm._triple_counts(K1, 3.0, 2000, gen, cutoffs, script.shape[0])
+    assert gen.shapes == [(8192, 3), (8192, 3), (script.shape[0] - 16_384, 3)]
+    assert counts.tolist() == [np.count_nonzero(want >= e) for e in cutoffs]
+    assert total == want_total
+
+
+class _ScriptedDraws(np.random.Generator):
+    # A PCG64 generator whose integers() hands out the next rows of a fixed
+    # script instead, recording the shape of each draw.
+    def __init__(self, seed, script):
+        super().__init__(np.random.PCG64(seed))
+        self.script, self.shapes = script, []
+
+    def integers(self, low, high, size, dtype):
+        start = sum(n for n, _ in self.shapes)
+        self.shapes.append(size)
+        return self.script[start:start + size[0]].astype(dtype)
 
 
 def test_triple_counts_total_counts_distinct_rows():
-    counts, total = hm._triple_counts(K1, 3.0, 1500, 9, np.array([0.3]), 200_000, 1)
+    counts, total = hm._triple_counts(K1, 3.0, 1500, 9, np.array([0.3]), 200_000)
     # replay the sampling stream: the chords, then the raw triple draw
     rng = np.random.default_rng(9)
     hm._sample_normals(3.0, 1500, rng)
@@ -307,31 +325,65 @@ def test_triple_counts_total_counts_distinct_rows():
 
 @pytest.mark.parametrize("n", [1000, 1217, 65_537, 2**20 + 3, hm.MAX_CHORDS])
 def test_int32_triple_draw_matches_int64_stream(n):
-    # _triple_counts draws int32 indices; its reports were pinned with the
-    # int64 draw, which must give the same values and generator state.
+    # _triple_counts draws int32 indices in chunks of 8,192 rows; its reports
+    # were pinned with one int64 draw, which must give the same values and
+    # generator state.
     for seed in range(3):
         narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = narrow.integers(0, n, size=(10_000, 3), dtype=np.int32)
+        got = np.concatenate(
+            [narrow.integers(0, n, size=(rows, 3), dtype=np.int32) for rows in (8192, 1808)]
+        )
         want = wide.integers(0, n, size=(10_000, 3))
         assert np.array_equal(got, want)
         assert narrow.bit_generator.state == wide.bit_generator.state
 
 
 def test_triple_counts_memory_stays_bounded():
-    # The int64 draw, its distinct-row copy and a full min-angle array
-    # alone would take 53 MiB at this size.
-    tracemalloc.start()
-    try:
-        hm._triple_counts(K1, 3.0, 20_000, 3, np.array([0.3, 0.1]), 1_000_000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20
+    # Nothing of size n_triples may exist: one int32 draw of every row alone
+    # takes 11.4 MiB at 1M triples, and the scan peaked at 19.5 MiB with it.
+    peaks = []
+    for n_triples in (1_000_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            hm._triple_counts(K1, 3.0, 20_000, 3, np.array([0.3, 0.1]), n_triples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 6 * 2**20
+    assert peaks[1] <= peaks[0] + 2**20
 
 
-def _one_cutoff(N, eps, seed, n_triples=2_000_000, workers=1):
+def test_streamed_triple_counts_match_one_draw(monkeypatch):
+    # _triple_counts draws and scans 8,192 rows at a time.  Replaying its
+    # generator, one draw of every row scanned at once must give the same
+    # counts and total, and leave the generator in the same state.
+    n_triples = 3 * 8192 + 5
+    cutoffs = np.array([0.4, 0.25, 0.1])
+    ref = np.random.default_rng(5)
+    normals = hm._sample_normals(3.0, 1400, ref)
+    raw = ref.integers(0, 1400, size=(n_triples, 3), dtype=np.int32)
+    angles, want_total = hm._triple_min_angles(normals, 3.0, raw)
+    want = [np.count_nonzero(angles >= e) for e in cutoffs]
+    assert 0 < want[0] < want[-1] and want_total < n_triples
+
+    scan, scanned = hm._triple_min_angles, []
+
+    def spy(normals, rr, idx):
+        scanned.append(idx.shape[0])
+        return scan(normals, rr, idx)
+
+    monkeypatch.setattr(hm, "_triple_min_angles", spy)
+    rng = np.random.default_rng(5)
+    counts, total = hm._triple_counts(K1, 3.0, 1400, rng, cutoffs, n_triples)
+    assert scanned == [8192, 8192, 8192, 5]
+    assert counts.tolist() == want
+    assert total == want_total
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _one_cutoff(N, eps, seed, n_triples=2_000_000):
     # (triangle count, triples examined) at a single cutoff.
-    counts, total = hm._triple_counts(K1, 3.0, N, seed, np.array([eps]), n_triples, workers)
+    counts, total = hm._triple_counts(K1, 3.0, N, seed, np.array([eps]), n_triples)
     return counts[0], total
 
 
@@ -369,7 +421,7 @@ def test_triangle_bulk_density_radius_doubling():
         scale = hm.disk_perimeter(K1, radius) ** 3 / hm.disk_area(K1, radius)
         vals = []
         for s in range(200, 208):
-            counts, total = hm._triple_counts(K1, radius, 1100, s, np.array([0.3]), 2_000_000, 1)
+            counts, total = hm._triple_counts(K1, radius, 1100, s, np.array([0.3]), 2_000_000)
             vals.append(counts[0] / total * scale)
         v = np.asarray(vals)
         return v.mean(), v.std(ddof=1) / np.sqrt(v.size)
@@ -377,12 +429,6 @@ def test_triangle_bulk_density_radius_doubling():
     m4, s4 = replicate_mean(4.0)
     m8, s8 = replicate_mean(8.0)
     assert abs(m4 - m8) <= 2 * np.hypot(s4, s8)
-
-
-def test_worker_count_exact_on_subsample_path():
-    one = _one_cutoff(1400, 0.3, 5, n_triples=150_000, workers=1)
-    four = _one_cutoff(1400, 0.3, 5, n_triples=150_000, workers=4)
-    assert one == four
 
 
 def test_epsilon_limit_scan():
@@ -464,7 +510,7 @@ def test_parallelism_ratio_scaling_exponent():
 
 
 def _alpha_scaling(grid):
-    return hm.alpha_scaling(grid, 3000, 3.0, (0.4, 0.3, 0.2, 0.15, 0.1), 200_000, 1, 12)
+    return hm.alpha_scaling(grid, 3000, 3.0, (0.4, 0.3, 0.2, 0.15, 0.1), 200_000, 12)
 
 
 def test_alpha_scaling_small_run():
