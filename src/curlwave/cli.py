@@ -111,6 +111,10 @@ class ExperimentConfig:
             raise ConfigInvalid(f"eps_list: entries must lie in (0, pi/2), got {eps!r}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigInvalid(f"eps_list: must be strictly decreasing, got {eps!r}")
+        # Both chord verbs extrapolate every lambda over the last three
+        # cutoffs; reject a shorter list before either samples.
+        if self.verb in ("triangle-scan", "alpha-scaling") and len(eps) < 4:
+            raise ConfigInvalid(f"eps_list: need at least 4 cutoffs to extrapolate, got {len(eps)}")
         if not isinstance(self.verb, str) or not self.verb:
             raise ConfigInvalid(f"verb: must be a non-empty string, got {self.verb!r}")
         if not isinstance(self.out_dir, str):
@@ -288,6 +292,11 @@ def _run_linking(cfg: ExperimentConfig, timings: dict):
 
 
 def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
+    # asymptotic_hopf's own preconditions, checked before the helicity quadrature.
+    if cfg.n_pairs < 100:
+        raise ValueError(f"n_pairs: hopf-asymptotic needs at least 100 pairs, got {cfg.n_pairs}")
+    if cfg.trace_T < 2.0 * np.pi:
+        raise ValueError(f"trace_T: hopf-asymptotic needs at least 2 pi, got {cfg.trace_T!r}")
     frame = s3.build_frame("left")
     pot = frame.leg(1)
     field = lambda x: -2.0 * pot(x)
@@ -323,12 +332,9 @@ def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
 def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
     rows = []
     lams = np.asarray(cfg.lambda_grid, dtype=float)
-    # Every summary value is a slope in lambda, and every lambda extrapolates
-    # over the cutoffs; reject before any sampling.
+    # Every summary value is a slope in lambda; reject before any sampling.
     if not lams.max() > lams.min():
         raise ValueError(f"lambda_grid: slopes need at least 2 distinct values, got {cfg.lambda_grid!r}")
-    if len(cfg.eps_list) < 4:
-        raise ValueError(f"eps_list: need at least 4 cutoffs to extrapolate, got {len(cfg.eps_list)}")
     t0 = time.perf_counter()
     for i, lam in enumerate(lams):
         K = hypermc.lambda_to_curvature(lam)

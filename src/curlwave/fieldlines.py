@@ -42,14 +42,11 @@ CLOSURE_TOL = 1e-6
 MIN_SEPARATION = 1e-4
 MAX_GAP_FRACTION = 0.1
 MAX_RESAMPLE_POINTS = 2400
-# Distance scans go in blocks of at most _BLOCK distances, 512 KiB for each
-# component; blocks of 2**19 took up to twice as long.  The separation query
-# boxes runs of consecutive points down to _LEAF points and tests at most
-# _RUN_PAIRS run pairs at a time.
+# Distance scans go in blocks of at most _BLOCK distances or box pairs, 512
+# KiB for each component; blocks of 2**19 took up to twice as long.  The
+# separation query boxes runs of _LEAF consecutive points.
 _BLOCK = 2**16
 _LEAF = 16
-_LEAF_PAIRS = _BLOCK // _LEAF**2
-_RUN_PAIRS = 2**12
 # Memory caps, each keeping its stage under about 1 GiB: helicity_integral
 # peaks at about 230 bytes per quadrature point, and asymptotic_hopf at about
 # 52 bytes per stored trace state (see trace_states), 32 of them the path.
@@ -209,63 +206,34 @@ def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndar
     raise DegenerateProjection("no rotation kept the curves away from the chart pole")
 
 
-def _run_boxes(x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Points of x as component rows, padded by repeating the last point to
-    at most 32 runs of 16 * 2**k points, and the boxes (lo, hi) of the runs
-    at every level, from the 16-point leaves (level 0) to the top runs."""
-    k = (-(-len(x) // (32 * _LEAF)) - 1).bit_length()
-    n = -(-len(x) // (_LEAF << k)) * (_LEAF << k)
-    pts = np.ascontiguousarray(np.take(x, np.arange(n), axis=0, mode="clip").T)
-    # Halving from the points up, entry h holds the boxes of runs of 2**h points.
-    boxes = [(pts, pts)]
-    for _ in range((_LEAF << k).bit_length() - 1):
-        lo, hi = boxes[-1]
-        boxes.append((np.minimum(lo[:, ::2], lo[:, 1::2]), np.maximum(hi[:, ::2], hi[:, 1::2])))
-    return pts, boxes[_LEAF.bit_length() - 1:]
-
-
 def _min_distance(p: np.ndarray, q: np.ndarray, bound: float) -> float:
     """Smallest distance from a point of p to q when it is below bound, else inf.
 
-    Branch and bound over runs of consecutive points, which stay close on a
-    traced curve.  A run pair is dropped when its boxes lie at least the best
-    distance found so far apart, or at least bound apart before one is
-    found; the others are halved down to 16-point leaves, whose distances go
-    in blocks of _BLOCK.  Squared distances are summed in component order and
-    kept below bound**2, as a k-d tree query does, so the float is the
-    query's.  Rounding is monotone, so a box gap squared the same way never
-    exceeds the squared distance of a point pair from its boxes.
+    Each curve is cut into runs of _LEAF consecutive points, which stay
+    close on a traced curve, the last run padded with the last point.  The
+    box gaps of all run pairs go in row blocks of about _BLOCK pairs; a pair
+    whose boxes lie at least the best distance so far apart, or at least
+    bound apart before one is found, is dropped, and the _LEAF**2 distances
+    of the others go _BLOCK // _LEAF**2 pairs at a time.  Squared distances
+    are summed in component order and kept below bound**2, as a k-d tree
+    query does, so the float is the query's.  Rounding is monotone, so a box
+    gap squared the same way never exceeds the squared distance of a point
+    pair from its boxes.
     """
-    (xp, bp), (xq, bq) = _run_boxes(p), _run_boxes(q)
+    runs = []
+    for x in (p, q):
+        n = -(-len(x) // _LEAF) * _LEAF
+        pts = np.take(x.T, np.arange(n), axis=1, mode="clip").reshape(-1, n // _LEAF, _LEAF)
+        runs.append((pts, pts.min(axis=2), pts.max(axis=2)))
+    (xp, lo_p, hi_p), (xq, lo_q, hi_q) = runs
     bound2 = best = bound * bound
-    stack = []
-
-    def push(lp: int, lq: int, i: np.ndarray, j: np.ndarray) -> None:
-        size = _LEAF_PAIRS if lp == lq == 0 else _RUN_PAIRS
-        stack.extend((lp, lq, i[lo:hi], j[lo:hi]) for lo, hi in reversed(fixed_chunks(len(i), size)))
-
-    i, j = np.indices((bp[-1][0].shape[1], bq[-1][0].shape[1])).reshape(2, -1)
-    push(len(bp) - 1, len(bq) - 1, i, j)
-    while stack:
-        lp, lq, i, j = stack.pop()
-        (lo_p, hi_p), (lo_q, hi_q) = bp[lp], bq[lq]
-        gap = _squares_sum(np.maximum(np.maximum(lo_q[:, j] - hi_p[:, i], lo_p[:, i] - hi_q[:, j]), 0.0))
-        keep = gap < best
-        if not keep.any():
-            continue
-        i, j = i[keep], j[keep]
-        if lp == lq == 0:
-            rows = i[:, None] * _LEAF + np.arange(_LEAF)
-            cols = j[:, None] * _LEAF + np.arange(_LEAF)
-            best = min(best, float(_squares_sum(xp[:, rows][..., None] - xq[:, cols][:, :, None]).min()))
-            continue
-        # The first points of the runs: a real distance, so a bound on the best.
-        best = min(best, float(_squares_sum(xp[:, i * (_LEAF << lp)] - xq[:, j * (_LEAF << lq)]).min()))
-        if lp:
-            i, j, lp = np.concatenate([2 * i, 2 * i + 1]), np.concatenate([j, j]), lp - 1
-        if lq:
-            i, j, lq = np.concatenate([i, i]), np.concatenate([2 * j, 2 * j + 1]), lq - 1
-        push(lp, lq, i, j)
+    for a, b in fixed_chunks(lo_p.shape[1], max(1, _BLOCK // lo_q.shape[1])):
+        gap = lo_q[:, None] - hi_p[:, a:b, None]
+        np.maximum(gap, lo_p[:, a:b, None] - hi_q[:, None], out=gap)
+        i, j = np.nonzero(_squares_sum(np.maximum(gap, 0.0, out=gap)) < best)
+        for c, d in fixed_chunks(len(i), _BLOCK // _LEAF**2):
+            d2 = _squares_sum(xp[:, a + i[c:d], :, None] - xq[:, j[c:d], None, :])
+            best = min(best, float(d2.min()))
     return float(np.sqrt(best)) if best < bound2 else np.inf
 
 
@@ -447,13 +415,13 @@ def projected_crossings(
             s = (diff[..., 0] * db[..., 1] - diff[..., 1] * db[..., 0]) / denom
             t = (diff[..., 0] * da[..., 1] - diff[..., 1] * da[..., 0]) / denom
         parallel = np.abs(denom) <= 1e-12 * np.maximum(norm_prod, 1e-300)
+        # A touch puts one parameter at an endpoint and the other on its segment.
         margin = 1e-9
-        touching = (~parallel) & (
-            (np.abs(s) < margin)
-            | (np.abs(1.0 - s) < margin)
-            | (np.abs(t) < margin)
-            | (np.abs(1.0 - t) < margin)
-        )
+        at_end_s = (np.abs(s) < margin) | (np.abs(1.0 - s) < margin)
+        at_end_t = (np.abs(t) < margin) | (np.abs(1.0 - t) < margin)
+        on_s = (s >= -margin) & (s <= 1.0 + margin)
+        on_t = (t >= -margin) & (t <= 1.0 + margin)
+        touching = (~parallel) & ((at_end_s & on_t) | (at_end_t & on_s))
         if np.any(touching):
             raise DegenerateProjection("crossing at a segment endpoint")
         inside = (~parallel) & (s > 0.0) & (s < 1.0) & (t > 0.0) & (t < 1.0)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
 J = np.array([0.0, 0.0, 1.0, 0.0])
 K = np.array([0.0, 0.0, 0.0, 1.0])

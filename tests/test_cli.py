@@ -295,21 +295,46 @@ def test_triangle_scan_rejects_a_grid_without_two_lambdas_before_sampling(tmp_pa
     assert capfd.readouterr().err == want
 
 
+@pytest.mark.parametrize("verb", ["triangle-scan", "alpha-scaling"])
 @pytest.mark.parametrize("eps", [[0.3], [0.3, 0.2, 0.1]])
 @pytest.mark.filterwarnings("error")
-def test_triangle_scan_rejects_too_few_cutoffs_before_sampling(tmp_path, monkeypatch, capfd, eps):
+def test_chord_verbs_reject_too_few_cutoffs_before_sampling(tmp_path, monkeypatch, capfd, verb, eps):
     # Every lambda extrapolates over the last three cutoffs.  Such a list used
-    # to sample and count the first lambda's chord pairs before it failed.
+    # to sample and count the first lambda's chords before it failed.
     def must_not_sample(*args, **kwargs):
-        raise AssertionError("triangle-scan sampled chords for cutoffs it cannot extrapolate")
+        raise AssertionError(f"{verb} sampled chords for cutoffs it cannot extrapolate")
 
     for name in ("pair_intersection_density", "epsilon_limit_scan"):
         monkeypatch.setattr(cli.hypermc, name, must_not_sample)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"eps_list": eps, "n_chords": 200000}))
-    assert main(["triangle-scan", "--config", "cfg.json"]) == 1
+    assert main([verb, "--config", "cfg.json"]) == 1
     want = f"error: eps_list: need at least 4 cutoffs to extrapolate, got {len(eps)}\n"
     assert capfd.readouterr().err == want
+
+
+@pytest.mark.parametrize(
+    "payload, want",
+    [
+        ({"n_pairs": 50}, "n_pairs: hopf-asymptotic needs at least 100 pairs, got 50"),
+        ({"trace_T": 3.0}, "trace_T: hopf-asymptotic needs at least 2 pi, got 3.0"),
+    ],
+    ids=["n_pairs", "trace_T"],
+)
+def test_hopf_asymptotic_rejects_pairs_and_trace_time_before_quadrature(
+    tmp_path, monkeypatch, capfd, payload, want
+):
+    # Such a config used to run the helicity quadrature, 4 s at this n_quad,
+    # before asymptotic_hopf refused it with a message naming no field.
+    def must_not_integrate(*args, **kwargs):
+        raise AssertionError("hopf-asymptotic integrated for a config it cannot run")
+
+    for name in ("helicity_integral", "asymptotic_hopf"):
+        monkeypatch.setattr(cli, name, must_not_integrate)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**payload, "n_quad": MAX_QUAD_POINTS}))
+    assert main(["hopf-asymptotic", "--config", "cfg.json"]) == 1
+    assert capfd.readouterr().err == f"error: {want}\n"
 
 
 # 2 * 100 lines * (ceil(T / h) + 1) trace states; h = 2^-7 keeps T / h exact.

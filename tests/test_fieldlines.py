@@ -41,7 +41,8 @@ def test_from_embedding_rejects_non_finite_point():
 def test_distance_scans_match_brute_force(n):
     # FieldLine.diameter takes 2**16 // n rows per block: up to 256 points
     # fit one block, 257 spill two rows into a second, and 1300 span 26.
-    # The separation scan boxes one level of runs up to 512 points, two at 513.
+    # The separation scan boxes runs of 16 points, the last one padded
+    # unless n is a multiple of 16.
     rng = np.random.default_rng(n)
     p = haar_sample(rng, n)
     q = haar_sample(rng, 700)
@@ -66,13 +67,13 @@ def _same_float(a, b):
 
 
 @pytest.mark.parametrize("dim", [3, 4])
-@pytest.mark.parametrize("n", [1, 15, 17, 300, 513, 1500])
+@pytest.mark.parametrize("n", [1, 15, 17, 300, 513, 1500, 4200])
 def test_min_distance_matches_the_kd_tree_query(dim, n):
-    # Up to 512 points make one level of 16-point runs; 513 make two and
-    # 1500 three (24 runs of 64 points).  Clouds prune little, walks much.
-    # On parallel strands out of step, the first points of two runs lie
-    # farther apart than the closest pair, whose run pair has a box gap
-    # close to that distance.
+    # Runs of 16 points: 15 and 17 pad a partial run.  Two strands of 4,200
+    # points (263 runs each) take the box gaps in two row blocks, of
+    # 2**16 // 263 = 249 rows and 14.  Clouds prune little, walks much.  On
+    # parallel strands out of step, the closest pair's run pair has a box
+    # gap close to its distance.
     rng = np.random.default_rng(10 * n + dim)
     clouds = rng.standard_normal((n, dim)), rng.standard_normal((700, dim)) + 0.5
     walks = [np.cumsum(rng.standard_normal((m, dim)) * 0.02, axis=0) for m in (n, 900)]
@@ -116,8 +117,9 @@ def test_min_distance_of_shared_and_repeated_points():
 
 def test_min_distance_memory_is_bounded_on_long_curves():
     # Two 80,000-point curves winding one torus 127 times pass close to
-    # each other everywhere: 90,586 leaf pairs of 16 x 16 points, 185 MB of
-    # distances at once, go in blocks of 2**16.
+    # each other everywhere: the box gaps of 25 million run pairs, and the
+    # distances of the 90,051 that survive, 184 MB of 16 x 16 points, go
+    # in blocks of 2**16.
     t = np.arange(80_000) * 0.01
     p, q = (
         np.stack([np.cos(t), np.sin(t), np.cos(np.sqrt(2.0) * t + ph), np.sin(np.sqrt(2.0) * t + ph)], axis=1)
@@ -319,6 +321,21 @@ def test_projected_crossings_degenerate_raises():
     assert fl.projected_crossings(p, shallow, z)[0].tolist() == [0]
     with pytest.raises(DegenerateProjection, match="tangential"):
         fl._signed_crossings(p, shallow, z)
+
+
+def test_projected_crossings_touch_needs_both_parameters_on_their_segments():
+    # The lines through p and q meet at p's first point, 2 short of q's
+    # first point: s = 0 but t = -2, and the segments lie 2 apart.
+    z = np.array([0.0, 0.0, 1.0])
+    p = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    q = np.array([[0.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
+    for a, b in ((p, q), (q, p)):
+        assert all(v.size == 0 for v in fl.projected_crossings(a, b, z))
+    # A segment through p's first point does touch it, either way round.
+    through = np.array([[0.0, -1.0, 1.0], [0.0, 1.0, 1.0]])
+    for a, b in ((p, through), (through, p)):
+        with pytest.raises(DegenerateProjection, match="endpoint"):
+            fl.projected_crossings(a, b, z)
 
 
 def test_projected_crossings_memory_is_bounded_by_a_cell_budget(monkeypatch):

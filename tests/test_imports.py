@@ -1,13 +1,14 @@
-"""Module boundaries: no private imports across modules, no public name or
-class member that only tests use, no package re-exports, no error class that
-is neither caught nor data-driven, no scipy on the import path, no package
-module that the cli leaves unloaded, no module imported while a verb runs,
-and the benchmark tracer finds every name it wraps."""
+"""Module boundaries: no private imports across modules, no public name,
+class member or module constant that only tests use, no package re-exports,
+no error class that is neither caught nor data-driven, no scipy on the import
+path, no package module that the cli leaves unloaded, no module imported
+while a verb runs, and the benchmark tracer finds every name it wraps."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,37 @@ def test_every_class_member_is_read_in_src():
     listed = {(cls, name) for cls, name, _ in MEMBER_REFERENCES}
     assert sorted(unread - listed) == [], "fields and methods that src/ never reads"
     assert sorted(listed - unread) == [], "MEMBER_REFERENCES entries that src/ reads or that no longer exist"
+
+
+def _unread_constants() -> set[tuple[str, str]]:
+    # ALL_CAPS names assigned at module level, less those that src/ reads
+    # outside their own assignment: by name in the defining module or in one
+    # that imports them from it, or as module.NAME.
+    defined, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        module, body = path.stem, ast.parse(path.read_text()).body
+        origin = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for node in body:
+            targets = set()
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    targets |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+                defined |= {(module, name) for name in targets if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)}
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in targets:
+                    read.add(origin.get(n.id, (module, n.id)))
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and isinstance(n.value, ast.Name):
+                    read.add((n.value.id, n.attr))
+    return defined - read
+
+
+def test_every_module_constant_is_read_in_src():
+    assert sorted(_unread_constants()) == [], "module constants that src/ never reads"
 
 
 # Error classes that no except clause in src/ names, kept on purpose: each

@@ -9,13 +9,13 @@ from curlwave.quaternions import (
     IMAG_UNITS,
     J,
     K,
-    ONE,
     haar_sample,
     qconj,
     qmul,
     slerp,
 )
 
+ONE = np.array([1.0, 0.0, 0.0, 0.0])
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from curlwave import s3
-from curlwave.quaternions import IMAG_UNITS, ONE, haar_sample, qconj, qmul
+from curlwave.quaternions import IMAG_UNITS, haar_sample, qconj, qmul
 from curlwave.seeds import substream
+
+ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def qmul_rows(p, q):
