@@ -390,16 +390,17 @@ def _projection_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 def projected_crossings(
     p: np.ndarray, q: np.ndarray, direction: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transverse crossings of two polylines projected along direction.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed transverse crossings of two polylines projected along direction.
 
-    Returns (i, j, s, t): crossing k lies at parameter s[k] in (0, 1) along
-    segment i[k] of p and at t[k] along segment j[k] of q, in row-major
-    order.  Parallel segment pairs never cross.  Raises DegenerateProjection
-    if a crossing touches a segment endpoint.  Segments of p go in row blocks
-    of about 32k segment pairs, so temporaries stay small.
+    Returns (i, j, sign): crossing k joins segment i[k] of p and segment j[k]
+    of q, in row-major order, and sign[k] is its sign, +1 or -1, so half the
+    sum is the linking number of two closed polylines.  Parallel segment
+    pairs never cross.  Raises DegenerateProjection if a crossing touches a
+    segment endpoint, has ambiguous depth or is tangential.  Segments of p go
+    in row blocks of about 32k segment pairs, so temporaries stay small.
     """
-    e1, e2, _ = _projection_frame(direction)
+    e1, e2, d = _projection_frame(direction)
     pa = np.stack([p @ e1, p @ e2], axis=1)
     qa = np.stack([q @ e1, q @ e2], axis=1)
     a1, a2 = pa[:-1], pa[1:]
@@ -426,18 +427,9 @@ def projected_crossings(
             raise DegenerateProjection("crossing at a segment endpoint")
         inside = (~parallel) & (s > 0.0) & (s < 1.0) & (t > 0.0) & (t < 1.0)
         ii, jj = np.nonzero(inside)
-        found.append((ii + lo, jj, s[inside], t[inside]))
-    return tuple(np.concatenate(parts) for parts in zip(*found))
-
-
-def _signed_crossings(p: np.ndarray, q: np.ndarray, direction: np.ndarray) -> int:
-    """Sum of crossing signs between two projected polylines.
-
-    Raises DegenerateProjection if any crossing is tangential, touches a
-    segment endpoint, or has ambiguous depth.
-    """
-    i, j, s, t = projected_crossings(p, q, direction)
-    e1, e2, d = _projection_frame(direction)
+        found.append((ii + lo, jj, s[inside], t[inside], denom[inside]))
+    # denom is the cross product of the two projected segment directions.
+    i, j, s, t, cross = (np.concatenate(parts) for parts in zip(*found))
     scale = max(float(np.max(np.abs(p))), float(np.max(np.abs(q))), 1e-30)
     pz = p @ d
     qz = q @ d
@@ -445,36 +437,42 @@ def _signed_crossings(p: np.ndarray, q: np.ndarray, direction: np.ndarray) -> in
     zb = qz[j] + t * (qz[j + 1] - qz[j])
     if np.any(np.abs(za - zb) < 1e-7 * scale):
         raise DegenerateProjection("ambiguous crossing depth")
-    pa = np.stack([p @ e1, p @ e2], axis=1)
-    qa = np.stack([q @ e1, q @ e2], axis=1)
-    ta = pa[i + 1] - pa[i]
-    tb = qa[j + 1] - qa[j]
-    cross = ta[:, 0] * tb[:, 1] - ta[:, 1] * tb[:, 0]
     if np.any(np.abs(cross) < 1e-14 * scale * scale):
         raise DegenerateProjection("tangential crossing")
-    sgn = np.where(za > zb, np.sign(cross), -np.sign(cross))
-    return int(np.sum(sgn))
+    return i, j, np.where((za > zb) == (cross > 0.0), 1, -1)
+
+
+def retry_projection(attempt: Callable, seed: int, key: int):
+    """attempt(direction) at the first of 10 random directions it accepts.
+
+    The directions come from substream(seed, key); attempt rejects one by
+    raising DegenerateProjection.
+    """
+    rng = substream(seed, key)
+    last_exc: Exception | None = None
+    for _ in range(10):
+        try:
+            return attempt(rng.standard_normal(3))
+        except DegenerateProjection as exc:
+            last_exc = exc
+    raise DegenerateProjection(f"no generic projection after 10 tries: {last_exc}")
 
 
 def crossing_linking_oracle(c1: FieldLine, c2: FieldLine, seed: int = 0) -> int:
     """Linking number as half the sum of signed crossings in a projection.
 
-    Retries up to 10 random directions when the projection is degenerate.
+    Retries up to 10 random directions when the projection is degenerate or
+    the crossing sum is odd.
     """
     p1, p2 = _prepare_pair(c1, c2, seed=seed)
-    rng = substream(seed, 77)
-    last_exc: Exception | None = None
-    for _ in range(10):
-        try:
-            total = _signed_crossings(p1, p2, rng.standard_normal(3))
-        except DegenerateProjection as exc:
-            last_exc = exc
-            continue
+
+    def half_sum(direction: np.ndarray) -> int:
+        total = int(np.sum(projected_crossings(p1, p2, direction)[2]))
         if total % 2 != 0:
-            last_exc = DegenerateProjection("odd crossing sum")
-            continue
+            raise DegenerateProjection("odd crossing sum")
         return total // 2
-    raise DegenerateProjection(f"no generic projection after 10 tries: {last_exc}")
+
+    return retry_projection(half_sum, seed, 77)
 
 
 def build_linking_matrix(curves: Sequence[FieldLine], seed: int = 0) -> np.ndarray:
@@ -542,8 +540,8 @@ def asymptotic_hopf(
 
     Traces 2 n_pairs field lines from uniform starts for time T, closes each
     by a short arc, and averages lk/T^2 over the pairs.  Pairs that violate
-    the separation precondition are redrawn (counted); closure failures
-    beyond 5% reject the run.  The comparison target is
+    the separation precondition are redrawn (counted); pairs that fail to
+    close or to project, beyond 5%, reject the run.  The comparison target is
     helicity_integral(potential, field) / vol^2 for a potential of the field.
     """
     if n_pairs < 100:
@@ -580,6 +578,8 @@ def asymptotic_hopf(
                 return 0.0, 1, local_resamples
             try:
                 return gauss_linking(la, lb, seed=seed), 0, local_resamples
+            except DegenerateProjection:
+                return 0.0, 1, local_resamples
             except CurvesTooClose:
                 local_resamples += 1
                 fresh = haar_sample(substream(seed, 7, p, attempt), 2)
@@ -596,7 +596,7 @@ def asymptotic_hopf(
         else:
             lks.append(lk)
     if failures > 0.05 * n_pairs:
-        raise ClosureFailures(f"{failures} of {n_pairs} pairs failed to close")
+        raise ClosureFailures(f"{failures} of {n_pairs} pairs failed to close or project")
     lks = np.asarray(lks)
     estimate = float(np.mean(lks)) / T**2
     stderr = float(np.std(lks, ddof=1)) / np.sqrt(lks.size) / T**2

@@ -11,20 +11,22 @@ same units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateProjection, ExtrapolationUnstable
+from .errors import ExtrapolationUnstable
 from .fieldlines import (
     FieldLine,
     build_linking_matrix,
     projected_crossings,
     resample_polyline,
+    retry_projection,
     to_r3_polylines,
 )
 # ordered_map is unused here, but the benchmark tracer wraps hypermc.ordered_map.
-from .seeds import fixed_chunks, ordered_map, substream
+from .seeds import fixed_chunks, ordered_map
 
 KOLMOGOROV_FIELD = -5.0 / 3.0
 KOLMOGOROV_FLOW = -7.0 / 6.0
@@ -430,31 +432,20 @@ def m5_quintuple_details(lines: Sequence[FieldLine], seed: int = 0) -> dict:
         raise ValueError(f"need exactly 5 curves, got {len(lines)}")
     lk = build_linking_matrix(list(lines), seed=seed)
     product = 1
-    for i in range(5):
-        for j in range(i + 1, 5):
-            product *= int(lk[i, j])
+    for i, j in combinations(range(5), 2):
+        product *= int(lk[i, j])
     polys = to_r3_polylines([ln.embedding for ln in lines], seed=seed)
     polys = [resample_polyline(p, 0.08) for p in polys]
-    rng = substream(seed, 55)
-    triangles = None
-    for _ in range(10):
-        d = rng.standard_normal(3)
-        try:
-            crossed = {}
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    crossed[(i, j)] = projected_crossings(polys[i], polys[j], d)[0].size > 0
-            triangles = 0
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    for k in range(j + 1, 5):
-                        if crossed[(i, j)] and crossed[(i, k)] and crossed[(j, k)]:
-                            triangles += 1
-            break
-        except DegenerateProjection:
-            continue
-    if triangles is None:
-        raise DegenerateProjection("no generic projection for the quintuple")
+
+    def count_triangles(d: np.ndarray) -> int:
+        crossed = {
+            (i, j): projected_crossings(polys[i], polys[j], d)[0].size > 0
+            for i, j in combinations(range(5), 2)
+        }
+        triples = combinations(range(5), 3)
+        return sum(crossed[i, j] and crossed[i, k] and crossed[j, k] for i, j, k in triples)
+
+    triangles = retry_projection(count_triangles, seed, 55)
     return {
         "triangles": triangles,
         "linking_product": product,

@@ -11,7 +11,9 @@ plane.
 
 The scalar GeodesicChord is the reference for the chord arrays of hypermc,
 which keep only unit normals; ray shooting is the reference for
-hypermc.parallelism_ratio.
+hypermc.parallelism_ratio.  signed_crossings, one dense block of segment
+pairs followed by a separate depth, tangency and sign pass, is the reference
+for fieldlines.projected_crossings.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from curlwave import hypermc
-from curlwave.errors import CurlwaveError
+from curlwave.errors import CurlwaveError, DegenerateProjection
 from curlwave.frames import lambda_geometry_ar
 from curlwave.quaternions import IMAG_UNITS, qmul
 from curlwave.s3 import chart_embed, chart_push
@@ -270,3 +272,57 @@ def parallelism_angle_shooting(K: float, R1: float, x1: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def signed_crossings(p: np.ndarray, q: np.ndarray, direction: np.ndarray):
+    """(i, j, sign) of the crossings of two polylines projected along direction.
+
+    Finds the crossings of all segment pairs in one block, then checks depth
+    and tangency and signs them in a second pass that projects both
+    polylines again.  Raises DegenerateProjection on a touch at a segment
+    endpoint, an ambiguous depth or a tangential crossing, in that order.
+    """
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    aux = np.zeros(3)
+    aux[int(np.argmin(np.abs(d)))] = 1.0
+    e1 = np.cross(d, aux)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(d, e1)
+    pa = np.stack([p @ e1, p @ e2], axis=1)
+    qa = np.stack([q @ e1, q @ e2], axis=1)
+    da = (pa[1:] - pa[:-1])[:, None, :]
+    db = (qa[1:] - qa[:-1])[None, :, :]
+    diff = qa[None, :-1, :] - pa[:-1, None, :]
+    denom = da[..., 0] * db[..., 1] - da[..., 1] * db[..., 0]
+    norm_prod = np.linalg.norm(da, axis=-1) * np.linalg.norm(db, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (diff[..., 0] * db[..., 1] - diff[..., 1] * db[..., 0]) / denom
+        t = (diff[..., 0] * da[..., 1] - diff[..., 1] * da[..., 0]) / denom
+    parallel = np.abs(denom) <= 1e-12 * np.maximum(norm_prod, 1e-300)
+    margin = 1e-9
+    at_end_s = (np.abs(s) < margin) | (np.abs(1.0 - s) < margin)
+    at_end_t = (np.abs(t) < margin) | (np.abs(1.0 - t) < margin)
+    on_s = (s >= -margin) & (s <= 1.0 + margin)
+    on_t = (t >= -margin) & (t <= 1.0 + margin)
+    if np.any((~parallel) & ((at_end_s & on_t) | (at_end_t & on_s))):
+        raise DegenerateProjection("crossing at a segment endpoint")
+    inside = (~parallel) & (s > 0.0) & (s < 1.0) & (t > 0.0) & (t < 1.0)
+    i, j = np.nonzero(inside)
+    s, t = s[inside], t[inside]
+
+    scale = max(float(np.max(np.abs(p))), float(np.max(np.abs(q))), 1e-30)
+    pz = p @ d
+    qz = q @ d
+    za = pz[i] + s * (pz[i + 1] - pz[i])
+    zb = qz[j] + t * (qz[j + 1] - qz[j])
+    if np.any(np.abs(za - zb) < 1e-7 * scale):
+        raise DegenerateProjection("ambiguous crossing depth")
+    pa = np.stack([p @ e1, p @ e2], axis=1)
+    qa = np.stack([q @ e1, q @ e2], axis=1)
+    ta = pa[i + 1] - pa[i]
+    tb = qa[j + 1] - qa[j]
+    cross = ta[:, 0] * tb[:, 1] - ta[:, 1] * tb[:, 0]
+    if np.any(np.abs(cross) < 1e-14 * scale * scale):
+        raise DegenerateProjection("tangential crossing")
+    return i, j, np.where(za > zb, np.sign(cross), -np.sign(cross))

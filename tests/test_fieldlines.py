@@ -7,10 +7,13 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+import oracles
+from curlwave import cli
 from curlwave import fieldlines as fl
 from curlwave import s3
 from curlwave.errors import (
     ChartEscape,
+    ClosureFailures,
     CurvesTooClose,
     DegenerateProjection,
     GapTooLarge,
@@ -290,17 +293,19 @@ def test_far_circles_unlinked():
 
 
 def test_projected_crossings_hand_built():
-    # Viewed along z, p turns a corner and q crosses each of its two legs.
+    # Viewed along z, p turns a corner and q crosses each of its two legs
+    # above it, first right to left of p's direction, then left to right.
     p = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [4.0, 4.0, 0.0]])
     q = np.array([[1.0, -3.0, 1.0], [1.0, 1.0, 1.0], [6.0, 1.0, 1.0]])
-    i, j, s, t = fl.projected_crossings(p, q, np.array([0.0, 0.0, 1.0]))
-    assert i.tolist() == [0, 1]
-    assert j.tolist() == [0, 1]
-    assert np.allclose(s, [0.25, 0.25], rtol=0, atol=1e-15)
-    assert np.allclose(t, [0.75, 0.6], rtol=0, atol=1e-15)
-    j, i, t, s = fl.projected_crossings(q, p, np.array([0.0, 0.0, -1.0]))
-    assert (i.tolist(), j.tolist()) == ([0, 1], [0, 1])
-    assert np.allclose(s, [0.25, 0.25]) and np.allclose(t, [0.75, 0.6])
+    i, j, sign = fl.projected_crossings(p, q, np.array([0.0, 0.0, 1.0]))
+    assert (i.tolist(), j.tolist(), sign.tolist()) == ([0, 1], [0, 1], [-1, 1])
+    # A crossing's sign depends on neither the order of the curves nor the
+    # side they are viewed from.
+    j, i, sign = fl.projected_crossings(q, p, np.array([0.0, 0.0, -1.0]))
+    assert (i.tolist(), j.tolist(), sign.tolist()) == ([0, 1], [0, 1], [-1, 1])
+    # Lowering q below p flips both signs.
+    q_below = q - np.array([0.0, 0.0, 2.0])
+    assert fl.projected_crossings(p, q_below, np.array([0.0, 0.0, 1.0]))[2].tolist() == [1, -1]
     far = q + np.array([0.0, 20.0, 0.0])
     assert all(v.size == 0 for v in fl.projected_crossings(p, far, np.array([0.0, 0.0, 1.0])))
 
@@ -314,13 +319,26 @@ def test_projected_crossings_degenerate_raises():
     p = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     same_depth = np.array([[0.5, -1.0, 0.0], [0.5, 1.0, 0.0]])
     with pytest.raises(DegenerateProjection, match="ambiguous"):
-        fl._signed_crossings(p, same_depth, z)
-    # Slope 1e-10: transverse for the kernel (above 1e-12 |da| |db|) but
-    # below the oracle's tangency bound 1e-14 scale^2, with scale 200.
+        fl.projected_crossings(p, same_depth, z)
+    # Slope 1e-10: transverse for the parallel test (above 1e-12 |da| |db|),
+    # so the pair is a crossing, but below the tangency bound 1e-14 scale^2,
+    # with scale 200.
     shallow = np.array([[0.0, -5e-11, 200.0], [1.0, 5e-11, 200.0]])
-    assert fl.projected_crossings(p, shallow, z)[0].tolist() == [0]
     with pytest.raises(DegenerateProjection, match="tangential"):
-        fl._signed_crossings(p, shallow, z)
+        fl.projected_crossings(p, shallow, z)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_projected_crossings_match_the_two_pass_reference(seed):
+    # The linking verb's four cases at this config seed, after the shared
+    # preparation, along the 10 directions that the crossing oracle may draw.
+    for _, c1, c2, _ in cli._linking_cases(cli.ExperimentConfig(verb="linking", seed=seed)):
+        p, q = fl._prepare_pair(c1, c2, seed=seed)
+        rng = substream(seed, 77)
+        for _ in range(10):
+            d = rng.standard_normal(3)
+            got, want = fl.projected_crossings(p, q, d), oracles.signed_crossings(p, q, d)
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
 
 def test_projected_crossings_touch_needs_both_parameters_on_their_segments():
@@ -547,6 +565,31 @@ def test_asymptotic_hopf_worker_count_invariant():
     assert abs(serial.stderr - threaded.stderr) <= 1e-12
     # one wrap per period scale: every pair links -4, estimate -1/pi^2
     assert np.isclose(serial.estimate, -1.0 / np.pi**2, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_failing", [1, 6])
+def test_asymptotic_hopf_counts_pairs_that_will_not_project(monkeypatch, n_failing):
+    # A pair whose curves no rotation keeps off the chart pole fails like a
+    # pair that will not close: 1 of 100 is counted, 6 exceed the 5% rule.
+    real = fl.to_r3_polylines
+    calls = []
+
+    def flaky(curves, seed=0):
+        calls.append(1)
+        if 3 <= len(calls) < 3 + n_failing:
+            raise DegenerateProjection("no rotation kept the curves away from the chart pole")
+        return real(curves, seed=seed)
+
+    monkeypatch.setattr(fl, "to_r3_polylines", flaky)
+    pot = s3.build_frame("left").leg(1)
+    field = lambda x: -2.0 * pot(x)
+    if n_failing > 5:
+        with pytest.raises(ClosureFailures, match="6 of 100 pairs failed to close or project"):
+            fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4)
+        return
+    est = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4)
+    assert est.failures == 1
+    assert np.isclose(est.estimate, -1.0 / np.pi**2, atol=1e-8)
 
 
 def test_resample_polyline_closed():

@@ -104,8 +104,7 @@ def test_cli_loads_every_module():
 
 # Public names that no module in src/ uses, kept on purpose.
 REFERENCES = (
-    ("s3", "cs_functional", "criterion 05's l^4 / l^3 scaling; the one user of s3.ordered_map, "
-     "which the benchmark tracer wraps by attribute"),
+    ("s3", "cs_functional", "criterion 05's l^4 / l^3 scaling"),
 )
 
 
