@@ -236,7 +236,10 @@ def _run_verify_s3(cfg: ExperimentConfig, timings: dict):
 
 def _run_verify_hyperbolic(cfg: ExperimentConfig, timings: dict):
     t0 = time.perf_counter()
-    rows = [hyperbolic.lambda_report_row(lam) for lam in cfg.lambda_grid]
+    try:
+        rows = [hyperbolic.lambda_report_row(lam) for lam in cfg.lambda_grid]
+    except ValueError as exc:
+        raise ValueError(f"lambda_grid: {exc}") from exc
     timings["lambda_rows"] = time.perf_counter() - t0
     products = [r["t_density_times_lambda"] for r in rows]
     spread = max(products) - min(products)

@@ -13,6 +13,7 @@ are 0-based.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,9 +219,15 @@ def su2_halved() -> LieFrameSpec:
 
 
 def _check_lambda(lam: float) -> float:
+    # lambda_fields puts lam on each leg, so the frame volume takes lam**3.
+    # Outside the normal doubles it overflows, or underflows to subnormals
+    # or zero, and the curls and densities come out wrong or NaN.
     lam = float(lam)
-    if not lam > 0 or not np.isfinite(lam):
-        raise ValueError(f"family parameter must be a positive real, got {lam}")
+    if not sys.float_info.min <= lam * lam * lam <= sys.float_info.max:
+        raise ValueError(
+            "family parameter must be a positive real whose cube is a normal double "
+            f"(about 2.813e-103 to 5.643e102), got {lam}"
+        )
     return lam
 
 

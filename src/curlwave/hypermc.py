@@ -35,7 +35,6 @@ BALANCE_MODE = "direct"
 ALPHA_EXPONENT = -1.0 / 3.0
 
 MIN_CHORDS = 1000
-EXACT_TRIPLE_BUDGET = 300_000_000
 # Caps the sampled triples.  The scan streams them in fixed chunks, so its
 # memory does not grow with the count; the cap bounds time: 16M triples took
 # 0.7 s per lambda at 20,000 chords and 2.3 s at MAX_CHORDS on 2 vCPUs.
@@ -178,38 +177,6 @@ def pair_intersection_density(
 # ---------------------------------------------------------------------------
 
 
-def _pair_flag_matrix(normals: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, |kappa|): which chord pairs cross inside the disk, and the
-    cosine of each pair's folded crossing angle."""
-    n = normals.shape[0]
-    ch2 = np.cosh(rr) ** 2
-    flags = np.zeros((n, n), dtype=bool)
-    cos_angle = np.empty((n, n))
-    for lo, hi in fixed_chunks(n, 2048):
-        a = normals[lo:hi]
-        kappa = a[:, 1:] @ normals[:, 1:].T - np.outer(a[:, 0], normals[:, 0])
-        p0 = np.outer(a[:, 2], normals[:, 1]) - np.outer(a[:, 1], normals[:, 2])
-        flags[lo:hi] = _crosses_inside(kappa, p0, ch2)
-        cos_angle[lo:hi] = np.abs(kappa)
-    np.fill_diagonal(flags, False)
-    return flags, cos_angle
-
-
-def exact_triangle_counts(normals: np.ndarray, rr: float, eps_values: np.ndarray) -> np.ndarray:
-    """Per cutoff eps, the chord triples with three pairwise inside-crossings
-    at angle >= eps.
-
-    Exhaustive over all triples via the triangle count of the pairwise
-    crossing graph, trace(A^3)/6; one crossing matrix serves every cutoff.
-    """
-    flags, cos_angle = _pair_flag_matrix(normals, rr)
-    counts = []
-    for eps in eps_values:
-        a = (flags & (cos_angle <= np.cos(eps))).astype(np.float64)
-        counts.append(int(round(float(np.sum(a * (a @ a))) / 6.0)))
-    return np.array(counts)
-
-
 def _triple_min_angles(normals: np.ndarray, rr: float, idx: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum folded crossing angle of each triangle among the rows of idx,
     and the number of rows with three distinct chords.
@@ -257,23 +224,22 @@ def _triple_counts(
     eps_values: np.ndarray,
     n_triples: int,
 ) -> tuple[np.ndarray, int]:
-    """Triangle counts at each angle threshold, over one chord sample.
+    """Triangle counts at each angle threshold, over one chord sample and
+    n_triples triples drawn with replacement, and the number of drawn
+    triples with three distinct chords.
 
-    Enumerates every triple when the total count fits the exact budget;
-    otherwise subsamples at most MAX_TRIPLES triples.  Counts at the
-    thresholds are nested by construction: every cutoff counts the same
-    triangles, from one crossing matrix or one scan.
+    One streamed scan serves every chord count; the exhaustive count,
+    trace(A^3)/6 over the dense crossing matrix, is its reference in
+    tests/oracles.py.  Counts at the thresholds are nested by construction:
+    every cutoff counts the same triangles.
     """
     if N < MIN_CHORDS:
         raise ValueError(f"need at least {MIN_CHORDS} chords, got {N}")
+    if n_triples > MAX_TRIPLES:
+        raise ValueError(f"at most {MAX_TRIPLES} sampled triples, got {n_triples}")
     rng = np.random.default_rng(rng)
     rho, rr = _shape_params(K, R)
     normals = _sample_normals(rr, N, rng)
-    n_all = N * (N - 1) * (N - 2) // 6
-    if n_all <= EXACT_TRIPLE_BUDGET:
-        return exact_triangle_counts(normals, rr, eps_values).astype(float), n_all
-    if n_triples > MAX_TRIPLES:
-        raise ValueError(f"at most {MAX_TRIPLES} sampled triples, got {n_triples}")
     counts = np.zeros(len(eps_values), dtype=np.int64)
     total = 0
     # Column-major, so that the scan of each chunk reads the columns in place.

@@ -10,7 +10,9 @@ upper-half-plane times fiber-angle chart for the frames over the hyperbolic
 plane.
 
 The scalar GeodesicChord is the reference for the chord arrays of hypermc,
-which keep only unit normals; ray shooting is the reference for
+which keep only unit normals; the dense crossing matrix and its exhaustive
+triangle count trace(A^3)/6 are the references for the pair counts and the
+sampled triangle counts of hypermc; ray shooting is the reference for
 hypermc.parallelism_ratio.  signed_crossings, one dense block of segment
 pairs followed by a separate depth, tangency and sign pass, is the reference
 for fieldlines.projected_crossings.
@@ -237,6 +239,32 @@ def chords_cross_inside(c1: GeodesicChord, c2: GeodesicChord) -> bool:
         return False
     p0 = abs(mink_cross(c1.normal, c2.normal)[0]) / np.sqrt(1.0 - kappa**2)
     return bool(p0 < np.cosh(c1.rr))
+
+
+def pair_flag_matrix(normals: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, |kappa|): which chord pairs cross inside the disk, by the
+    vectorized predicate of hypermc, and the cosine of each pair's folded
+    crossing angle, as dense N x N matrices."""
+    kappa = normals[:, 1:] @ normals[:, 1:].T - np.outer(normals[:, 0], normals[:, 0])
+    p0 = np.outer(normals[:, 2], normals[:, 1]) - np.outer(normals[:, 1], normals[:, 2])
+    flags = hypermc._crosses_inside(kappa, p0, np.cosh(rr) ** 2)
+    np.fill_diagonal(flags, False)
+    return flags, np.abs(kappa)
+
+
+def exact_triangle_counts(normals: np.ndarray, rr: float, eps_values: np.ndarray) -> np.ndarray:
+    """Per cutoff eps, the chord triples with three pairwise inside-crossings
+    at angle >= eps.
+
+    Exhaustive over all triples via the triangle count of the pairwise
+    crossing graph, trace(A^3)/6; one crossing matrix serves every cutoff.
+    """
+    flags, cos_angle = pair_flag_matrix(normals, rr)
+    counts = []
+    for eps in eps_values:
+        a = (flags & (cos_angle <= np.cos(eps))).astype(np.float64)
+        counts.append(int(round(float(np.sum(a * (a @ a))) / 6.0)))
+    return np.array(counts)
 
 
 def parallelism_angle_shooting(K: float, R1: float, x1: float) -> float:

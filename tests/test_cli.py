@@ -238,6 +238,41 @@ def test_main_reports_disagreeing_helicity_legs_as_violation(tmp_path, monkeypat
     assert rows and all(r.split(",")[column] == "nan" for r in rows)
 
 
+# lambda_fields gives each leg the metric lambda, so the frame volume takes
+# lambda**3, a normal double from 2.812644285236262e-103 to
+# 5.643803094122361e+102.  Outside, the rows come out wrong (h_density
+# -2.002 at 1e-107, NaN at 1e-120, -0.0 at 1e103) or fail in the metric
+# check (1e200).
+LAMBDA_INSIDE = [2.812644285236262e-103, 5.643803094122361e102]
+LAMBDA_OUTSIDE = [1e-120, 1e-107, 2.8126442852362615e-103, 5.643803094122363e102, 1e103, 1e200]
+
+
+@pytest.mark.parametrize("lam", LAMBDA_OUTSIDE)
+def test_main_rejects_lambda_whose_cube_is_not_normal(tmp_path, monkeypatch, capsys, lam):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": [1.0, lam]}))
+    assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert "error: lambda_grid: family parameter must be a positive real whose cube is a normal double" in err
+    assert f"got {lam}" in err
+    assert not list(tmp_path.glob("verify-hyperbolic*"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_passes_lambda_just_inside_the_range(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    grid = [LAMBDA_INSIDE[0], 1.0, LAMBDA_INSIDE[1]]
+    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": grid}))
+    assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 0
+    header, *rows = (tmp_path / "results" / "verify-hyperbolic.csv").read_text().splitlines()[1:]
+    columns = header.split(",")
+    table = [dict(zip(columns, r.split(","))) for r in rows]
+    assert [float(r["lambda"]) for r in table] == grid
+    for r in table:
+        assert abs(float(r["h_density"]) + 2.0) <= 1e-10
+        assert abs(float(r["t_density_times_lambda"]) - 3.0) <= 1e-10
+
+
 def test_main_rejects_over_budget_triples_before_the_verb(tmp_path, monkeypatch, capsys):
     # validate() caps the triple sample, so an over-budget config never
     # reaches the verb's pair-count stage or allocates its triples.

@@ -84,7 +84,7 @@ def test_half_disk_fraction():
 def test_crossing_predicate_matches_flag_matrix():
     chords = _sample_chords(300, 3.0, 8)
     normals = np.stack([c.normal for c in chords])
-    flags, _ = hm._pair_flag_matrix(normals, 3.0)
+    flags, _ = oracles.pair_flag_matrix(normals, 3.0)
     for i in range(300):
         for j in range(i + 1, 300):
             hit = oracles.chords_cross_inside(chords[i], chords[j])
@@ -97,7 +97,7 @@ def test_pair_row_counts_match_flag_matrix(rr):
     rng = np.random.default_rng(6)
     normals = hm._sample_normals(rr, 1000, rng)
     counts = hm._pair_row_counts(normals, rr)
-    flags, _ = hm._pair_flag_matrix(normals, rr)
+    flags, _ = oracles.pair_flag_matrix(normals, rr)
     assert np.array_equal(counts, flags.sum(axis=1))
 
 
@@ -187,17 +187,27 @@ def test_exact_triangle_count_vs_independent_oracle():
         m = (angle >= eps).astype(np.int64)
         oracle.append(int(np.einsum("ij,jk,ki->", m, m, m)) // 6)
     assert 0 < oracle[0] < oracle[-1]
-    assert hm.exact_triangle_counts(normals, 3.0, np.array(cutoffs)).tolist() == oracle
+    assert oracles.exact_triangle_counts(normals, 3.0, np.array(cutoffs)).tolist() == oracle
 
 
-def test_triple_counts_exact_path_matches_direct_count():
+def test_sampled_triangle_fraction_matches_exact_count():
+    # 1,000 chords, the fewest allowed, have 1.66e8 triples; the sampled
+    # fraction of triangles must lie within 4 binomial sigma of the fraction
+    # that the exhaustive count gives on the same chords.
     cutoffs = np.array([0.4, 0.3, 0.1])
-    # 10**9 sampled triples would exceed MAX_TRIPLES; the exact path ignores it.
-    counts, total = hm._triple_counts(K1, 3.0, 1000, 12, cutoffs, 10**9)
-    assert total == 1000 * 999 * 998 // 6
-    # replay the sampling stream and count from scratch
+    counts, total = hm._triple_counts(K1, 3.0, 1000, 12, cutoffs, 2_000_000)
     normals = hm._sample_normals(3.0, 1000, np.random.default_rng(12))
-    assert counts.tolist() == hm.exact_triangle_counts(normals, 3.0, cutoffs).tolist()
+    exact = oracles.exact_triangle_counts(normals, 3.0, cutoffs)
+    p = exact / (1000 * 999 * 998 // 6)
+    assert 0 < p[0] < p[-1]
+    assert np.all(np.abs(counts / total - p) <= 4.0 * np.sqrt(p * (1.0 - p) / total))
+
+
+def test_triple_cap_raises_before_the_chord_draw():
+    gen, fresh = np.random.default_rng(12), np.random.default_rng(12)
+    with pytest.raises(ValueError, match=f"at most {hm.MAX_TRIPLES} sampled triples"):
+        hm._triple_counts(K1, 3.0, 1000, gen, np.array([0.3]), hm.MAX_TRIPLES + 1)
+    assert gen.bit_generator.state == fresh.bit_generator.state
 
 
 def _draw_triples(n, n_triples, rng):
@@ -273,7 +283,7 @@ def test_repeated_chords_form_no_triangle():
     # next to a chord j that crosses it would count as triangles.
     rng = np.random.default_rng(23)
     normals = hm._sample_normals(3.0, 2000, rng)
-    flags, _ = hm._pair_flag_matrix(normals, 3.0)
+    flags, _ = oracles.pair_flag_matrix(normals, 3.0)
     kappa = oracles.mink_dot(normals, normals)
     p0 = oracles.mink_cross(normals, normals)[:, 0]
     self_pass = np.flatnonzero(hm._crosses_inside(kappa, p0, np.cosh(3.0) ** 2))
@@ -338,14 +348,17 @@ def test_int32_triple_draw_matches_int64_stream(n):
         assert narrow.bit_generator.state == wide.bit_generator.state
 
 
-def test_triple_counts_memory_stays_bounded():
+@pytest.mark.parametrize("n", [1217, 20_000])
+def test_triple_counts_memory_stays_bounded(n):
     # Nothing of size n_triples may exist: one int32 draw of every row alone
     # takes 11.4 MiB at 1M triples, and the scan peaked at 19.5 MiB with it.
+    # Nothing of size n**2 may exist either: a dense crossing matrix of
+    # 1,217 chords with its angles takes about 70 MiB.
     peaks = []
     for n_triples in (1_000_000, 4_000_000):
         tracemalloc.start()
         try:
-            hm._triple_counts(K1, 3.0, 20_000, 3, np.array([0.3, 0.1]), n_triples)
+            hm._triple_counts(K1, 3.0, n, 3, np.array([0.3, 0.1]), n_triples)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -353,15 +366,17 @@ def test_triple_counts_memory_stays_bounded():
     assert peaks[1] <= peaks[0] + 2**20
 
 
-def test_streamed_triple_counts_match_one_draw(monkeypatch):
-    # _triple_counts draws and scans 8,192 rows at a time.  Replaying its
-    # generator, one draw of every row scanned at once must give the same
-    # counts and total, and leave the generator in the same state.
+@pytest.mark.parametrize("n", [1400, 1000])
+def test_streamed_triple_counts_match_one_draw(monkeypatch, n):
+    # _triple_counts draws and scans 8,192 rows at a time, at every chord
+    # count.  Replaying its generator, one draw of every row scanned at once
+    # must give the same counts and total, and leave the generator in the
+    # same state.
     n_triples = 3 * 8192 + 5
     cutoffs = np.array([0.4, 0.25, 0.1])
     ref = np.random.default_rng(5)
-    normals = hm._sample_normals(3.0, 1400, ref)
-    raw = ref.integers(0, 1400, size=(n_triples, 3), dtype=np.int32)
+    normals = hm._sample_normals(3.0, n, ref)
+    raw = ref.integers(0, n, size=(n_triples, 3), dtype=np.int32)
     angles, want_total = hm._triple_min_angles(normals, 3.0, raw)
     want = [np.count_nonzero(angles >= e) for e in cutoffs]
     assert 0 < want[0] < want[-1] and want_total < n_triples
@@ -374,7 +389,7 @@ def test_streamed_triple_counts_match_one_draw(monkeypatch):
 
     monkeypatch.setattr(hm, "_triple_min_angles", spy)
     rng = np.random.default_rng(5)
-    counts, total = hm._triple_counts(K1, 3.0, 1400, rng, cutoffs, n_triples)
+    counts, total = hm._triple_counts(K1, 3.0, n, rng, cutoffs, n_triples)
     assert scanned == [8192, 8192, 8192, 5]
     assert counts.tolist() == want
     assert total == want_total
