@@ -245,8 +245,18 @@ def _run_verify_hyperbolic(cfg: ExperimentConfig, timings: dict):
     spread = max(products) - min(products)
     violations = []
     for r in rows:
+        lam = r["lambda"]
         if not abs(r["h_density"] + 2.0) <= 1e-10:
-            violations.append(f"helicity density at lambda={r['lambda']} is {r['h_density']!r}")
+            violations.append(f"helicity density at lambda={lam} is {r['h_density']!r}")
+        vertical = -lam ** (-5.0 / 3.0)
+        laws = {
+            "horizontal_curvature": hypermc.lambda_to_curvature(lam),
+            "vertical_curvature_1": vertical,
+            "vertical_curvature_2": vertical,
+        }
+        for column, law in laws.items():
+            if not abs(r[column] - law) <= 1e-9 * abs(law):
+                violations.append(f"{column} at lambda={lam} is {float(r[column])!r}, not {law!r}")
     if not spread <= 1e-10:
         violations.append(f"triple-density product spread {spread!r} exceeds 1e-10")
     summary = {

@@ -2,10 +2,11 @@
 
 Chords of a disk in the curvature-K plane (K < 0) are drawn from the
 kinematic measure and stored by their unit spacelike normals alone, in the
-Minkowski hyperboloid model, where crossing predicates, crossing angles,
-and point-in-disk tests are short closed forms.  Densities are reported in
-physical units of the curvature-K metric; the disk radius is measured in the
-same units.
+Minkowski hyperboloid model, where crossing angles are short closed forms.
+Chords cross inside the disk when their endpoints interleave on its circle,
+the one crossing predicate here; the hyperboloid-model test in
+tests/oracles.py is its reference.  Densities are reported in physical units
+of the curvature-K metric; the disk radius is measured in the same units.
 """
 
 from __future__ import annotations
@@ -97,30 +98,16 @@ def _sample_normals(rr: float, n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _crosses_inside(kappa: np.ndarray, p0: np.ndarray, ch2: float) -> np.ndarray:
-    """Chord pairs that cross strictly inside the disk.
-
-    kappa = <n1, n2> and p0 is the time component of the Minkowski cross
-    product of the unit normals; the crossing point has time component
-    |p0| / sqrt(1 - kappa^2), to be compared with cosh(rr) (ch2 is its
-    square).  The folded crossing angle satisfies cos(angle) = |kappa|.
-    """
-    return (np.abs(kappa) < 1.0) & (p0**2 < ch2 * (1.0 - kappa**2))
-
-
-def _pair_row_counts(normals: np.ndarray, rr: float) -> np.ndarray:
-    """Per-chord counts of partners crossed strictly inside the disk.
+def _endpoint_ranks(normals: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks (lo, hi) of each chord's two endpoints among all 2N on the
+    boundary circle, lower angle in [0, 2 pi) first.
 
     A disk is convex, so two of its chords cross inside it exactly when
     their endpoints interleave on the boundary circle.  Chord i's endpoints
     sit at angles theta +/- phi with cos(phi) = tanh(p) / tanh(rr) (right
-    triangle at the foot).  With all 2N endpoints ranked once, the endpoints
-    strictly between chord i's own two belong either to crossing chords
-    (one each) or to chords nested inside chord i (two each): those later
-    in lower-rank order with a smaller upper rank, counted in merge levels
-    in O(N log^2 N) time and O(N) memory.  Chords that share an endpoint
-    meet on the circle, not inside it; such ties have measure zero and the
-    sort breaks them by chord index.
+    triangle at the foot).  Chords that share an endpoint meet on the
+    circle, not inside it; such ties have measure zero and the sort breaks
+    them by chord index, so the 2N ranks are distinct.
     """
     n = normals.shape[0]
     sp = normals[:, 0]
@@ -131,7 +118,20 @@ def _pair_row_counts(normals: np.ndarray, rr: float) -> np.ndarray:
     ends.sort(axis=1)
     rank = np.empty(2 * n, dtype=np.int64)
     rank[np.argsort(ends.ravel(), kind="stable")] = np.arange(2 * n)
-    lo, hi = rank[0::2], rank[1::2]
+    return rank[0::2], rank[1::2]
+
+
+def _pair_row_counts(normals: np.ndarray, rr: float) -> np.ndarray:
+    """Per-chord counts of partners crossed strictly inside the disk.
+
+    With the endpoints ranked by _endpoint_ranks, the endpoints strictly
+    between chord i's own two belong either to crossing chords (one each)
+    or to chords nested inside chord i (two each): those later in
+    lower-rank order with a smaller upper rank, counted in merge levels in
+    O(N log^2 N) time and O(N) memory.
+    """
+    n = normals.shape[0]
+    lo, hi = _endpoint_ranks(normals, rr)
     order = np.argsort(lo)
     pos = np.arange(n)
     nested = np.zeros(n, dtype=np.int64)
@@ -177,43 +177,37 @@ def pair_intersection_density(
 # ---------------------------------------------------------------------------
 
 
-def _triple_min_angles(normals: np.ndarray, rr: float, idx: np.ndarray) -> tuple[np.ndarray, int]:
+def _triple_min_angles(normals: np.ndarray, ranks: tuple, idx: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum folded crossing angle of each triangle among the rows of idx,
     and the number of rows with three distinct chords.
 
     A triangle has its three pairwise intersections strictly inside the
-    disk.  A repeated chord forms none, although a chord can pass the
-    crossing predicate with itself (kappa rounds just below 1, p0 = 0).
-    Each value depends on its own row alone.
+    disk: the endpoint ranks (lo, hi) of each pair interleave.  No chord
+    interleaves with itself, so a repeated chord forms none.  The folded
+    crossing angle of two chords has cosine |kappa|, kappa the Minkowski
+    product of their unit normals.  Each value depends on its own row alone.
     """
-    ch2 = np.cosh(rr) ** 2
-    cols = [np.ascontiguousarray(normals[:, k]) for k in range(3)]
-
-    def crossing(a: list, b: list) -> tuple[np.ndarray, np.ndarray]:
-        # The bracket adds as np.sum does over two elements, up to the sign
-        # of a zero kappa, which enters only through |kappa| and kappa**2.
-        kappa = (a[1] * b[1] + a[2] * b[2]) - a[0] * b[0]
-        p0 = a[2] * b[1] - a[1] * b[2]
-        return _crosses_inside(kappa, p0, ch2), kappa
-
+    lo, hi = ranks
+    pairs = ((0, 1), (0, 2), (1, 2))
     # numpy gathers through intp positions several times faster than
     # through the int32 draw or a boolean mask.
-    i, j, k = idx.T.astype(np.intp, order="C")
-    distinct = (i != j) & (i != k) & (j != k)
-    a, b = [c[i] for c in cols], [c[j] for c in cols]
-    ok, kappa = crossing(a, b)
-    # Pair (0, 2) runs on the distinct rows that pass pair (0, 1), pair
-    # (1, 2) on those that pass both; each survivor is gathered once per pair.
-    keep = np.flatnonzero(ok & distinct)
-    a, b, c = [x[keep] for x in a], [x[keep] for x in b], [x[k[keep]] for x in cols]
-    max_abs_kappa = np.abs(kappa[keep])
-    ok, kappa = crossing(a, c)
-    keep = np.flatnonzero(ok)
-    b, c = [x[keep] for x in b], [x[keep] for x in c]
-    max_abs_kappa = np.maximum(max_abs_kappa[keep], np.abs(kappa[keep]))
-    ok, kappa = crossing(b, c)
-    max_abs_kappa = np.maximum(max_abs_kappa[ok], np.abs(kappa[ok]))
-    return np.arccos(np.clip(max_abs_kappa, 0.0, 1.0)), int(np.count_nonzero(distinct))
+    rows = idx.T.astype(np.intp, order="C")
+    i, j, k = rows
+    distinct = int(np.count_nonzero((i != j) & (i != k) & (j != k)))
+    # Pair (0, 2) runs on the rows that pass pair (0, 1), pair (1, 2) on
+    # those that pass both: exactly one end of chord v lies between u's.
+    for u, v in pairs:
+        lu, hu, lv, hv = lo[rows[u]], hi[rows[u]], lo[rows[v]], hi[rows[v]]
+        rows = rows[:, np.flatnonzero(((lu < lv) & (lv < hu)) != ((lu < hv) & (hv < hu)))]
+    chords = normals[rows]
+    max_abs_kappa = np.zeros(rows.shape[1])
+    for u, v in pairs:
+        a, b = chords[u], chords[v]
+        # The bracket adds as np.sum does over two elements, up to the sign
+        # of a zero kappa, which |kappa| drops.
+        kappa = (a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]) - a[:, 0] * b[:, 0]
+        max_abs_kappa = np.maximum(max_abs_kappa, np.abs(kappa))
+    return np.arccos(np.clip(max_abs_kappa, 0.0, 1.0)), distinct
 
 
 def _triple_counts(
@@ -228,10 +222,10 @@ def _triple_counts(
     n_triples triples drawn with replacement, and the number of drawn
     triples with three distinct chords.
 
-    One streamed scan serves every chord count; the exhaustive count,
-    trace(A^3)/6 over the dense crossing matrix, is its reference in
-    tests/oracles.py.  Counts at the thresholds are nested by construction:
-    every cutoff counts the same triangles.
+    One streamed scan of endpoint interleaving serves every chord count; the
+    exhaustive count trace(A^3)/6 over the hyperboloid-model crossing matrix
+    is its reference in tests/oracles.py.  Counts at the thresholds are
+    nested by construction: every cutoff counts the same triangles.
     """
     if N < MIN_CHORDS:
         raise ValueError(f"need at least {MIN_CHORDS} chords, got {N}")
@@ -240,19 +234,18 @@ def _triple_counts(
     rng = np.random.default_rng(rng)
     rho, rr = _shape_params(K, R)
     normals = _sample_normals(rr, N, rng)
+    ranks = _endpoint_ranks(normals, rr)
     counts = np.zeros(len(eps_values), dtype=np.int64)
     total = 0
-    # Column-major, so that the scan of each chunk reads the columns in place.
-    normals = np.asfortranarray(normals)
     # numpy draws ranges below 2**32 from one 32-bit stream whose spare half
     # word lives in the generator state, so consecutive int32 chunk draws
     # give the values of one int64 draw and leave the same state.  A chunk
-    # of 8,192 rows scans in 0.9 MiB of temporaries.  Chunks of 16,384 rows
+    # of 8,192 rows scans in 0.5 MiB of temporaries.  Chunks of 16,384 rows
     # measured slower, as the allocator returned and re-faulted their pages,
     # and chunks of 4,096 slower again from per-call overhead.
     for lo, hi in fixed_chunks(n_triples, 8192):
         idx = rng.integers(0, N, size=(hi - lo, 3), dtype=np.int32)
-        min_ang, distinct = _triple_min_angles(normals, rr, idx)
+        min_ang, distinct = _triple_min_angles(normals, ranks, idx)
         counts += np.count_nonzero(min_ang[:, None] >= eps_values, axis=0)
         total += distinct
     return counts.astype(float), total

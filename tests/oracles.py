@@ -10,12 +10,14 @@ upper-half-plane times fiber-angle chart for the frames over the hyperbolic
 plane.
 
 The scalar GeodesicChord is the reference for the chord arrays of hypermc,
-which keep only unit normals; the dense crossing matrix and its exhaustive
-triangle count trace(A^3)/6 are the references for the pair counts and the
-sampled triangle counts of hypermc; ray shooting is the reference for
-hypermc.parallelism_ratio.  signed_crossings, one dense block of segment
-pairs followed by a separate depth, tangency and sign pass, is the reference
-for fieldlines.projected_crossings.
+which keep only unit normals.  hypermc tests chord crossings by endpoint
+interleaving alone; the hyperboloid-model predicate crosses_inside, its
+dense crossing matrix and the exhaustive triangle count trace(A^3)/6 are
+the references for the pair counts and the sampled triangle counts of
+hypermc.  Ray shooting is the reference for hypermc.parallelism_ratio.
+signed_crossings, one dense block of segment pairs followed by a separate
+depth, tangency and sign pass, is the reference for
+fieldlines.projected_crossings.
 """
 
 from dataclasses import dataclass
@@ -241,13 +243,26 @@ def chords_cross_inside(c1: GeodesicChord, c2: GeodesicChord) -> bool:
     return bool(p0 < np.cosh(c1.rr))
 
 
+def crosses_inside(kappa: np.ndarray, p0: np.ndarray, ch2: float) -> np.ndarray:
+    """Chord pairs that cross strictly inside the disk, in the hyperboloid
+    model: the vectorized form of chords_cross_inside.
+
+    kappa = <n1, n2> and p0 is the time component of the Minkowski cross
+    product of the unit normals; the crossing point has time component
+    |p0| / sqrt(1 - kappa^2), to be compared with cosh(rr) (ch2 is its
+    square).  A chord can pass it with itself: kappa rounds just below 1
+    while p0 = 0.
+    """
+    return (np.abs(kappa) < 1.0) & (p0**2 < ch2 * (1.0 - kappa**2))
+
+
 def pair_flag_matrix(normals: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, |kappa|): which chord pairs cross inside the disk, by the
-    vectorized predicate of hypermc, and the cosine of each pair's folded
-    crossing angle, as dense N x N matrices."""
+    """(flags, |kappa|): which chord pairs cross inside the disk, by
+    crosses_inside, and the cosine of each pair's folded crossing angle, as
+    dense N x N matrices."""
     kappa = normals[:, 1:] @ normals[:, 1:].T - np.outer(normals[:, 0], normals[:, 0])
     p0 = np.outer(normals[:, 2], normals[:, 1]) - np.outer(normals[:, 1], normals[:, 2])
-    flags = hypermc._crosses_inside(kappa, p0, np.cosh(rr) ** 2)
+    flags = crosses_inside(kappa, p0, np.cosh(rr) ** 2)
     np.fill_diagonal(flags, False)
     return flags, np.abs(kappa)
 

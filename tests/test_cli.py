@@ -259,11 +259,20 @@ def test_main_rejects_lambda_whose_cube_is_not_normal(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_main_passes_lambda_just_inside_the_range(tmp_path, monkeypatch):
+def test_main_passes_lambda_just_inside_the_range(tmp_path, monkeypatch, capsys):
+    # The densities hold at both ends of the range, but the curvature
+    # columns do not: at the low end the horizontal one is +2.1e155 against
+    # the law's -2.3e68, at the high end the vertical ones are 0.0.
     monkeypatch.chdir(tmp_path)
     grid = [LAMBDA_INSIDE[0], 1.0, LAMBDA_INSIDE[1]]
     (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": grid}))
-    assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 0
+    assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 2
+    violations = [v for v in capsys.readouterr().err.splitlines() if v.startswith("VIOLATION: ")]
+    assert [v.split()[1:4] for v in violations] == [
+        ["horizontal_curvature", "at", f"lambda={LAMBDA_INSIDE[0]}"],
+        ["vertical_curvature_1", "at", f"lambda={LAMBDA_INSIDE[1]}"],
+        ["vertical_curvature_2", "at", f"lambda={LAMBDA_INSIDE[1]}"],
+    ]
     header, *rows = (tmp_path / "results" / "verify-hyperbolic.csv").read_text().splitlines()[1:]
     columns = header.split(",")
     table = [dict(zip(columns, r.split(","))) for r in rows]
@@ -271,6 +280,21 @@ def test_main_passes_lambda_just_inside_the_range(tmp_path, monkeypatch):
     for r in table:
         assert abs(float(r["h_density"]) + 2.0) <= 1e-10
         assert abs(float(r["t_density_times_lambda"]) - 3.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "lam, columns",
+    [(1e-20, ["horizontal_curvature"]), (1e12, ["vertical_curvature_1", "vertical_curvature_2"])],
+)
+def test_main_gates_the_curvature_columns(tmp_path, monkeypatch, capsys, lam, columns):
+    # sectional_profile loses the horizontal curvature to cancellation at
+    # small lambda (+2.9e17 against -2.2e13 at 1e-20) and the vertical ones
+    # by 6.1e-5 relative at 1e12; each column is held to 1e-9 of its law.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": [1.0, lam]}))
+    assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 2
+    violations = [v for v in capsys.readouterr().err.splitlines() if v.startswith("VIOLATION: ")]
+    assert [v.split()[1:4] for v in violations] == [[c, "at", f"lambda={lam}"] for c in columns]
 
 
 def test_main_rejects_over_budget_triples_before_the_verb(tmp_path, monkeypatch, capsys):

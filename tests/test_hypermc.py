@@ -107,14 +107,7 @@ def _fenwick_row_counts(normals, rr):
     # decreasing order of the lower rank.
     n = normals.shape[0]
     size = 2 * n
-    sp = normals[:, 0]
-    theta = np.arctan2(normals[:, 2], normals[:, 1])
-    phi = np.arccos(np.minimum(sp / np.sqrt(1.0 + sp**2) / np.tanh(rr), 1.0))
-    ends = np.stack([theta - phi, theta + phi], axis=1) % (2.0 * np.pi)
-    ends.sort(axis=1)
-    rank = np.empty(size, dtype=np.int64)
-    rank[np.argsort(ends.ravel(), kind="stable")] = np.arange(size)
-    lo, hi = rank[0::2], rank[1::2]
+    lo, hi = hm._endpoint_ranks(normals, rr)
     tree = [0] * (size + 1)
     his = hi.tolist()
     nested = [0] * n
@@ -222,7 +215,7 @@ def test_subsampled_min_angles_match_python_oracle():
     rng = np.random.default_rng(14)
     normals = hm._sample_normals(3.0, 1300, rng)
     raw, rows = _draw_triples(1300, 2000, rng)
-    angles, total = hm._triple_min_angles(normals, 3.0, raw)
+    angles, total = hm._triple_min_angles(normals, hm._endpoint_ranks(normals, 3.0), raw)
     ch = np.cosh(3.0)
     want = []
     for row in rows:
@@ -247,8 +240,9 @@ def test_subsampled_min_angles_match_python_oracle():
 
 
 def _row_gather_min_angles(normals, rr, idx):
-    # The triple scan before it gathered columns: two (n, 3) row gathers per
-    # pair and np.sum over a strided axis of two.  _triple_min_angles must
+    # The triple scan by the hyperboloid-model route: two (n, 3) row gathers
+    # per pair, crosses_inside on every pair and np.sum over a strided axis
+    # of two.  _triple_min_angles, which tests endpoint interleaving, must
     # return the same bits.
     ch2 = np.cosh(rr) ** 2
     out = np.full(idx.shape[0], -1.0)
@@ -259,18 +253,20 @@ def _row_gather_min_angles(normals, rr, idx):
         b = normals[idx[:, v]]
         kappa = np.sum(a[:, 1:] * b[:, 1:], axis=1) - a[:, 0] * b[:, 0]
         p0 = a[:, 2] * b[:, 1] - a[:, 1] * b[:, 2]
-        valid &= hm._crosses_inside(kappa, p0, ch2)
+        valid &= oracles.crosses_inside(kappa, p0, ch2)
         max_abs_kappa = np.maximum(max_abs_kappa, np.abs(kappa))
     out[valid] = np.arccos(np.clip(max_abs_kappa[valid], 0.0, 1.0))
     return out
 
 
-def test_column_gathered_scan_matches_row_gather_bits():
+# At rr = 12, 1,500 chords and 150k rows form no triangle.
+@pytest.mark.parametrize("rr", [0.5, 3.0])
+def test_column_gathered_scan_matches_row_gather_bits(rr):
     rng = np.random.default_rng(21)
-    normals = hm._sample_normals(3.0, 1500, rng)
+    normals = hm._sample_normals(rr, 1500, rng)
     raw, rows = _draw_triples(1500, 150_000, rng)
-    want = _row_gather_min_angles(normals, 3.0, rows)
-    got, total = hm._triple_min_angles(normals, 3.0, raw)
+    want = _row_gather_min_angles(normals, rr, rows)
+    got, total = hm._triple_min_angles(normals, hm._endpoint_ranks(normals, rr), raw)
     assert total == rows.shape[0] < raw.shape[0]
     assert 0 < np.count_nonzero(want >= 0.0) < want.size
     want = want[want >= 0.0]
@@ -278,28 +274,29 @@ def test_column_gathered_scan_matches_row_gather_bits():
 
 
 def test_repeated_chords_form_no_triangle():
-    # A chord paired with itself can pass the crossing predicate: kappa
-    # rounds just below 1 while p0 = 0.  Rows that repeat such a chord i
-    # next to a chord j that crosses it would count as triangles.
+    # A chord paired with itself can pass the hyperboloid predicate
+    # crosses_inside: kappa rounds just below 1 while p0 = 0.  By that route,
+    # rows that repeat such a chord i next to a chord j that crosses it
+    # would count as triangles.
     rng = np.random.default_rng(23)
     normals = hm._sample_normals(3.0, 2000, rng)
     flags, _ = oracles.pair_flag_matrix(normals, 3.0)
     kappa = oracles.mink_dot(normals, normals)
     p0 = oracles.mink_cross(normals, normals)[:, 0]
-    self_pass = np.flatnonzero(hm._crosses_inside(kappa, p0, np.cosh(3.0) ** 2))
+    self_pass = np.flatnonzero(oracles.crosses_inside(kappa, p0, np.cosh(3.0) ** 2))
     i = int(self_pass[0])
     j = int(np.flatnonzero(flags[i])[0])
     raw, rows = _draw_triples(2000, 20_000, rng)
     forced = np.array([[i, i, j], [i, j, i], [j, i, i]], dtype=np.int32)
-    # Without the filter each forced row would be a triangle.
     assert np.all(_row_gather_min_angles(normals, 3.0, forced) >= 0.0)
-    angles, total = hm._triple_min_angles(normals, 3.0, forced)
+    ranks = hm._endpoint_ranks(normals, 3.0)
+    angles, total = hm._triple_min_angles(normals, ranks, forced)
     assert angles.size == 0 and total == 0
     # The forced rows open the first draw chunk of 8,192 rows, straddle its
     # end and close the last, partial chunk.
     script = np.concatenate([forced, raw[:8187], forced, raw[8187:], forced])
-    want, want_total = hm._triple_min_angles(normals, 3.0, rows)
-    got, got_total = hm._triple_min_angles(normals, 3.0, script)
+    want, want_total = hm._triple_min_angles(normals, ranks, rows)
+    got, got_total = hm._triple_min_angles(normals, ranks, script)
     assert got_total == want_total == rows.shape[0]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     cutoffs = np.array([0.3, 0.1])
@@ -377,15 +374,15 @@ def test_streamed_triple_counts_match_one_draw(monkeypatch, n):
     ref = np.random.default_rng(5)
     normals = hm._sample_normals(3.0, n, ref)
     raw = ref.integers(0, n, size=(n_triples, 3), dtype=np.int32)
-    angles, want_total = hm._triple_min_angles(normals, 3.0, raw)
+    angles, want_total = hm._triple_min_angles(normals, hm._endpoint_ranks(normals, 3.0), raw)
     want = [np.count_nonzero(angles >= e) for e in cutoffs]
     assert 0 < want[0] < want[-1] and want_total < n_triples
 
     scan, scanned = hm._triple_min_angles, []
 
-    def spy(normals, rr, idx):
+    def spy(normals, ranks, idx):
         scanned.append(idx.shape[0])
-        return scan(normals, rr, idx)
+        return scan(normals, ranks, idx)
 
     monkeypatch.setattr(hm, "_triple_min_angles", spy)
     rng = np.random.default_rng(5)
