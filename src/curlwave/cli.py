@@ -103,6 +103,13 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{name}: must be a list of finite numbers, got {v!r}")
         if len(self.lambda_grid) == 0 or any(l <= 0 for l in self.lambda_grid):
             raise ConfigInvalid(f"lambda_grid: must be non-empty and positive, got {self.lambda_grid!r}")
+        if self.verb == "verify-hyperbolic":
+            lo, hi = hyperbolic.VERIFIED_LAMBDA_RANGE
+            for lam in self.lambda_grid:
+                if not lo <= lam <= hi:
+                    raise ConfigInvalid(
+                        f"lambda_grid: verify-hyperbolic verifies lambda in [{lo:g}, {hi:g}], got {lam!r}"
+                    )
         n_grid = len(self.lambda_grid)
         if n_grid > hypermc.MAX_FIT_POINTS:
             raise ConfigInvalid(f"lambda_grid: at most {hypermc.MAX_FIT_POINTS} values, got {n_grid}")
@@ -236,10 +243,7 @@ def _run_verify_s3(cfg: ExperimentConfig, timings: dict):
 
 def _run_verify_hyperbolic(cfg: ExperimentConfig, timings: dict):
     t0 = time.perf_counter()
-    try:
-        rows = [hyperbolic.lambda_report_row(lam) for lam in cfg.lambda_grid]
-    except ValueError as exc:
-        raise ValueError(f"lambda_grid: {exc}") from exc
+    rows = [hyperbolic.lambda_report_row(lam) for lam in cfg.lambda_grid]
     timings["lambda_rows"] = time.perf_counter() - t0
     products = [r["t_density_times_lambda"] for r in rows]
     spread = max(products) - min(products)

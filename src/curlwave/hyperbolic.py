@@ -25,6 +25,11 @@ from .frames import (
 # recorded in reports.
 COVER_VOLUME_FACTOR = 2.0
 
+# The lambda verify-hyperbolic accepts: sectional_profile stays within 1e-9
+# of its laws here (at most 1.8e-10 relative, on 200 points a decade) and
+# first misses them near 5.07e-7 and 5.13e6, to roundoff in the constants.
+VERIFIED_LAMBDA_RANGE = (1e-5, 1e6)
+
 
 def sectional_profile(lam: float) -> tuple[float, float, float]:
     """(horizontal, vertical1, vertical2) plane curvatures at scale lam.

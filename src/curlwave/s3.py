@@ -1,7 +1,7 @@
-"""Frame fields on round 3-spheres and their gauge-theoretic checks.
+"""Frame fields on the round unit 3-sphere and their Yang-Mills check.
 
-The sphere of radius R sits in quaternion space; left fields are x -> x*q and
-right fields are x -> q*x for the imaginary units q.  All differential
+The sphere sits in quaternion space; left fields are x -> x*q and right
+fields are x -> q*x for the imaginary units q.  All differential
 operators run in a two-chart stereographic atlas where the round metric is
 conformally flat, so curls reduce to flat curls of rescaled components.
 Derivatives use complex-step evaluation, which is exact to roundoff because
@@ -16,12 +16,10 @@ tangent vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .frames import LieFrameSpec, su2_right, su2_unit
 from .quaternions import IMAG_UNITS, haar_sample, qconj, qmul
 # ordered_map is unused here, but the benchmark tracer wraps s3.ordered_map.
 from .seeds import fixed_chunks, ordered_map, substream
@@ -40,11 +38,6 @@ COMPLEX_STEP = 1e-20
 # about 143 bytes per point (a tracemalloc peak of 8.2 MiB at 60,000 points),
 # so the peak stays near 275 MiB at the cap.
 MAX_CURL_POINTS = 2_000_000
-
-
-def trace_pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Normalized trace form of a product of two algebra values."""
-    return -4.0 * qmul(p, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +109,13 @@ def conformal_factor(u: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class S3Frame:
-    """Translation frame on a radius-R sphere.
-
-    side is "left" (x -> amp * x*q) or "right" (x -> amp * q*x); spec is the
-    matching algebraic description (constants + leg metric).
-    """
+    """Translation frame on the unit sphere: side "left" (x -> x*q) or "right" (x -> q*x)."""
 
     side: str
-    spec: LieFrameSpec
-    radius: float = 1.0
-    amp: float = 1.0
 
     def __post_init__(self) -> None:
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
 
     def leg(self, l: int) -> Callable[[np.ndarray], np.ndarray]:
         """Leg l in {1, 2, 3} as a callable field on ambient points."""
@@ -139,28 +123,16 @@ class S3Frame:
             raise ValueError(f"leg index must be 1, 2 or 3, got {l}")
         q = IMAG_UNITS[l - 1]
         if self.side == "left":
-            return lambda x: self.amp * qmul(x, q)
-        return lambda x: self.amp * qmul(q, x)
+            return lambda x: qmul(x, q)
+        return lambda x: qmul(q, x)
 
     def legs(self) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
         return tuple(self.leg(l) for l in (1, 2, 3))
 
 
 def build_frame(side: str) -> S3Frame:
-    """Unit-sphere frame with the matching algebraic spec."""
-    if side == "left":
-        return S3Frame("left", su2_unit(), 1.0, 1.0)
-    if side == "right":
-        return S3Frame("right", su2_right(), 1.0, 1.0)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def nu_of(field: Callable, radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Algebra-valued profile (4, n) of a tangent field under left trivialization.
-
-    nu(xi)(x) = conj(x) * xi(x) / (2 R); constant q_l/2 on unit left legs.
-    """
-    return lambda x: qmul(qconj(np.asarray(x)), field(x)) / (2.0 * radius)
+    """Unit-sphere frame on the given side."""
+    return S3Frame(side)
 
 
 def _bracket_values(x: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -278,14 +250,13 @@ def ym_residual(frame: S3Frame, n_points: int = 1000, seed: int = 0) -> float:
     every point's value is the same float at any block size or loop order,
     and a max is exact.
     """
-    if frame.radius != 1.0:
-        raise ValueError("residual check is defined on the unit sphere")
-    groups = group_by_chart(haar_sample(substream(seed, 0), n_points).T, frame.radius)
+    groups = group_by_chart(haar_sample(substream(seed, 0), n_points).T, 1.0)
     legs = frame.legs()
     partners = [((l + 1) % 3, (l + 2) % 3) for l in range(3)]
 
     def profiles(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        # conj(x) and the leg profiles nu_k = conj(x) * A_k(x) / 2 (see nu_of)
+        # conj(x) and the leg profiles nu_k = conj(x) * A_k(x) / 2, the
+        # algebra values of the legs under left trivialization
         xc = qconj(x)
         return xc, [qmul(xc, leg(x)) / 2.0 for leg in legs]
 
@@ -315,64 +286,3 @@ def ym_residual(frame: S3Frame, n_points: int = 1000, seed: int = 0) -> float:
                 norms = np.sqrt(chart_inner(u, res, res))
                 worst = max(worst, float(np.max(norms)))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Chern-Simons densities and functional.
-# ---------------------------------------------------------------------------
-
-
-def wedge_density_values(nu_values: np.ndarray, spec: LieFrameSpec) -> np.ndarray:
-    """Cubic wedge density from the three algebra values on the frame legs.
-
-    Evaluates the alternating triple product under the normalized trace and
-    divides by the frame volume, i.e. the density against the orthonormal
-    coframe.  nu_values has shape (3, 4, n).
-    """
-    acc = np.zeros(nu_values.shape[2])
-    for perm in permutations(range(3)):
-        sgn = _perm_sign(perm)
-        pair = qmul(nu_values[perm[0]], nu_values[perm[1]])
-        acc = acc + sgn * trace_pair(pair, nu_values[perm[2]])
-    vol = float(np.sqrt(np.prod(spec.g)))
-    return float(spec.orientation) * acc / vol
-
-
-def _perm_sign(perm: Sequence[int]) -> float:
-    sgn = 1.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if perm[a] > perm[b]:
-                sgn = -sgn
-    return sgn
-
-
-def cs_densities(frame: S3Frame, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise helicity-term and wedge-term densities at embedded points x (4, n)."""
-    x = np.asarray(x, dtype=float)
-    legs = frame.legs()
-    dens1 = np.zeros(x.shape[1])
-    for leg in legs:
-        u, v, c = curl_field(leg, x, frame.radius)
-        dens1 = dens1 + chart_inner(u, v, c, frame.radius)
-    nu_vals = np.stack([nu_of(leg, frame.radius)(x) for leg in legs], axis=0)
-    dens2 = wedge_density_values(nu_vals, frame.spec)
-    return dens1, dens2
-
-
-def cs_functional(frame: S3Frame, n_quad: int, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo values of the two Chern-Simons terms over the sphere.
-
-    Returns (helicity term, wedge term), each density mean times the sphere
-    volume.  Chunk i of 8192 points comes from substream(seed, i).
-    """
-    if n_quad < 1000:
-        raise ValueError(f"need at least 1000 quadrature points, got {n_quad}")
-    vol = VOL_UNIT_SPHERE * frame.radius**3
-    s1 = s2 = 0.0
-    for i, (lo, hi) in enumerate(fixed_chunks(n_quad, 8192)):
-        x = frame.radius * haar_sample(substream(seed, i), hi - lo).T
-        d1, d2 = cs_densities(frame, x)
-        s1 += float(np.sum(d1))
-        s2 += float(np.sum(d2))
-    return s1 / n_quad * vol, s2 / n_quad * vol

@@ -18,17 +18,25 @@ hypermc.  Ray shooting is the reference for hypermc.parallelism_ratio.
 signed_crossings, one dense block of segment pairs followed by a separate
 depth, tangency and sign pass, is the reference for
 fieldlines.projected_crossings.
+
+The Chern-Simons quadrature integrates the helicity term (chart curls of the
+legs) and the wedge term (the alternating trace of the legs' algebra values)
+over a round sphere by Monte Carlo.  No verb runs it; the tests check the
+sphere frames' constant densities and the l^4 / l^3 scaling of both terms
+under x -> l x against it.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
+from typing import Callable, Sequence
 
 import numpy as np
 
-from curlwave import hypermc
+from curlwave import hypermc, s3
 from curlwave.errors import CurlwaveError, DegenerateProjection
-from curlwave.frames import lambda_geometry_ar
-from curlwave.quaternions import IMAG_UNITS, qmul
-from curlwave.s3 import chart_embed, chart_push
+from curlwave.frames import LieFrameSpec, lambda_geometry_ar
+from curlwave.quaternions import IMAG_UNITS, haar_sample, qconj, qmul
+from curlwave.seeds import fixed_chunks, substream
 
 
 def _riemann_number(g0, d_g, dd_g, u, v) -> float:
@@ -107,12 +115,88 @@ def sphere_chart_setup(side: str, amp: float, g, radius: float = 1.0):
     frame of the radius sphere, scaled by amp, in stereographic chart 0."""
 
     def rows(u):
-        x = chart_embed(u, 0, radius)
+        x = s3.chart_embed(u, 0, radius)
         legs = [amp * (qmul(x, q) if side == "left" else qmul(q, x)) for q in IMAG_UNITS]
-        return np.stack([chart_push(x, xi, 0, radius) for xi in legs])
+        return np.stack([s3.chart_push(x, xi, 0, radius) for xi in legs])
 
     x0 = radius * np.array([0.11, -0.07, 0.23])
     return metric_from_frame_rows(rows, np.asarray(g, dtype=float)), rows(x0), x0
+
+
+# Chern-Simons densities and functional.
+
+
+def trace_pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Normalized trace form of a product of two algebra values: 2 * TRACE_NORMALIZATION * Re(p q)."""
+    return 2.0 * s3.TRACE_NORMALIZATION * qmul(p, q)[0]
+
+
+def nu_of(field: Callable, radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+    """Algebra-valued profile (4, n) of a tangent field under left trivialization.
+
+    nu(xi)(x) = conj(x) * xi(x) / (2 R); constant q_l/2 on unit left legs.
+    """
+    return lambda x: qmul(qconj(np.asarray(x)), field(x)) / (2.0 * radius)
+
+
+def wedge_density_values(nu_values: np.ndarray, spec: LieFrameSpec) -> np.ndarray:
+    """Cubic wedge density from the three algebra values on the frame legs.
+
+    Evaluates the alternating triple product under the normalized trace and
+    divides by the frame volume, i.e. the density against the orthonormal
+    coframe.  nu_values has shape (3, 4, n).
+    """
+    acc = np.zeros(nu_values.shape[2])
+    for perm in permutations(range(3)):
+        sgn = _perm_sign(perm)
+        pair = qmul(nu_values[perm[0]], nu_values[perm[1]])
+        acc = acc + sgn * trace_pair(pair, nu_values[perm[2]])
+    vol = float(np.sqrt(np.prod(spec.g)))
+    return float(spec.orientation) * acc / vol
+
+
+def _perm_sign(perm: Sequence[int]) -> float:
+    sgn = 1.0
+    for a in range(3):
+        for b in range(a + 1, 3):
+            if perm[a] > perm[b]:
+                sgn = -sgn
+    return sgn
+
+
+def cs_densities(
+    legs: Sequence[Callable], spec: LieFrameSpec, x: np.ndarray, radius: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise helicity-term and wedge-term densities at embedded points x (4, n)
+    of the radius sphere, for the three legs that spec describes."""
+    x = np.asarray(x, dtype=float)
+    dens1 = np.zeros(x.shape[1])
+    for leg in legs:
+        u, v, c = s3.curl_field(leg, x, radius)
+        dens1 = dens1 + s3.chart_inner(u, v, c, radius)
+    nu_vals = np.stack([nu_of(leg, radius)(x) for leg in legs], axis=0)
+    dens2 = wedge_density_values(nu_vals, spec)
+    return dens1, dens2
+
+
+def cs_functional(
+    legs: Sequence[Callable], spec: LieFrameSpec, n_quad: int, seed: int = 0, radius: float = 1.0
+) -> tuple[float, float]:
+    """Monte Carlo values of the two Chern-Simons terms over the radius sphere.
+
+    Returns (helicity term, wedge term), each density mean times the sphere
+    volume.  Chunk i of 8192 points comes from substream(seed, i).
+    """
+    if n_quad < 1000:
+        raise ValueError(f"need at least 1000 quadrature points, got {n_quad}")
+    vol = s3.VOL_UNIT_SPHERE * radius**3
+    s1 = s2 = 0.0
+    for i, (lo, hi) in enumerate(fixed_chunks(n_quad, 8192)):
+        x = radius * haar_sample(substream(seed, i), hi - lo).T
+        d1, d2 = cs_densities(legs, spec, x, radius)
+        s1 += float(np.sum(d1))
+        s2 += float(np.sum(d2))
+    return s1 / n_quad * vol, s2 / n_quad * vol
 
 
 # Upper-half-plane times fiber chart.  Coordinates (x, y, phi) with y > 0.

@@ -91,22 +91,22 @@ def test_criterion_04_triple_density_compensation():
     )
 
 
-def _radius_frame(l: float) -> s3.S3Frame:
+def _radius_cs_functional(l: float) -> tuple[float, float]:
     # The left legs x -> x*q carried over to the radius-l sphere by x -> l x:
-    # brackets unchanged ([E_i, E_j] = 2 E_k), squared lengths l^2, amp 1.
+    # brackets unchanged ([E_i, E_j] = 2 E_k), squared lengths l^2.
     spec = frames.LieFrameSpec(f"radius_{l:g}", frames.su2_unit().c, l * l * np.ones(3), 1)
-    return s3.S3Frame("left", spec, radius=l, amp=1.0)
+    return oracles.cs_functional(s3.build_frame("left").legs(), spec, 4000, seed=0, radius=l)
 
 
 def test_criterion_05_rescale_covariance():
     # Under x -> l x the helicity density (E, rot E) = -2 l per leg gains l
     # and the volume l^3, so the helicity term scales as l^4; the wedge
     # density is unchanged, so the wedge term scales as l^3.
-    h1, w1 = s3.cs_functional(_radius_frame(1.0), 4000, seed=0)
+    h1, w1 = _radius_cs_functional(1.0)
     worst_h = 0.0
     worst_w = 0.0
     for l in (0.5, 2.0, 3.0):
-        h, w = s3.cs_functional(_radius_frame(l), 4000, seed=0)
+        h, w = _radius_cs_functional(l)
         worst_h = max(worst_h, abs(h / h1 / l**4 - 1.0))
         worst_w = max(worst_w, abs(w / w1 / l**3 - 1.0))
     _verdict(
@@ -290,17 +290,19 @@ def test_criterion_10_quintuple_estimator():
 
 
 def test_criterion_11_worker_count_byte_identity(tmp_path):
-    small = dict(n_chords=2000, n_triples=200000, seed=0)
-    outs = {}
-    for verb, extra in (("triangle-scan", small), ("verify-hyperbolic", {})):
-        blobs = []
-        for w in (1, 8):
-            out = tmp_path / f"{verb}-w{w}"
-            run(ExperimentConfig(verb=verb, out_dir=str(out), workers=w, **extra))
-            blobs.append((out / f"{verb}.csv").read_bytes())
-        outs[verb] = blobs[0] == blobs[1]
+    # hopf-asymptotic is the one verb that reads workers: it traces and links
+    # its pairs on a thread pool, and both reports must come out as they do
+    # on one thread.
+    small = dict(n_pairs=100, trace_T=2.0 * np.pi, n_quad=1000, seed=0)
+    reports = ("hopf-asymptotic.csv", "hopf-asymptotic_summary.txt")
+    blobs = {}
+    for w in (1, 8):
+        out = tmp_path / f"w{w}"
+        run(ExperimentConfig(verb="hopf-asymptotic", out_dir=str(out), workers=w, **small))
+        blobs[w] = [(out / name).read_bytes() for name in reports]
+    same = [a == b for a, b in zip(blobs[1], blobs[8])]
     _verdict(
         "worker-count byte identity",
-        all(outs.values()),
-        ", ".join(f"{v} identical={ok}" for v, ok in outs.items()),
+        all(same),
+        f"hopf-asymptotic at workers 1 and 8: csv identical={same[0]}, record identical={same[1]}",
     )

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curlwave import cli, hypermc, s3
+from curlwave import cli, hyperbolic, hypermc, s3
 from curlwave.cli import ExperimentConfig, emit_report, main, run
 from curlwave.errors import ConfigInvalid, IoFailure
 from curlwave.fieldlines import MAX_QUAD_POINTS, MAX_TRACE_STATES
@@ -238,41 +238,39 @@ def test_main_reports_disagreeing_helicity_legs_as_violation(tmp_path, monkeypat
     assert rows and all(r.split(",")[column] == "nan" for r in rows)
 
 
-# lambda_fields gives each leg the metric lambda, so the frame volume takes
-# lambda**3, a normal double from 2.812644285236262e-103 to
-# 5.643803094122361e+102.  Outside, the rows come out wrong (h_density
-# -2.002 at 1e-107, NaN at 1e-120, -0.0 at 1e103) or fail in the metric
-# check (1e200).
-LAMBDA_INSIDE = [2.812644285236262e-103, 5.643803094122361e102]
-LAMBDA_OUTSIDE = [1e-120, 1e-107, 2.8126442852362615e-103, 5.643803094122363e102, 1e103, 1e200]
+# verify-hyperbolic verifies lambda in hyperbolic.VERIFIED_LAMBDA_RANGE,
+# [1e-5, 1e6].  Outside it, validate() rejects the grid before any row is
+# computed: near the ends the curvature columns miss their laws by more than
+# the 1e-9 gate (+2.9e17 against -2.2e13 horizontally at 1e-20, 6.1e-5
+# relative vertically at 1e12), and where lambda**3 leaves the normal
+# doubles (below 2.812644285236262e-103, above 5.643803094122361e102) the
+# densities come out wrong or NaN as well.
+LAMBDA_OUTSIDE = [
+    1e-120, 1e-107, 2.8126442852362615e-103, 2.812644285236262e-103, 1e-20,
+    float(np.nextafter(1e-5, 0.0)), float(np.nextafter(1e6, np.inf)), 1e12,
+    5.643803094122361e102, 5.643803094122363e102, 1e103, 1e200,
+]
 
 
 @pytest.mark.parametrize("lam", LAMBDA_OUTSIDE)
-def test_main_rejects_lambda_whose_cube_is_not_normal(tmp_path, monkeypatch, capsys, lam):
+def test_main_rejects_lambda_outside_the_verified_range(tmp_path, monkeypatch, capsys, lam):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": [1.0, lam]}))
     assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 1
     err = capsys.readouterr().err
-    assert "error: lambda_grid: family parameter must be a positive real whose cube is a normal double" in err
-    assert f"got {lam}" in err
+    assert f"error: lambda_grid: verify-hyperbolic verifies lambda in [1e-05, 1e+06], got {lam!r}" in err
     assert not list(tmp_path.glob("verify-hyperbolic*"))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_passes_lambda_just_inside_the_range(tmp_path, monkeypatch, capsys):
-    # The densities hold at both ends of the range, but the curvature
-    # columns do not: at the low end the horizontal one is +2.1e155 against
-    # the law's -2.3e68, at the high end the vertical ones are 0.0.
+    # Every claim holds at both ends of the range: densities and curvatures.
     monkeypatch.chdir(tmp_path)
-    grid = [LAMBDA_INSIDE[0], 1.0, LAMBDA_INSIDE[1]]
+    grid = [1e-5, 1.0, 1e6]
+    assert list(hyperbolic.VERIFIED_LAMBDA_RANGE) == grid[::2]
     (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": grid}))
-    assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 2
-    violations = [v for v in capsys.readouterr().err.splitlines() if v.startswith("VIOLATION: ")]
-    assert [v.split()[1:4] for v in violations] == [
-        ["horizontal_curvature", "at", f"lambda={LAMBDA_INSIDE[0]}"],
-        ["vertical_curvature_1", "at", f"lambda={LAMBDA_INSIDE[1]}"],
-        ["vertical_curvature_2", "at", f"lambda={LAMBDA_INSIDE[1]}"],
-    ]
+    assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 0
+    assert "VIOLATION" not in capsys.readouterr().err
     header, *rows = (tmp_path / "results" / "verify-hyperbolic.csv").read_text().splitlines()[1:]
     columns = header.split(",")
     table = [dict(zip(columns, r.split(","))) for r in rows]
@@ -283,18 +281,26 @@ def test_main_passes_lambda_just_inside_the_range(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
-    "lam, columns",
-    [(1e-20, ["horizontal_curvature"]), (1e12, ["vertical_curvature_1", "vertical_curvature_2"])],
+    "plane, columns",
+    [(0, ["horizontal_curvature"]), (1, ["vertical_curvature_1"]), (2, ["vertical_curvature_2"])],
 )
-def test_main_gates_the_curvature_columns(tmp_path, monkeypatch, capsys, lam, columns):
-    # sectional_profile loses the horizontal curvature to cancellation at
-    # small lambda (+2.9e17 against -2.2e13 at 1e-20) and the vertical ones
-    # by 6.1e-5 relative at 1e12; each column is held to 1e-9 of its law.
+def test_main_gates_the_curvature_columns(tmp_path, monkeypatch, capsys, plane, columns):
+    # Each column is held to 1e-9 of its law: one plane curvature moved by
+    # 1e-8 relative at lambda = 1 is a violation (exit 2) in that column only.
+    profile = hyperbolic.sectional_profile
+
+    def one_plane_off(lam):
+        ks = list(profile(lam))
+        if lam == 1.0:
+            ks[plane] *= 1.0 + 1e-8
+        return tuple(ks)
+
+    monkeypatch.setattr(hyperbolic, "sectional_profile", one_plane_off)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": [1.0, lam]}))
+    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": [1.0, 2.0]}))
     assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 2
     violations = [v for v in capsys.readouterr().err.splitlines() if v.startswith("VIOLATION: ")]
-    assert [v.split()[1:4] for v in violations] == [[c, "at", f"lambda={lam}"] for c in columns]
+    assert [v.split()[1:4] for v in violations] == [[c, "at", "lambda=1.0"] for c in columns]
 
 
 def test_main_rejects_over_budget_triples_before_the_verb(tmp_path, monkeypatch, capsys):
@@ -505,21 +511,3 @@ def test_flags_override_config(tmp_path, capsys):
     saved = json.loads((out / "verify-hyperbolic_manifest.json").read_text())
     assert saved["seed"] == 9
     assert (out / "verify-hyperbolic.csv").exists()
-
-
-def test_worker_count_leaves_reports_byte_identical(tmp_path):
-    base = {
-        "n_chords": 2000,
-        "n_triples": 200000,
-        "seed": 0,
-        "lambda_grid": (1.0, 2.0, 4.0, 8.0, 16.0),
-    }
-    m1 = run(_cfg(verb="triangle-scan", out_dir=str(tmp_path / "w1"), workers=1, **base))
-    m8 = run(_cfg(verb="triangle-scan", out_dir=str(tmp_path / "w8"), workers=8, **base))
-    assert m1.digests == m8.digests
-    a = (tmp_path / "w1" / "triangle-scan.csv").read_bytes()
-    b = (tmp_path / "w8" / "triangle-scan.csv").read_bytes()
-    assert a == b
-    a = (tmp_path / "w1" / "triangle-scan_summary.txt").read_bytes()
-    b = (tmp_path / "w8" / "triangle-scan_summary.txt").read_bytes()
-    assert a == b

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curlwave import frames, hyperbolic, s3
+from curlwave import frames, hyperbolic
 
 GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -38,18 +38,29 @@ def test_frame_volume_raw_equals_lambda():
 
 
 def test_rescale_rejects_nonpositive():
-    # Criterion 05 realizes x -> l x as the radius-l sphere frame with leg
-    # metric l^2: the metric rejects l = 0 and the radius rejects l <= 0.
+    # Criterion 05 realizes x -> l x on the radius-l sphere with leg metric
+    # l^2: the metric rejects l = 0.
     with pytest.raises(ValueError, match="metric entries must be positive"):
         frames.LieFrameSpec("scaled", frames.su2_unit().c, np.zeros(3), 1)
-    for l in (0.0, -1.0):
-        with pytest.raises(ValueError, match="radius must be positive"):
-            s3.S3Frame("left", frames.su2_unit(), radius=l)
     for lam in (0.0, -1.0):
         with pytest.raises(ValueError, match="family parameter must be a positive real"):
             hyperbolic.lambda_report_row(lam)
         with pytest.raises(ValueError, match="family parameter must be a positive real"):
             hyperbolic.sectional_profile(lam)
+
+
+def test_lambda_report_row_needs_a_normal_cube():
+    # lambda_fields gives each leg the metric lambda, so the frame volume takes
+    # lambda**3.  At the ends of the normal doubles the densities still hold;
+    # beyond them the rows would come out wrong (h_density -2.002 at 1e-107,
+    # -0.0 at 1e103), so the row is refused.
+    for lam in (2.812644285236262e-103, 5.643803094122361e102):
+        row = hyperbolic.lambda_report_row(lam)
+        assert abs(row["h_density"] + 2.0) <= 1e-10
+        assert abs(row["t_density_times_lambda"] - 3.0) <= 1e-10
+    for lam in (1e-107, 2.8126442852362615e-103, 5.643803094122363e102, 1e103):
+        with pytest.raises(ValueError, match="cube is a normal double"):
+            hyperbolic.lambda_report_row(lam)
 
 
 def test_sectional_profile_unit_lambda():

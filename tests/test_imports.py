@@ -102,12 +102,6 @@ def test_cli_loads_every_module():
     assert sorted(modules - _modules_loaded_by("import curlwave.cli")) == []
 
 
-# Public names that no module in src/ uses, kept on purpose.
-REFERENCES = (
-    ("s3", "cs_functional", "criterion 05's l^4 / l^3 scaling"),
-)
-
-
 def _names_in(node: ast.AST) -> set[str]:
     # Every name, attribute and imported name under node.
     found = set()
@@ -139,11 +133,9 @@ def _unused_public_names() -> set[tuple[str, str]]:
 
 
 def test_every_public_name_has_a_caller_in_src():
-    unused = _unused_public_names()
-    listed = {(module, name) for module, name, _ in REFERENCES}
-    assert sorted(unused - listed) == [], "public names only tests use"
-    # An entry that gained a caller, or no longer exists, leaves the list.
-    assert sorted(listed - unused) == [], "REFERENCES entries with a caller in src/ or no definition"
+    # No exceptions: a reference route that only tests run lives in
+    # tests/oracles.py, not in the package.
+    assert sorted(_unused_public_names()) == [], "public names only tests use"
 
 
 # Class members that no module in src/ reads as an attribute, kept on purpose.

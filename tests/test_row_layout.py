@@ -105,9 +105,9 @@ def ym_residual_rows(frame, n_points, seed):
     # squared norms by leg and point.
     points = haar_sample(substream(seed, 0), n_points)
     if frame.side == "left":
-        legs = [lambda x, q=q: frame.amp * qmul_rows(x, q) for q in IMAG_UNITS]
+        legs = [lambda x, q=q: qmul_rows(x, q) for q in IMAG_UNITS]
     else:
-        legs = [lambda x, q=q: frame.amp * qmul_rows(q, x) for q in IMAG_UNITS]
+        legs = [lambda x, q=q: qmul_rows(q, x) for q in IMAG_UNITS]
     partners = [((l + 1) % 3, (l + 2) % 3) for l in range(3)]
 
     def profiles(x):

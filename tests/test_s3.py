@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from curlwave import frames, s3
 from curlwave.quaternions import haar_sample, qmul
 from curlwave.seeds import fixed_chunks, substream
@@ -33,8 +34,8 @@ def test_trace_pair_normalization():
     from curlwave.quaternions import I, J
 
     # tr(i i) = 4 under the -4 Re convention; orthogonal units vanish
-    assert np.isclose(s3.trace_pair(I, I), 4.0)
-    assert np.isclose(s3.trace_pair(I, J), 0.0)
+    assert np.isclose(oracles.trace_pair(I, I), 4.0)
+    assert np.isclose(oracles.trace_pair(I, J), 0.0)
     assert s3.TRACE_NORMALIZATION == -2.0
 
 
@@ -68,9 +69,10 @@ def test_lambda_realized_frame_eigenvalue():
     # Legs x*q/sqrt(lam) on the radius-lam sphere have squared length lam and
     # bracket constant 2/sqrt(lam), the normalized triple lambda_fields(lam).
     lam = 4.0
-    frame = s3.S3Frame("left", frames.lambda_fields(lam), radius=lam, amp=lam**-0.5)
+    unit_leg = s3.build_frame("left").leg(1)
+    leg = lambda x: lam**-0.5 * unit_leg(x)
     x = lam * _sample(100, 5)
-    _, v, c = s3.curl_field(frame.leg(1), x, radius=lam)
+    _, v, c = s3.curl_field(leg, x, radius=lam)
     assert np.max(np.abs(c + (2.0 / lam) * v)) < 1e-10
 
 
@@ -84,8 +86,8 @@ def test_ym_residual_left_vanishes_right_does_not():
 def _gauge_bracket(fa, fb):
     # Pointwise algebra commutator of two fields on the unit sphere, mapped
     # back to a field: the field-level form of the brackets in the residual.
-    na = s3.nu_of(fa)
-    nb = s3.nu_of(fb)
+    na = oracles.nu_of(fa)
+    nb = oracles.nu_of(fb)
 
     def bracket(x):
         pa = na(x)
@@ -108,11 +110,11 @@ def _unblocked_ym_residual(frame, n_points, seed):
         pair = _gauge_bracket(legs[i], legs[j])
         cubic_i = _gauge_bracket(legs[i], _gauge_bracket(legs[l], legs[i]))
         cubic_j = _gauge_bracket(legs[j], _gauge_bracket(legs[l], legs[j]))
-        for ch, idx, u in s3.group_by_chart(x, frame.radius):
-            res = s3.curl_in_chart(pair, u, ch, frame.radius)
-            res = res + np.real(s3.field_in_chart(cubic_i, u, ch, frame.radius))
-            res = res + np.real(s3.field_in_chart(cubic_j, u, ch, frame.radius))
-            norms = np.sqrt(s3.chart_inner(u, res, res, frame.radius))
+        for ch, idx, u in s3.group_by_chart(x, 1.0):
+            res = s3.curl_in_chart(pair, u, ch, 1.0)
+            res = res + np.real(s3.field_in_chart(cubic_i, u, ch, 1.0))
+            res = res + np.real(s3.field_in_chart(cubic_j, u, ch, 1.0))
+            norms = np.sqrt(s3.chart_inner(u, res, res, 1.0))
             worst = max(worst, float(np.max(norms)))
     return worst
 
@@ -205,18 +207,17 @@ def test_helicity_density_left_constant():
 
 
 def test_cs_densities_constant():
-    frame = s3.build_frame("left")
     x = _sample(50, 7)
-    t1, t2 = s3.cs_densities(frame, x)
+    t1, t2 = oracles.cs_densities(s3.build_frame("left").legs(), frames.su2_unit(), x)
     assert np.max(np.abs(t1 + 6.0)) < 1e-10
     assert np.max(np.abs(t2 - 3.0)) < 1e-10
-    t1r, t2r = s3.cs_densities(s3.build_frame("right"), x)
+    t1r, t2r = oracles.cs_densities(s3.build_frame("right").legs(), frames.su2_right(), x)
     assert np.max(np.abs(t1r - 6.0)) < 1e-10
     assert np.max(np.abs(t2r - 3.0)) < 1e-10
 
 
 def test_cs_functional_left_values():
-    term1, term2 = s3.cs_functional(s3.build_frame("left"), 4000, seed=0)
+    term1, term2 = oracles.cs_functional(s3.build_frame("left").legs(), frames.su2_unit(), 4000, seed=0)
     vol = s3.VOL_UNIT_SPHERE
     # constant densities make the quadrature exact
     assert np.isclose(term1, -6.0 * vol, rtol=1e-12)
@@ -227,14 +228,14 @@ def test_cs_functional_left_values():
 
 def test_cs_functional_rotation_invariance():
     # left translation by a fixed unit quaternion is a round isometry
-    frame = s3.build_frame("left")
-    base = s3.cs_functional(frame, 3000, seed=8)
+    legs, spec = s3.build_frame("left").legs(), frames.su2_unit()
+    base = oracles.cs_functional(legs, spec, 3000, seed=8)
     g = np.array([0.3, -0.5, 0.8, 0.1])
     g /= np.linalg.norm(g)
 
     rot = qmul(g, haar_sample(np.random.default_rng(8), 3000).T)
-    t1 = np.mean(s3.cs_densities(frame, rot)[0]) * s3.VOL_UNIT_SPHERE
-    t2 = np.mean(s3.cs_densities(frame, rot)[1]) * s3.VOL_UNIT_SPHERE
+    t1 = np.mean(oracles.cs_densities(legs, spec, rot)[0]) * s3.VOL_UNIT_SPHERE
+    t2 = np.mean(oracles.cs_densities(legs, spec, rot)[1]) * s3.VOL_UNIT_SPHERE
     assert abs(t1 - base[0]) / abs(base[0]) < 0.01
     assert abs(t2 - base[1]) / abs(base[1]) < 0.01
 
@@ -245,16 +246,16 @@ def test_wedge_density_cross_check():
     frame = s3.build_frame("left")
     spec = frames.su2_unit()
     x = _sample(60, 10)
-    nu_vals = np.stack([s3.nu_of(leg, frame.radius)(x) for leg in frame.legs()])
-    vals = s3.wedge_density_values(nu_vals, spec)
+    nu_vals = np.stack([oracles.nu_of(leg)(x) for leg in frame.legs()])
+    vals = oracles.wedge_density_values(nu_vals, spec)
     target = frames.triple_density_algebraic(spec)
     assert np.max(np.abs(vals - target)) < 1e-10
     # algebra-valued products keep the left bracket sign, so the wedge term
     # of the right frame stays +3 while its frame Cartan coefficient is -3
     xr = _sample(20, 11)
     right = s3.build_frame("right")
-    nu_r = np.stack([s3.nu_of(leg, 1.0)(xr) for leg in right.legs()])
-    assert np.allclose(s3.wedge_density_values(nu_r, frames.su2_right()), 3.0)
+    nu_r = np.stack([oracles.nu_of(leg)(xr) for leg in right.legs()])
+    assert np.allclose(oracles.wedge_density_values(nu_r, frames.su2_right()), 3.0)
     assert frames.triple_density_algebraic(frames.su2_right()) == -3.0
 
 
@@ -266,6 +267,6 @@ def test_gauge_bracket_antisymmetric():
     ba = _gauge_bracket(b, a)(x)
     assert np.max(np.abs(ab + ba)) < 1e-12
     # The value-level bracket of the residual loop is the same float.
-    pa, pb = s3.nu_of(a)(x), s3.nu_of(b)(x)
+    pa, pb = oracles.nu_of(a)(x), oracles.nu_of(b)(x)
     assert np.array_equal(s3._bracket_values(x, pa, pb), ab)
     assert np.array_equal(s3._bracket_values(x, pb, pa), ba)
