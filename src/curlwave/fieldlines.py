@@ -12,6 +12,7 @@ cdist.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -132,7 +133,8 @@ def trace_batch(field: Callable, x0s: np.ndarray, T: float, h: float = 0.01) -> 
     paths[:, 0] = y.T
     for k in range(n_steps):
         y = _rk4_step(field, y, h)
-        y = y / np.linalg.norm(y, axis=0)
+        # np.linalg.norm(y, axis=0)'s arithmetic, without its Python wrapper.
+        y = y / np.sqrt(np.add.reduce(y * y, axis=0))
         paths[:, k + 1] = y.T
     if not np.isfinite(paths).all():
         raise ChartEscape("batch trace left both charts")
@@ -179,13 +181,18 @@ def close_curve(line: FieldLine) -> FieldLine:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_candidates(seed: int, attempts: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    cands = [(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))]
-    rng = substream(seed, 31)
-    pairs = haar_sample(rng, 2 * attempts)
-    for i in range(attempts):
-        cands.append((pairs[2 * i], pairs[2 * i + 1]))
-    return cands
+@functools.lru_cache(maxsize=8)
+def _rotation_candidates(seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The identity, then 60 Haar pairs (a, b) from substream(seed, 31).
+
+    Every curve pair of a run passes the run's seed, so the candidates are
+    drawn once per seed and shared; their arrays are read-only.
+    """
+    pairs = haar_sample(substream(seed, 31), 120)
+    pairs.setflags(write=False)
+    one = np.array([1.0, 0.0, 0.0, 0.0])
+    one.setflags(write=False)
+    return ((one, one),) + tuple(zip(pairs[0::2], pairs[1::2]))
 
 
 def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndarray]:
@@ -196,7 +203,7 @@ def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndar
     numbers, and a single chart keeps the polylines honest in 3-space.
     """
     columns = [np.ascontiguousarray(np.transpose(c), dtype=float) for c in curves]
-    for a, b in _rotation_candidates(seed, 60):
+    for a, b in _rotation_candidates(seed):
         rotated = [qmul(qmul(a, c), b) for c in columns]
         margin = min(float(np.min(1.0 + c[0])) for c in rotated)
         if margin > 0.15:

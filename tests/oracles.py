@@ -19,6 +19,11 @@ signed_crossings, one dense block of segment pairs followed by a separate
 depth, tangency and sign pass, is the reference for
 fieldlines.projected_crossings.
 
+qmul_reference is quaternions.qmul as the 16-term loop alone, the
+reference for the signed-table path that multiplies a batch by one
+quaternion; trace_batch_reference is fieldlines.trace_batch with
+np.linalg.norm, which the tests run on fields built on qmul_reference.
+
 The Chern-Simons quadrature integrates the helicity term (chart curls of the
 legs) and the wedge term (the alternating trace of the legs' algebra values)
 over a round sphere by Monte Carlo.  No verb runs it; the tests check the
@@ -121,6 +126,56 @@ def sphere_chart_setup(side: str, amp: float, g, radius: float = 1.0):
 
     x0 = radius * np.array([0.11, -0.07, 0.23])
     return metric_from_frame_rows(rows, np.asarray(g, dtype=float)), rows(x0), x0
+
+
+# Quaternion products and field-line traces.
+
+
+def qmul_reference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product of (4, ...) quaternions by the 16-term loop, each row
+    accumulated in place, left to right: ((pw*qw - px*qx) - py*qy) - pz*qz."""
+    p = np.asarray(p)
+    q = np.asarray(q)
+    pw, px, py, pz = (p[k, ...] for k in range(4))
+    qw, qx, qy, qz = (q[k, ...] for k in range(4))
+    out = np.empty((4,) + np.broadcast_shapes(p.shape[1:], q.shape[1:]), np.result_type(p, q))
+    w, x, y, z = (out[k, ...] for k in range(4))
+    np.multiply(pw, qw, out=w)
+    w -= px * qx
+    w -= py * qy
+    w -= pz * qz
+    np.multiply(pw, qx, out=x)
+    x += px * qw
+    x += py * qz
+    x -= pz * qy
+    np.multiply(pw, qy, out=y)
+    y -= px * qz
+    y += py * qw
+    y += pz * qx
+    np.multiply(pw, qz, out=z)
+    z += px * qy
+    z -= py * qx
+    z += pz * qw
+    return out
+
+
+def trace_batch_reference(field: Callable, x0s: np.ndarray, T: float, h: float) -> np.ndarray:
+    """Paths (n, steps+1, 4) of fixed-step RK4 from the rows of x0s for time
+    T, each state renormalized by np.linalg.norm after every step."""
+    y = np.atleast_2d(np.asarray(x0s, dtype=float)).T
+    y = y / np.linalg.norm(y, axis=0)
+    n_steps = int(np.ceil(T / h))
+    paths = np.empty((y.shape[1], n_steps + 1, 4))
+    paths[:, 0] = y.T
+    for k in range(n_steps):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y / np.linalg.norm(y, axis=0)
+        paths[:, k + 1] = y.T
+    return paths
 
 
 # Chern-Simons densities and functional.

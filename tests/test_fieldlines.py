@@ -18,7 +18,7 @@ from curlwave.errors import (
     DegenerateProjection,
     GapTooLarge,
 )
-from curlwave.quaternions import haar_sample
+from curlwave.quaternions import IMAG_UNITS, haar_sample
 from curlwave.seeds import fixed_chunks, substream
 
 
@@ -448,6 +448,21 @@ def test_traced_orbit_pair_links():
     assert np.isclose(lk, -1.0, atol=1e-3)
 
 
+@pytest.mark.parametrize("side, leg, scale", [("left", 1, -2.0), ("right", 2, 1.0)])
+def test_trace_batch_matches_the_reference_tracer(side, leg, scale):
+    # The frame legs multiply a (4, 50) batch by one imaginary unit through
+    # qmul's signed table; the reference multiplies by the 16-term loop and
+    # renormalizes with np.linalg.norm.  Every float of the paths agrees.
+    q = IMAG_UNITS[leg - 1]
+    ref_leg = (lambda x: oracles.qmul_reference(x, q)) if side == "left" else (lambda x: oracles.qmul_reference(q, x))
+    frame_leg = s3.build_frame(side).leg(leg)
+    starts = haar_sample(substream(0, 5), 50)
+    got = fl.trace_batch(lambda x: scale * frame_leg(x), starts, 2.0 * np.pi, h=0.01)
+    want = oracles.trace_batch_reference(lambda x: scale * ref_leg(x), starts, 2.0 * np.pi, 0.01)
+    assert got.shape == want.shape == (50, 630, 4)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_step_bound_enforced():
     for h in (0.02, 0.0):
         with pytest.raises(ValueError, match=r"step must lie in \(0, "):
@@ -555,12 +570,21 @@ def test_asymptotic_hopf_zero_field():
     assert est.failures == 0
 
 
-def test_asymptotic_hopf_worker_count_invariant():
+def test_asymptotic_hopf_worker_count_invariant(monkeypatch):
     frame = s3.build_frame("left")
     pot = frame.leg(1)
     field = lambda x: -2.0 * pot(x)
+    # Every pair of a run passes the run's seed to to_r3_polylines, which
+    # draws its 60 rotation pairs as one haar_sample of 120 points: a run
+    # draws them once, and a second run with the same seed not at all.
+    draws = []
+    real_haar = fl.haar_sample
+    monkeypatch.setattr(fl, "haar_sample", lambda rng, n: draws.append(n) or real_haar(rng, n))
+    fl._rotation_candidates.cache_clear()
     serial = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=1)
+    assert draws.count(120) == 1
     threaded = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=4)
+    assert draws.count(120) == 1
     assert abs(serial.estimate - threaded.estimate) <= 1e-12
     assert abs(serial.stderr - threaded.stderr) <= 1e-12
     # one wrap per period scale: every pair links -4, estimate -1/pi^2

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from curlwave.quaternions import (
     I,
     IMAG_UNITS,
     J,
     K,
+    TABLE_MAX_POINTS,
     haar_sample,
     qconj,
     qmul,
@@ -93,3 +95,56 @@ def test_batched_multiplication_shape():
     assert out.shape == (4, 17)
     for k in range(17):
         assert np.allclose(out[:, k], qmul(p[:, k], q[:, k]), atol=1e-12)
+
+
+def _constants():
+    rng = np.random.default_rng(21)
+    unit = haar_sample(rng, 1)[0]
+    return [
+        ("one", ONE),
+        *((f"imag{k}", q) for k, q in enumerate(IMAG_UNITS)),
+        ("unit", unit),
+        ("scaled", 1e3 * unit),
+        ("tiny", 1e-200 * rng.normal(size=4)),
+        ("signed zeros", np.array([-0.0, 0.0, -0.0, 0.5])),
+    ]
+
+
+def _batches():
+    rng = np.random.default_rng(22)
+    shapes = [(4, 0), (4, 1), (4, 7), (4, 200), (4, TABLE_MAX_POINTS), (4, TABLE_MAX_POINTS + 1),
+              (4, 5, 3), (4, 32, 32), (4, 0, 3)]
+    out = []
+    for shape in shapes:
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        # Zero columns and negative zeros: -0.0 and 0.0 sums differ in sign.
+        x[:, ::5] = 0.0
+        x[1:3, 1::5] = -0.0
+        out.append((f"{shape}", x))
+    # A batch read through a transposed view, as paths[:, k].T would be.
+    out.append(("transposed", np.ascontiguousarray(rng.normal(size=(300, 4))).T))
+    return out
+
+
+def _same_floats(a, b):
+    # np.array_equal counts -0.0 equal to 0.0; the bytes tell them apart.
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, c", _constants())
+def test_product_with_one_quaternion_matches_the_16_term_loop(name, c):
+    # A float64 batch of at most TABLE_MAX_POINTS points times one (4,)
+    # quaternion takes the signed-table path, on either side; larger
+    # batches take the loop.  Every float equals the reference loop's.
+    for label, x in _batches():
+        assert _same_floats(qmul(c, x), oracles.qmul_reference(c, x)), f"{name} * {label}"
+        assert _same_floats(qmul(x, c), oracles.qmul_reference(x, c)), f"{label} * {name}"
+
+
+def test_complex_and_array_products_match_the_16_term_loop():
+    rng = np.random.default_rng(23)
+    c = haar_sample(rng, 1)[0]
+    x = rng.normal(size=(4, 64))
+    z = x + 1j * rng.normal(size=(4, 64))
+    for p, q in ((c, z), (z, c), (c.astype(complex), x), (x, z), (x, x[:, ::-1]), (c, c)):
+        assert _same_floats(qmul(p, q), oracles.qmul_reference(p, q))
