@@ -23,7 +23,7 @@ IMAG_UNITS = (I, J, K)
 # A float64 batch of at most this many points times one (4,) float64
 # quaternion takes the signed-table path of qmul; on larger batches the
 # 16-term loop is faster (per-size timings in CHANGES.md).
-TABLE_MAX_POINTS = 1024
+TABLE_MAX_POINTS = 768
 
 # Term k of row r of p*q is _SIGNS[k, r] * p[k] * q[k ^ r], and qmul adds
 # the four terms of each row in the order k = 0, 1, 2, 3.

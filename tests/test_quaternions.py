@@ -113,7 +113,7 @@ def _constants():
 def _batches():
     rng = np.random.default_rng(22)
     shapes = [(4, 0), (4, 1), (4, 7), (4, 200), (4, TABLE_MAX_POINTS), (4, TABLE_MAX_POINTS + 1),
-              (4, 5, 3), (4, 32, 32), (4, 0, 3)]
+              (4, 5, 3), (4, 24, 32), (4, 0, 3)]
     out = []
     for shape in shapes:
         x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
