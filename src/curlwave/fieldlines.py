@@ -590,6 +590,9 @@ def asymptotic_hopf(
                 xs_a, xs_b = redo[0], redo[1]
         return 0.0, 1, local_resamples
 
+    # Fill the rotation cache before the threads share it: two threads that
+    # miss it at once would each draw, and the run's draw count would vary.
+    _rotation_candidates(seed)
     results = ordered_map(link_pair, list(range(n_pairs)), workers)
     lks = []
     for lk, failed, local_resamples in results:

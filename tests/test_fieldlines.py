@@ -1,5 +1,6 @@
 """Field line tracing, closure, and linking quadrature."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -576,14 +577,24 @@ def test_asymptotic_hopf_worker_count_invariant(monkeypatch):
     field = lambda x: -2.0 * pot(x)
     # Every pair of a run passes the run's seed to to_r3_polylines, which
     # draws its 60 rotation pairs as one haar_sample of 120 points: a run
-    # draws them once, and a second run with the same seed not at all.
+    # draws them once, even when four threads start on an empty cache, and
+    # a second run with the same seed not at all.  The slow draw keeps the
+    # cache empty long enough for every thread to miss it if the run did
+    # not fill it first.
     draws = []
     real_haar = fl.haar_sample
-    monkeypatch.setattr(fl, "haar_sample", lambda rng, n: draws.append(n) or real_haar(rng, n))
+
+    def counted_haar(rng, n):
+        draws.append(n)
+        if n == 120:
+            time.sleep(0.05)
+        return real_haar(rng, n)
+
+    monkeypatch.setattr(fl, "haar_sample", counted_haar)
     fl._rotation_candidates.cache_clear()
-    serial = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=1)
-    assert draws.count(120) == 1
     threaded = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=4)
+    assert draws.count(120) == 1
+    serial = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=1)
     assert draws.count(120) == 1
     assert abs(serial.estimate - threaded.estimate) <= 1e-12
     assert abs(serial.stderr - threaded.stderr) <= 1e-12
