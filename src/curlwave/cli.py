@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, hyperbolic, hypermc, s3
-from .errors import ConfigInvalid, CurlwaveError, IoFailure, NotEigenfield
+from .errors import ConfigInvalid, CurlwaveError, ExtrapolationUnstable, IoFailure, NotEigenfield
 from .fieldlines import (
     MAX_QUAD_POINTS,
     MAX_TRACE_STATES,
@@ -122,6 +122,26 @@ class ExperimentConfig:
         # cutoffs; reject a shorter list before either samples.
         if self.verb in ("triangle-scan", "alpha-scaling") and len(eps) < 4:
             raise ConfigInvalid(f"eps_list: need at least 4 cutoffs to extrapolate, got {len(eps)}")
+        # Each verb's minimums, refused before any work.  They raise ValueError,
+        # as the library guards they mirror do for direct callers.
+        if self.verb in ("triangle-scan", "alpha-scaling") and self.n_chords < hypermc.MIN_CHORDS:
+            raise ValueError(f"n_chords: need at least {hypermc.MIN_CHORDS} chords, got {self.n_chords}")
+        lams = self.lambda_grid
+        # Every triangle-scan summary value is a slope in lambda.
+        if self.verb == "triangle-scan" and not max(lams) > min(lams):
+            raise ValueError(f"lambda_grid: slopes need at least 2 distinct values, got {lams!r}")
+        if self.verb == "alpha-scaling":
+            if n_grid < 5:
+                raise ValueError(f"lambda_grid: need at least 5 grid values, got {n_grid}")
+            if max(lams) / min(lams) < 10.0 * (1.0 - 1e-9):
+                raise ValueError(f"lambda_grid: must span at least a decade, got {lams!r}")
+        if self.verb == "hopf-asymptotic":
+            if self.n_pairs < 100:
+                raise ValueError(f"n_pairs: hopf-asymptotic needs at least 100 pairs, got {self.n_pairs}")
+            if self.trace_T < 2.0 * np.pi:
+                raise ValueError(f"trace_T: hopf-asymptotic needs at least 2 pi, got {self.trace_T!r}")
+            if self.n_quad < 100:
+                raise ValueError(f"n_quad: need at least 100 quadrature points, got {self.n_quad}")
         if not isinstance(self.verb, str) or not self.verb:
             raise ConfigInvalid(f"verb: must be a non-empty string, got {self.verb!r}")
         if not isinstance(self.out_dir, str):
@@ -309,13 +329,7 @@ def _run_linking(cfg: ExperimentConfig, timings: dict):
 
 
 def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
-    # asymptotic_hopf's own preconditions, checked before the helicity quadrature.
-    if cfg.n_pairs < 100:
-        raise ValueError(f"n_pairs: hopf-asymptotic needs at least 100 pairs, got {cfg.n_pairs}")
-    if cfg.trace_T < 2.0 * np.pi:
-        raise ValueError(f"trace_T: hopf-asymptotic needs at least 2 pi, got {cfg.trace_T!r}")
-    frame = s3.build_frame("left")
-    pot = frame.leg(1)
+    pot = s3.build_frame("left")[0]
     field = lambda x: -2.0 * pot(x)
     t0 = time.perf_counter()
     target = helicity_integral(pot, field, cfg.n_quad, seed=cfg.seed) / s3.VOL_UNIT_SPHERE**2
@@ -349,14 +363,16 @@ def _run_hopf_asymptotic(cfg: ExperimentConfig, timings: dict):
 def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
     rows = []
     lams = np.asarray(cfg.lambda_grid, dtype=float)
-    # Every summary value is a slope in lambda; reject before any sampling.
-    if not lams.max() > lams.min():
-        raise ValueError(f"lambda_grid: slopes need at least 2 distinct values, got {cfg.lambda_grid!r}")
     t0 = time.perf_counter()
     for i, lam in enumerate(lams):
         K = hypermc.lambda_to_curvature(lam)
         rho = 1.0 / np.sqrt(-K)
         R = cfg.disk_radius * rho
+        # At extreme lambda the cubes over- or underflow: refuse before sampling.
+        with np.errstate(all="ignore"):
+            cubes = hypermc.disk_perimeter(K, R) ** 3, hypermc.disk_area(K, R) ** 3
+        if not all(sys.float_info.min <= c <= sys.float_info.max for c in cubes):
+            raise ExtrapolationUnstable(f"triangle_density: scale out of range at lambda={float(lam)!r}")
         pair_d, pair_e = hypermc.pair_intersection_density(
             K, R, cfg.n_chords, substream(cfg.seed, 3, i)
         )
@@ -366,7 +382,7 @@ def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
         )
         counts = scan.metadata["counts"]
         total = scan.metadata["total"]
-        tri_d = counts[-1] / total * hypermc.disk_perimeter(K, R) ** 3 / hypermc.disk_area(K, R) ** 3
+        tri_d = counts[-1] / total * cubes[0] / cubes[1]
         ratio = hypermc.parallelism_ratio(K, max(5.0, cfg.disk_radius) * rho)
         rows.append(
             {
@@ -542,8 +558,8 @@ def main(argv: list[str] | None = None) -> int:
             payload["out_dir"] = args.out
         config = ExperimentConfig.from_dict(payload)
         manifest = run(config)
-    # Verbs raise ValueError for arguments outside the range they support,
-    # such as too few chords or pairs, which validate() leaves to them.
+    # validate() and the verbs raise ValueError for an argument outside the
+    # range a verb supports, such as too few chords or a disk past 50 curvature units.
     except (CurlwaveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

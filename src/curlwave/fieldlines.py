@@ -12,7 +12,6 @@ cdist.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -181,29 +180,24 @@ def close_curve(line: FieldLine) -> FieldLine:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _rotation_candidates(seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The identity, then 60 Haar pairs (a, b) from substream(seed, 31).
-
-    Every curve pair of a run passes the run's seed, so the candidates are
-    drawn once per seed and shared; their arrays are read-only.
-    """
-    pairs = haar_sample(substream(seed, 31), 120)
-    pairs.setflags(write=False)
-    one = np.array([1.0, 0.0, 0.0, 0.0])
-    one.setflags(write=False)
-    return ((one, one),) + tuple(zip(pairs[0::2], pairs[1::2]))
-
-
 def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndarray]:
     """Map unit-sphere closed polylines through a common rotation and chart 0.
 
     The rotation x -> a x b is chosen so every point stays far from the
     chart-0 pole; rotations preserve orientation and hence all linking
-    numbers, and a single chart keeps the polylines honest in 3-space.
+    numbers, and a single chart keeps the polylines honest in 3-space.  The
+    identity goes first; only when it fails are the other candidates, 60
+    Haar pairs (a, b), drawn from substream(seed, 31).
     """
     columns = [np.ascontiguousarray(np.transpose(c), dtype=float) for c in curves]
-    for a, b in _rotation_candidates(seed):
+
+    def rotations():
+        one = np.array([1.0, 0.0, 0.0, 0.0])
+        yield one, one
+        pairs = haar_sample(substream(seed, 31), 120)
+        yield from zip(pairs[0::2], pairs[1::2])
+
+    for a, b in rotations():
         rotated = [qmul(qmul(a, c), b) for c in columns]
         margin = min(float(np.min(1.0 + c[0])) for c in rotated)
         if margin > 0.15:
@@ -555,9 +549,6 @@ def asymptotic_hopf(
     if states > MAX_TRACE_STATES:
         raise ValueError(f"at most {MAX_TRACE_STATES} trace states, got {states:.3g}")
     starts = haar_sample(substream(seed, 0), 2 * n_pairs)
-    speeds = np.linalg.norm(np.asarray(field(starts.T), dtype=float), axis=0)
-    if float(np.max(speeds)) < 1e-13:
-        return HopfEstimate(0.0, 0.0, 0, 0)
     paths = trace_batch(field, starts, T, h=h)
 
     resamples = 0
@@ -590,9 +581,6 @@ def asymptotic_hopf(
                 xs_a, xs_b = redo[0], redo[1]
         return 0.0, 1, local_resamples
 
-    # Fill the rotation cache before the threads share it: two threads that
-    # miss it at once would each draw, and the run's draw count would vary.
-    _rotation_candidates(seed)
     results = ordered_map(link_pair, list(range(n_pairs)), workers)
     lks = []
     for lk, failed, local_resamples in results:

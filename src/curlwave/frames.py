@@ -3,9 +3,9 @@
 A frame of three vector fields E_1, E_2, E_3 on a 3-manifold is described
 algebraically by a LieFrameSpec: structure constants c[k,i,j] with
 [E_i, E_j] = sum_k c[k,i,j] E_k, a diagonal metric g with (E_i, E_j) =
-g_i delta_ij, and an orientation sign telling whether (E_1, E_2, E_3) is
-positively oriented.  Everything in this module is exact linear algebra on
-those 30 numbers; no charts and no quadrature.
+g_i delta_ij; (E_1, E_2, E_3) is taken positively oriented, and the opposite
+handedness enters through the signs of c.  Everything in this module is exact
+linear algebra on those 30 numbers; no charts and no quadrature.
 
 Index convention: public APIs take frame legs as 1, 2, 3.  Internally arrays
 are 0-based.
@@ -33,18 +33,15 @@ def _as_c_array(c) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LieFrameSpec:
-    """Structure constants plus diagonal frame metric and orientation.
+    """Structure constants plus diagonal frame metric of a positively oriented frame.
 
     c[k, i, j] is the coefficient of E_k in [E_i, E_j].
     g[i] is the squared length of E_i; legs are mutually orthogonal.
-    orientation is +1 if (E_1, E_2, E_3) agrees with the manifold
-    orientation, -1 otherwise.
     """
 
     name: str
     c: np.ndarray
     g: np.ndarray
-    orientation: int = 1
 
     def __post_init__(self) -> None:
         c = _as_c_array(self.c)
@@ -53,8 +50,6 @@ class LieFrameSpec:
             raise ValueError(f"metric must have 3 entries, got shape {g.shape}")
         if np.any(g <= 0) or not np.all(np.isfinite(g)):
             raise ValueError(f"metric entries must be positive, got {g}")
-        if self.orientation not in (-1, 1):
-            raise ValueError(f"orientation must be +1 or -1, got {self.orientation}")
         anti = np.max(np.abs(c + np.swapaxes(c, 1, 2)))
         if anti > 1e-12:
             raise ValueError(f"structure constants not antisymmetric, residual {anti:g}")
@@ -67,7 +62,7 @@ class LieFrameSpec:
         object.__setattr__(self, "g", g)
 
     def __repr__(self) -> str:
-        return f"LieFrameSpec(name={self.name!r}, orientation={self.orientation})"
+        return f"LieFrameSpec(name={self.name!r})"
 
 
 def _leg(l) -> int:
@@ -98,16 +93,16 @@ def curl_matrix(spec: LieFrameSpec) -> np.ndarray:
     """Matrix R with rot E_l = sum_k R[l, k] E_k.
 
     Derivation: the dual coframe satisfies d theta^k = -sum_{i<j} c[k,i,j]
-    theta^i ^ theta^j, the volume form is sigma sqrt(g1 g2 g3)
+    theta^i ^ theta^j, the volume form is sqrt(g1 g2 g3)
     theta^1^theta^2^theta^3, and rot is defined by i_(rot X) vol = d(X flat).
-    That yields R[l, k] = -sigma g_l c[l, k+1, k+2] / sqrt(g1 g2 g3).
+    That yields R[l, k] = -g_l c[l, k+1, k+2] / sqrt(g1 g2 g3).
     """
     c, g = spec.c, spec.g
     root = float(np.sqrt(g[0] * g[1] * g[2]))
     out = np.empty((3, 3))
     for l in range(3):
         for k in range(3):
-            out[l, k] = -spec.orientation * g[l] * c[l, (k + 1) % 3, (k + 2) % 3] / root
+            out[l, k] = -g[l] * c[l, (k + 1) % 3, (k + 2) % 3] / root
     return out
 
 
@@ -180,12 +175,12 @@ def helicity_density_algebraic(spec: LieFrameSpec, l) -> float:
 def triple_density_algebraic(spec: LieFrameSpec) -> float:
     """Coefficient of the frame's Cartan 3-form against the metric volume.
 
-    (1/2) sum_l c_l g_l / (sigma sqrt(g1 g2 g3)); equals 3 for the unit
+    (1/2) sum_l c_l g_l / sqrt(g1 g2 g3); equals 3 for the unit
     quaternion frame.  Cross-checked against a representation-theoretic
     wedge evaluation in the chart modules.
     """
     g = spec.g
-    root = spec.orientation * float(np.sqrt(g[0] * g[1] * g[2]))
+    root = float(np.sqrt(g[0] * g[1] * g[2]))
     return float(0.5 * np.sum(cyclic_constants(spec) * g) / root)
 
 
@@ -205,17 +200,17 @@ def _cyclic_c(c1: float, c2: float, c3: float) -> np.ndarray:
 
 def su2_unit() -> LieFrameSpec:
     """Unit quaternion frame on the 3-sphere: [E_i, E_j] = 2 E_k, curl -2."""
-    return LieFrameSpec("su2_unit", _cyclic_c(2.0, 2.0, 2.0), np.ones(3), 1)
+    return LieFrameSpec("su2_unit", _cyclic_c(2.0, 2.0, 2.0), np.ones(3))
 
 
 def su2_right() -> LieFrameSpec:
     """Opposite-translation frame: [E_i, E_j] = -2 E_k, curl +2."""
-    return LieFrameSpec("su2_right", _cyclic_c(-2.0, -2.0, -2.0), np.ones(3), 1)
+    return LieFrameSpec("su2_right", _cyclic_c(-2.0, -2.0, -2.0), np.ones(3))
 
 
 def su2_halved() -> LieFrameSpec:
     """Half-length frame on the same round sphere: [E_i, E_j] = E_k, curl -2."""
-    return LieFrameSpec("su2_halved", _cyclic_c(1.0, 1.0, 1.0), np.full(3, 0.25), 1)
+    return LieFrameSpec("su2_halved", _cyclic_c(1.0, 1.0, 1.0), np.full(3, 0.25))
 
 
 def _check_lambda(lam: float) -> float:
@@ -240,7 +235,7 @@ def lambda_fields(lam: float) -> LieFrameSpec:
     """
     lam = _check_lambda(lam)
     r = 2.0 / np.sqrt(lam)
-    return LieFrameSpec(f"lambda_fields_{lam:g}", _cyclic_c(r, r, r), np.full(3, lam), 1)
+    return LieFrameSpec(f"lambda_fields_{lam:g}", _cyclic_c(r, r, r), np.full(3, lam))
 
 
 def lambda_right(lam: float) -> LieFrameSpec:
@@ -251,7 +246,7 @@ def lambda_right(lam: float) -> LieFrameSpec:
     """
     lam = _check_lambda(lam)
     c = _cyclic_c(-1.0 / lam, 1.0, 1.0)
-    return LieFrameSpec(f"lambda_right_{lam:g}", c, np.array([lam * lam, 1.0, 1.0]), 1)
+    return LieFrameSpec(f"lambda_right_{lam:g}", c, np.array([lam * lam, 1.0, 1.0]))
 
 
 def lambda_geometry_ar(lam: float) -> tuple[float, float]:
@@ -276,7 +271,7 @@ def lambda_geometry(lam: float) -> LieFrameSpec:
     c[1, 0, 1], c[1, 1, 0] = a, -a
     c[2, 0, 2], c[2, 2, 0] = -a, a
     c[0, 1, 2], c[0, 2, 1] = r, -r
-    return LieFrameSpec(f"lambda_geometry_{lam:g}", c, np.ones(3), 1)
+    return LieFrameSpec(f"lambda_geometry_{lam:g}", c, np.ones(3))
 
 
 def default_fleet() -> dict[str, LieFrameSpec]:

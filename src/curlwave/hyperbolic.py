@@ -68,6 +68,6 @@ def lambda_report_row(lam: float) -> dict:
         "horizontal_curvature": horizontal,
         "vertical_curvature_1": vert1,
         "vertical_curvature_2": vert2,
-        "raw_right_volume": float(raw.orientation * np.sqrt(np.prod(raw.g))),
+        "raw_right_volume": float(np.sqrt(np.prod(raw.g))),
         "cover_volume_factor": COVER_VOLUME_FACTOR,
     }

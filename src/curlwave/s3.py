@@ -15,7 +15,6 @@ tangent vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,32 +106,14 @@ def conformal_factor(u: np.ndarray, radius: float = 1.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class S3Frame:
-    """Translation frame on the unit sphere: side "left" (x -> x*q) or "right" (x -> q*x)."""
-
-    side: str
-
-    def __post_init__(self) -> None:
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-
-    def leg(self, l: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Leg l in {1, 2, 3} as a callable field on ambient points."""
-        if l not in (1, 2, 3):
-            raise ValueError(f"leg index must be 1, 2 or 3, got {l}")
-        q = IMAG_UNITS[l - 1]
-        if self.side == "left":
-            return lambda x: qmul(x, q)
-        return lambda x: qmul(q, x)
-
-    def legs(self) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
-        return tuple(self.leg(l) for l in (1, 2, 3))
-
-
-def build_frame(side: str) -> S3Frame:
-    """Unit-sphere frame on the given side."""
-    return S3Frame(side)
+def build_frame(side: str) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
+    """Legs 1, 2, 3 of the unit-sphere translation frame as callable fields on
+    ambient points: side "left" gives x -> x*q, "right" gives x -> q*x."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side == "left":
+        return tuple(lambda x, q=q: qmul(x, q) for q in IMAG_UNITS)
+    return tuple(lambda x, q=q: qmul(q, x) for q in IMAG_UNITS)
 
 
 def _bracket_values(x: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -239,8 +220,8 @@ def helicity_density(field_a: Callable, field_b: Callable, x: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 
-def ym_residual(frame: S3Frame, n_points: int = 1000, seed: int = 0) -> float:
-    """Max pointwise norm of the Yang-Mills residual over random points.
+def ym_residual(legs: Sequence[Callable], n_points: int = 1000, seed: int = 0) -> float:
+    """Max pointwise norm of the Yang-Mills residual of build_frame's legs over random points.
 
     Per leg l with partners i, j: rot [A_i, A_j] + [A_i, [A_l, A_i]]
     + [A_j, [A_l, A_j]], all brackets in the gauge sense.  Vanishes for the
@@ -251,7 +232,6 @@ def ym_residual(frame: S3Frame, n_points: int = 1000, seed: int = 0) -> float:
     and a max is exact.
     """
     groups = group_by_chart(haar_sample(substream(seed, 0), n_points).T, 1.0)
-    legs = frame.legs()
     partners = [((l + 1) % 3, (l + 2) % 3) for l in range(3)]
 
     def profiles(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -207,7 +207,7 @@ def wedge_density_values(nu_values: np.ndarray, spec: LieFrameSpec) -> np.ndarra
         pair = qmul(nu_values[perm[0]], nu_values[perm[1]])
         acc = acc + sgn * trace_pair(pair, nu_values[perm[2]])
     vol = float(np.sqrt(np.prod(spec.g)))
-    return float(spec.orientation) * acc / vol
+    return acc / vol
 
 
 def _perm_sign(perm: Sequence[int]) -> float:

@@ -94,8 +94,8 @@ def test_criterion_04_triple_density_compensation():
 def _radius_cs_functional(l: float) -> tuple[float, float]:
     # The left legs x -> x*q carried over to the radius-l sphere by x -> l x:
     # brackets unchanged ([E_i, E_j] = 2 E_k), squared lengths l^2.
-    spec = frames.LieFrameSpec(f"radius_{l:g}", frames.su2_unit().c, l * l * np.ones(3), 1)
-    return oracles.cs_functional(s3.build_frame("left").legs(), spec, 4000, seed=0, radius=l)
+    spec = frames.LieFrameSpec(f"radius_{l:g}", frames.su2_unit().c, l * l * np.ones(3))
+    return oracles.cs_functional(s3.build_frame("left"), spec, 4000, seed=0, radius=l)
 
 
 def test_criterion_05_rescale_covariance():
@@ -176,7 +176,7 @@ def test_criterion_07_linking_quadrature_vs_crossings():
 def test_criterion_08_asymptotic_linking_matches_helicity():
     t0 = time.perf_counter()
     frame = s3.build_frame("left")
-    pot = frame.leg(1)
+    pot = frame[0]
     field = lambda x: -2.0 * pot(x)
     target = helicity_integral(pot, field, 20000, seed=0) / s3.VOL_UNIT_SPHERE**2
     est = asymptotic_hopf(field, 500, 4.0 * np.pi, seed=0, workers=8)

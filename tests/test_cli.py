@@ -215,7 +215,8 @@ def test_main_rejects_mistyped_config(tmp_path, monkeypatch, capsys, text):
     ],
 )
 def test_main_maps_verb_preconditions_to_exit_1(tmp_path, monkeypatch, capsys, verb, payload):
-    # Each config passes validate() but breaks a precondition inside the verb.
+    # Each config breaks a precondition of the verb, which validate() or,
+    # for the disk radius, the verb itself refuses.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(payload))
     assert main([verb, "--config", "cfg.json"]) == 1
@@ -400,6 +401,59 @@ def test_hopf_asymptotic_rejects_pairs_and_trace_time_before_quadrature(
     (tmp_path / "cfg.json").write_text(json.dumps({**payload, "n_quad": MAX_QUAD_POINTS}))
     assert main(["hopf-asymptotic", "--config", "cfg.json"]) == 1
     assert capfd.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize(
+    "verb, below, at_minimum, want",
+    [
+        ("triangle-scan", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000 chords, got 999"),
+        ("alpha-scaling", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000 chords, got 999"),
+        ("triangle-scan", {"lambda_grid": [2.0, 2.0]}, {"lambda_grid": [2.0, 3.0]},
+         "lambda_grid: slopes need at least 2 distinct values, got (2.0, 2.0)"),
+        ("alpha-scaling", {"lambda_grid": [1.0, 10.0]}, {"lambda_grid": [1.0, 2.0, 3.0, 4.0, 10.0]},
+         "lambda_grid: need at least 5 grid values, got 2"),
+        ("alpha-scaling", {"lambda_grid": [1.0, 2.0, 3.0, 4.0, 9.9]}, {"lambda_grid": [1.0, 2.0, 3.0, 4.0, 10.0]},
+         "lambda_grid: must span at least a decade, got (1.0, 2.0, 3.0, 4.0, 9.9)"),
+        ("hopf-asymptotic", {"n_pairs": 99}, {"n_pairs": 100},
+         "n_pairs: hopf-asymptotic needs at least 100 pairs, got 99"),
+        ("hopf-asymptotic", {"trace_T": 6.28}, {"trace_T": 2.0 * np.pi},
+         "trace_T: hopf-asymptotic needs at least 2 pi, got 6.28"),
+        ("hopf-asymptotic", {"n_quad": 99}, {"n_quad": 100}, "n_quad: need at least 100 quadrature points, got 99"),
+    ],
+    ids=["triangle-scan-n_chords", "alpha-scaling-n_chords", "distinct_lambdas", "grid_values",
+         "grid_decade", "n_pairs", "trace_T", "n_quad"],
+)
+def test_validate_refuses_a_verb_minimum_naming_the_field(tmp_path, monkeypatch, capfd, verb, below, at_minimum, want):
+    # Such a config used to reach the verb, which refused it from inside the
+    # library, in most cases with a message that named no field.
+    def verb_must_not_run(config, timings):
+        raise AssertionError(f"{verb} ran on a config below its minimum")
+
+    monkeypatch.setitem(cli._VERB_TABLE, verb, verb_must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(below))
+    assert main([verb, "--config", "cfg.json"]) == 1
+    assert capfd.readouterr().err == f"error: {want}\n"
+    assert want.split(":")[0] in below
+    _cfg(verb=verb, **at_minimum).validate()
+
+
+@pytest.mark.parametrize("grid, lam", [([1e200, 1e201], "1e+200"), ([1e-200, 1e-199], "1e-200")])
+def test_triangle_scan_refuses_a_lambda_whose_density_scale_leaves_the_doubles(
+    tmp_path, monkeypatch, capfd, grid, lam
+):
+    # disk_area ** 3 overflows at lambda = 1e200 and underflows to 0 at
+    # 1e-200.  The verb used to warn (an error under pytest's filter), then
+    # fail in the log-log fit with a message that named neither cause.
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("triangle-scan sampled a lambda it cannot scale")
+
+    monkeypatch.setattr(cli.hypermc, "pair_intersection_density", must_not_sample)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": grid, "n_chords": 1300, "n_triples": 20000}))
+    assert main(["triangle-scan", "--config", "cfg.json"]) == 1
+    assert capfd.readouterr().err == f"error: triangle_density: scale out of range at lambda={lam}\n"
+    assert not list(tmp_path.glob("triangle-scan*"))
 
 
 # 2 * 100 lines * (ceil(T / h) + 1) trace states; h = 2^-7 keeps T / h exact.

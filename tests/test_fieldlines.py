@@ -1,6 +1,5 @@
 """Field line tracing, closure, and linking quadrature."""
 
-import time
 import tracemalloc
 
 import numpy as np
@@ -414,7 +413,7 @@ def test_linking_symmetric_and_reparameterization_invariant():
     assert np.isclose(a, c, atol=1e-6)
 
 
-_LEFT_LEG = s3.build_frame("left").leg(1)
+_LEFT_LEG = s3.build_frame("left")[0]
 
 
 def _left_field(x):
@@ -456,7 +455,7 @@ def test_trace_batch_matches_the_reference_tracer(side, leg, scale):
     # renormalizes with np.linalg.norm.  Every float of the paths agrees.
     q = IMAG_UNITS[leg - 1]
     ref_leg = (lambda x: oracles.qmul_reference(x, q)) if side == "left" else (lambda x: oracles.qmul_reference(q, x))
-    frame_leg = s3.build_frame(side).leg(leg)
+    frame_leg = s3.build_frame(side)[leg - 1]
     starts = haar_sample(substream(0, 5), 50)
     got = fl.trace_batch(lambda x: scale * frame_leg(x), starts, 2.0 * np.pi, h=0.01)
     want = oracles.trace_batch_reference(lambda x: scale * ref_leg(x), starts, 2.0 * np.pi, 0.01)
@@ -526,7 +525,7 @@ def test_linking_matrix_three_fibers():
 
 def test_helicity_integral_left_pair():
     frame = s3.build_frame("left")
-    pot = frame.leg(1)
+    pot = frame[0]
     field = lambda x: -2.0 * pot(x)
     val = fl.helicity_integral(pot, field, 5000, seed=0)
     # density is the constant -2, so the quadrature is exact
@@ -535,11 +534,11 @@ def test_helicity_integral_left_pair():
 
 def test_helicity_integral_guards():
     frame = s3.build_frame("left")
-    pot = frame.leg(1)
+    pot = frame[0]
     field = lambda x: -2.0 * pot(x)
     with pytest.raises(ValueError, match="need at least 100 quadrature points"):
         fl.helicity_integral(pot, field, 50, seed=0)
-    other = frame.leg(2)
+    other = frame[1]
     with pytest.raises(ValueError):
         fl.helicity_integral(pot, other, 5000, seed=0)
 
@@ -554,7 +553,7 @@ def test_asymptotic_hopf_preconditions():
 
 def test_asymptotic_hopf_caps_trace_states_before_tracing(monkeypatch):
     monkeypatch.setattr(fl, "trace_batch", lambda *a, **k: pytest.fail("traced past the cap"))
-    field = s3.build_frame("left").leg(1)
+    field = s3.build_frame("left")[0]
     # 2 * 100 lines * (ceil(T / h) + 1) states; h = 2^-7 keeps T / h exact.
     h = 2.0**-7
     steps = fl.MAX_TRACE_STATES // 200 - 1
@@ -563,39 +562,48 @@ def test_asymptotic_hopf_caps_trace_states_before_tracing(monkeypatch):
         fl.asymptotic_hopf(field, 100, (steps + 1) * h, h=h)
 
 
+def test_to_r3_polylines_draws_rotations_only_when_the_identity_fails(monkeypatch):
+    draws = []
+    real_haar = fl.haar_sample
+    monkeypatch.setattr(fl, "haar_sample", lambda rng, n: draws.append(n) or real_haar(rng, n))
+    # Two circles near (1, 0, 0, 0) stay far from the chart-0 pole at -1.
+    near = [fl.circle_in_chart(np.array([0.0, 0.0, c]), 0.1).embedding for c in (-0.2, 0.2)]
+    polys = fl.to_r3_polylines(near, seed=3)
+    assert draws == []
+    for p, c in zip(polys, near):
+        assert np.array_equal(p, s3.chart_point(c.T, 0).T)
+    # A fiber through the pole needs a drawn rotation.
+    through_pole = fl.hopf_fiber(np.array([-1.0, 0.0, 0.0, 0.0]), "right").embedding
+    fl.to_r3_polylines([through_pole, near[0]], seed=3)
+    assert draws == [120]
+
+
 def test_asymptotic_hopf_zero_field():
+    # Stationary points close no curve, so every pair fails to close.
     field = lambda x: np.zeros_like(x)
-    est = fl.asymptotic_hopf(field, 100, 4.0 * np.pi)
-    assert est.estimate == 0.0
-    assert est.stderr == 0.0
-    assert est.failures == 0
+    with pytest.raises(ClosureFailures, match="100 of 100 pairs failed to close or project"):
+        fl.asymptotic_hopf(field, 100, 2.0 * np.pi)
 
 
 def test_asymptotic_hopf_worker_count_invariant(monkeypatch):
     frame = s3.build_frame("left")
-    pot = frame.leg(1)
+    pot = frame[0]
     field = lambda x: -2.0 * pot(x)
-    # Every pair of a run passes the run's seed to to_r3_polylines, which
-    # draws its 60 rotation pairs as one haar_sample of 120 points: a run
-    # draws them once, even when four threads start on an empty cache, and
-    # a second run with the same seed not at all.  The slow draw keeps the
-    # cache empty long enough for every thread to miss it if the run did
-    # not fill it first.
+    # to_r3_polylines draws its 60 rotation pairs, one haar_sample of 120
+    # points, for each curve pair whose identity rotation fails, and the
+    # threads share nothing, so both runs draw the same number of samples.
     draws = []
     real_haar = fl.haar_sample
 
     def counted_haar(rng, n):
         draws.append(n)
-        if n == 120:
-            time.sleep(0.05)
         return real_haar(rng, n)
 
     monkeypatch.setattr(fl, "haar_sample", counted_haar)
-    fl._rotation_candidates.cache_clear()
     threaded = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=4)
-    assert draws.count(120) == 1
+    threaded_draws = draws.count(120)
     serial = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4, workers=1)
-    assert draws.count(120) == 1
+    assert draws.count(120) - threaded_draws == threaded_draws > 0
     assert abs(serial.estimate - threaded.estimate) <= 1e-12
     assert abs(serial.stderr - threaded.stderr) <= 1e-12
     # one wrap per period scale: every pair links -4, estimate -1/pi^2
@@ -616,7 +624,7 @@ def test_asymptotic_hopf_counts_pairs_that_will_not_project(monkeypatch, n_faili
         return real(curves, seed=seed)
 
     monkeypatch.setattr(fl, "to_r3_polylines", flaky)
-    pot = s3.build_frame("left").leg(1)
+    pot = s3.build_frame("left")[0]
     field = lambda x: -2.0 * pot(x)
     if n_failing > 5:
         with pytest.raises(ClosureFailures, match="6 of 100 pairs failed to close or project"):

@@ -56,7 +56,7 @@ def test_metric_scale_covariance():
     for spec in (frames.su2_unit(), frames.su2_right(), frames.lambda_fields(2.0)):
         base = frames.curl_eigenvalues(spec)
         for s in (0.5, 2.0, 4.0):
-            scaled_spec = frames.LieFrameSpec("scaled", spec.c, spec.g * s**2, spec.orientation)
+            scaled_spec = frames.LieFrameSpec("scaled", spec.c, spec.g * s**2)
             scaled = frames.curl_eigenvalues(scaled_spec)
             assert np.allclose(scaled, base / s, rtol=1e-12), (spec.name, s)
 

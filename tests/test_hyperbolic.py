@@ -41,7 +41,7 @@ def test_rescale_rejects_nonpositive():
     # Criterion 05 realizes x -> l x on the radius-l sphere with leg metric
     # l^2: the metric rejects l = 0.
     with pytest.raises(ValueError, match="metric entries must be positive"):
-        frames.LieFrameSpec("scaled", frames.su2_unit().c, np.zeros(3), 1)
+        frames.LieFrameSpec("scaled", frames.su2_unit().c, np.zeros(3))
     for lam in (0.0, -1.0):
         with pytest.raises(ValueError, match="family parameter must be a positive real"):
             hyperbolic.lambda_report_row(lam)

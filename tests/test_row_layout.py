@@ -99,12 +99,12 @@ def rot_flat_rows(grads):
     )
 
 
-def ym_residual_rows(frame, n_points, seed):
+def ym_residual_rows(side, n_points, seed):
     # The row-layout residual loop, one whole chart at a time (every value is
     # pointwise, so blocks change no bit).  Returns the residual and the
     # squared norms by leg and point.
     points = haar_sample(substream(seed, 0), n_points)
-    if frame.side == "left":
+    if side == "left":
         legs = [lambda x, q=q: qmul_rows(x, q) for q in IMAG_UNITS]
     else:
         legs = [lambda x, q=q: qmul_rows(q, x) for q in IMAG_UNITS]
@@ -237,11 +237,10 @@ def test_ym_residual_matches_row_layout(side, seed, monkeypatch):
     # The squared norms of all legs and points, not only the maximum, are the
     # same floats (compared as sorted lists).
     n = 9000
-    frame = s3.build_frame(side)
-    want, want_sq = ym_residual_rows(frame, n, seed)
+    want, want_sq = ym_residual_rows(side, n, seed)
     seen = []
     inner = s3.chart_inner
     monkeypatch.setattr(s3, "chart_inner", lambda *a, **k: seen.append(inner(*a, **k)) or seen[-1])
-    got = s3.ym_residual(frame, n, seed)
+    got = s3.ym_residual(s3.build_frame(side), n, seed)
     assert got == want
     assert _same_bits(np.sort(np.concatenate(seen)), np.sort(want_sq, axis=None))

@@ -39,13 +39,9 @@ def test_trace_pair_normalization():
     assert s3.TRACE_NORMALIZATION == -2.0
 
 
-def test_leg_index_validation():
-    frame = s3.build_frame("left")
-    with pytest.raises(ValueError):
-        frame.leg(0)
-    with pytest.raises(ValueError):
-        frame.leg(4)
-    with pytest.raises(ValueError):
+def test_build_frame_rejects_an_unknown_side():
+    assert len(s3.build_frame("left")) == len(s3.build_frame("right")) == 3
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
         s3.build_frame("sideways")
 
 
@@ -53,7 +49,7 @@ def test_left_frame_is_curl_eigenfield():
     frame = s3.build_frame("left")
     x = _sample(150, 3)
     for l in (1, 2, 3):
-        _, v, c = s3.curl_field(frame.leg(l), x)
+        _, v, c = s3.curl_field(frame[l - 1], x)
         assert np.max(np.abs(c + 2.0 * v)) < 1e-10, l
 
 
@@ -61,7 +57,7 @@ def test_right_frame_is_curl_eigenfield():
     frame = s3.build_frame("right")
     x = _sample(150, 4)
     for l in (1, 2, 3):
-        _, v, c = s3.curl_field(frame.leg(l), x)
+        _, v, c = s3.curl_field(frame[l - 1], x)
         assert np.max(np.abs(c - 2.0 * v)) < 1e-10, l
 
 
@@ -69,7 +65,7 @@ def test_lambda_realized_frame_eigenvalue():
     # Legs x*q/sqrt(lam) on the radius-lam sphere have squared length lam and
     # bracket constant 2/sqrt(lam), the normalized triple lambda_fields(lam).
     lam = 4.0
-    unit_leg = s3.build_frame("left").leg(1)
+    unit_leg = s3.build_frame("left")[0]
     leg = lambda x: lam**-0.5 * unit_leg(x)
     x = lam * _sample(100, 5)
     _, v, c = s3.curl_field(leg, x, radius=lam)
@@ -97,13 +93,12 @@ def _gauge_bracket(fa, fb):
     return bracket
 
 
-def _unblocked_ym_residual(frame, n_points, seed):
+def _unblocked_ym_residual(legs, n_points, seed):
     # The residual loop before it split each chart into blocks of points and
     # shared the profiles between legs: leg by leg, every bracket a field
     # built from field brackets, every complex temporary spanning the whole
     # chart.  ym_residual must return the same float.
     x = haar_sample(substream(seed, 0), n_points).T
-    legs = frame.legs()
     worst = 0.0
     for l in range(3):
         i, j = (l + 1) % 3, (l + 2) % 3
@@ -200,7 +195,7 @@ def test_ym_residual_memory_is_bounded_by_its_blocks():
 def test_helicity_density_left_constant():
     frame = s3.build_frame("left")
     x = _sample(120, 6)
-    a = frame.leg(1)
+    a = frame[0]
     b = lambda p: -2.0 * a(p)
     dens = s3.helicity_density(a, b, x)
     assert np.max(np.abs(dens + 2.0)) < 1e-10
@@ -208,16 +203,16 @@ def test_helicity_density_left_constant():
 
 def test_cs_densities_constant():
     x = _sample(50, 7)
-    t1, t2 = oracles.cs_densities(s3.build_frame("left").legs(), frames.su2_unit(), x)
+    t1, t2 = oracles.cs_densities(s3.build_frame("left"), frames.su2_unit(), x)
     assert np.max(np.abs(t1 + 6.0)) < 1e-10
     assert np.max(np.abs(t2 - 3.0)) < 1e-10
-    t1r, t2r = oracles.cs_densities(s3.build_frame("right").legs(), frames.su2_right(), x)
+    t1r, t2r = oracles.cs_densities(s3.build_frame("right"), frames.su2_right(), x)
     assert np.max(np.abs(t1r - 6.0)) < 1e-10
     assert np.max(np.abs(t2r - 3.0)) < 1e-10
 
 
 def test_cs_functional_left_values():
-    term1, term2 = oracles.cs_functional(s3.build_frame("left").legs(), frames.su2_unit(), 4000, seed=0)
+    term1, term2 = oracles.cs_functional(s3.build_frame("left"), frames.su2_unit(), 4000, seed=0)
     vol = s3.VOL_UNIT_SPHERE
     # constant densities make the quadrature exact
     assert np.isclose(term1, -6.0 * vol, rtol=1e-12)
@@ -228,7 +223,7 @@ def test_cs_functional_left_values():
 
 def test_cs_functional_rotation_invariance():
     # left translation by a fixed unit quaternion is a round isometry
-    legs, spec = s3.build_frame("left").legs(), frames.su2_unit()
+    legs, spec = s3.build_frame("left"), frames.su2_unit()
     base = oracles.cs_functional(legs, spec, 3000, seed=8)
     g = np.array([0.3, -0.5, 0.8, 0.1])
     g /= np.linalg.norm(g)
@@ -246,7 +241,7 @@ def test_wedge_density_cross_check():
     frame = s3.build_frame("left")
     spec = frames.su2_unit()
     x = _sample(60, 10)
-    nu_vals = np.stack([oracles.nu_of(leg)(x) for leg in frame.legs()])
+    nu_vals = np.stack([oracles.nu_of(leg)(x) for leg in frame])
     vals = oracles.wedge_density_values(nu_vals, spec)
     target = frames.triple_density_algebraic(spec)
     assert np.max(np.abs(vals - target)) < 1e-10
@@ -254,14 +249,14 @@ def test_wedge_density_cross_check():
     # of the right frame stays +3 while its frame Cartan coefficient is -3
     xr = _sample(20, 11)
     right = s3.build_frame("right")
-    nu_r = np.stack([oracles.nu_of(leg)(xr) for leg in right.legs()])
+    nu_r = np.stack([oracles.nu_of(leg)(xr) for leg in right])
     assert np.allclose(oracles.wedge_density_values(nu_r, frames.su2_right()), 3.0)
     assert frames.triple_density_algebraic(frames.su2_right()) == -3.0
 
 
 def test_gauge_bracket_antisymmetric():
     frame = s3.build_frame("left")
-    a, b = frame.leg(1), frame.leg(2)
+    a, b = frame[0], frame[1]
     x = _sample(40, 9)
     ab = _gauge_bracket(a, b)(x)
     ba = _gauge_bracket(b, a)(x)

@@ -22,6 +22,12 @@ and ties, and two verdicts:
               either side's interquartile range exceeds that bound and not
               every change run beats every parent run; else "within bound".
 
+It also records the order effect of each metric: the median over pairs of
+the second run's value minus the first run's, whichever side ran first, and
+the number of pairs whose second run was the worse one (for a time, the
+slower).  With no order effect the median is near 0 and about half the
+pairs have the worse run second.
+
 A run that exits nonzero or reports `"correct": false` is kept in the file
 and counted; its metrics enter no statistic.  Exits 1 if any run failed.
 """
@@ -85,6 +91,8 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         better = (lambda x, y: x < y) if lower else (lambda x, y: x > y)
         wins = sum(better(y, x) for x, y in zip(a, b))
         losses = sum(better(x, y) for x, y in zip(a, b))
+        # (first, second) run of each pair, whichever side went first.
+        runs = [(x, y) if p["first"] == "parent" else (y, x) for p, x, y in zip(good, a, b)]
         qa, qb = quartiles(a), quartiles(b)
         iqr_a, iqr_b = qa[2] - qa[0], qb[2] - qb[0]
         gain_size = (qa[1] - qb[1]) if lower else (qb[1] - qa[1])
@@ -104,6 +112,8 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
             "wins": wins, "losses": losses, "ties": len(a) - wins - losses,
             "gain": wins >= 0.9 * len(a) and gain_size > iqr_a,
             "bound": metric["bound"], "regression": regression,
+            "order": {"second_minus_first": statistics.median(y - x for x, y in runs),
+                      "second_worse": sum(better(x, y) for x, y in runs)},
         }
     return out
 
@@ -150,6 +160,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:12s} parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]"
                   f"  change {s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]"
                   f"  wins {s['wins']}/{s['pairs']}  gain={s['gain']}  {s['regression']}")
+            print(f"{'':12s} order: second - first median {s['order']['second_minus_first']:+.4g},"
+                  f" second worse in {s['order']['second_worse']}/{s['pairs']}")
     print(f"wrote {path}")
     return 1 if failed else 0
 
