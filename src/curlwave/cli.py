@@ -23,6 +23,7 @@ from . import frames, hyperbolic, hypermc, s3
 from .errors import ConfigInvalid, CurlwaveError, ExtrapolationUnstable, IoFailure, NotEigenfield
 from .fieldlines import (
     MAX_QUAD_POINTS,
+    MAX_STEP,
     MAX_TRACE_STATES,
     asymptotic_hopf,
     circle_in_chart,
@@ -71,6 +72,8 @@ class ExperimentConfig:
     min_right_residual: float = 0.1
 
     def validate(self) -> None:
+        if self.verb not in VERBS:
+            raise ConfigInvalid(f"verb: unknown verb {self.verb!r}; choose from {', '.join(VERBS)}")
         # Sizes that set a stage's memory are capped to keep it under about 1 GiB;
         # n_triples, whose scan streams in fixed chunks, is capped to bound time.
         caps = {
@@ -92,8 +95,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not _is_real(v) or not v > 0:
                 raise ConfigInvalid(f"{name}: must be finite and positive, got {v!r}")
-        if not _is_real(self.trace_step) or not 0 < self.trace_step <= 0.01:
-            raise ConfigInvalid(f"trace_step: must lie in (0, 0.01], got {self.trace_step!r}")
+        if not _is_real(self.trace_step) or not 0 < self.trace_step <= MAX_STEP:
+            raise ConfigInvalid(f"trace_step: must lie in (0, {MAX_STEP}], got {self.trace_step!r}")
         states = trace_states(2 * self.n_pairs, self.trace_T, self.trace_step)
         if states > MAX_TRACE_STATES:
             raise ConfigInvalid(f"trace_T: {states:.3g} trace states, at most {MAX_TRACE_STATES}")
@@ -142,8 +145,6 @@ class ExperimentConfig:
                 raise ValueError(f"trace_T: hopf-asymptotic needs at least 2 pi, got {self.trace_T!r}")
             if self.n_quad < 100:
                 raise ValueError(f"n_quad: need at least 100 quadrature points, got {self.n_quad}")
-        if not isinstance(self.verb, str) or not self.verb:
-            raise ConfigInvalid(f"verb: must be a non-empty string, got {self.verb!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigInvalid(f"out_dir: must be a string, got {self.out_dir!r}")
 
@@ -495,8 +496,6 @@ def _digest(path: str) -> str:
 def run(config: ExperimentConfig) -> RunManifest:
     """Validate, dispatch, persist reports, and return the run manifest."""
     config.validate()
-    if config.verb not in _VERB_TABLE:
-        raise ConfigInvalid(f"unknown verb {config.verb!r}; choose from {', '.join(VERBS)}")
     timings: dict = {}
     t_all = time.perf_counter()
     rows, summary, violations = _VERB_TABLE[config.verb](config, timings)

@@ -61,20 +61,19 @@ MAX_TRACE_STATES = 16_000_000
 class FieldLine:
     """Polyline on the unit sphere.
 
-    embedding holds the 4-space positions; for closed lines the first and
-    last points coincide to the closure tolerance.
+    embedding holds the 4-space positions; a line is closed when its first
+    and last points coincide to the closure tolerance, as gap() measures.
     """
 
     embedding: np.ndarray
-    closed: bool
 
     @classmethod
-    def from_embedding(cls, xs: np.ndarray, closed: bool) -> "FieldLine":
+    def from_embedding(cls, xs: np.ndarray) -> "FieldLine":
         """Line through the embedded points xs; raises ChartEscape on a non-finite point."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if not np.isfinite(xs).all():
             raise ChartEscape("non-finite embedded point")
-        return cls(xs, closed)
+        return cls(xs)
 
     def gap(self) -> float:
         return float(np.linalg.norm(self.embedding[-1] - self.embedding[0]))
@@ -146,20 +145,19 @@ def trace_states(n_lines: int, T: float, h: float) -> float:
 
 
 def close_curve(line: FieldLine) -> FieldLine:
-    """Close an open line by a short great-circle arc between its endpoints.
+    """Close a line by a short great-circle arc between its endpoints.
 
     The gap must not exceed MAX_GAP_FRACTION of the curve diameter; the
     appended arc uses the median point spacing of the line.  The farthest
     distance from the first point is a lower bound on the diameter, so a gap
-    within the fraction of it is accepted without the O(n^2) diameter scan.
+    within the fraction of it is accepted without the O(n^2) diameter scan,
+    and a reach of 0 means every point is the first, so diameter 0.
     """
-    if line.closed:
-        return line
     gap = line.gap()
     xs = line.embedding
     reach = _max_distance(xs[:1], xs)
     if not (reach > 0.0 and gap <= MAX_GAP_FRACTION * reach):
-        diam = line.diameter()
+        diam = line.diameter() if reach > 0.0 else 0.0
         if diam == 0.0 or gap > MAX_GAP_FRACTION * diam:
             raise GapTooLarge(f"endpoint gap {gap:.3g} exceeds {MAX_GAP_FRACTION:.0%} of diameter {diam:.3g}")
     if gap <= 1e-12:
@@ -172,7 +170,7 @@ def close_curve(line: FieldLine) -> FieldLine:
         n_arc = max(1, int(np.ceil(gap / max(spacing, 1e-12))))
         t = np.linspace(0.0, 1.0, n_arc + 1)[1:]
         arc = slerp(xs[-1], xs[0], t)
-    return FieldLine.from_embedding(np.concatenate([xs, arc], axis=0), closed=True)
+    return FieldLine.from_embedding(np.concatenate([xs, arc], axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +255,8 @@ def _prepare_pair(c1: FieldLine, c2: FieldLine, seed: int = 0) -> tuple[np.ndarr
     rotation into chart 0, and resamples to a separation-aware density.
     """
     for c in (c1, c2):
-        if not c.closed:
-            raise GapTooLarge("linking requires closed curves")
         if c.gap() > CLOSURE_TOL * 10.0:
-            raise GapTooLarge(f"closed line has endpoint gap {c.gap():.3g}")
+            raise GapTooLarge(f"linking requires closed curves, got endpoint gap {c.gap():.3g}")
     sep = _min_distance(c1.embedding, c2.embedding, MIN_SEPARATION)
     if sep < MIN_SEPARATION:
         raise CurvesTooClose(f"minimum curve separation {sep:.3g} below {MIN_SEPARATION}")
@@ -365,7 +361,10 @@ def gauss_linking(c1: FieldLine, c2: FieldLine, seed: int = 0) -> float:
     """Gauss linking number of two closed sphere curves.
 
     The curves are rotated away from the chart pole and evaluated in
-    3-space; the result must land within 1e-3 of an integer.
+    3-space.  For honestly separated curves the result lands within roundoff
+    of an integer, but nothing here checks that: build_linking_matrix and the
+    linking verb refuse a value more than 1e-3 from one, and asymptotic_hopf
+    averages the raw floats.
     """
     p1, p2 = _prepare_pair(c1, c2, seed=seed)
     return linking_solid_angle(p1, p2)
@@ -551,47 +550,25 @@ def asymptotic_hopf(
     starts = haar_sample(substream(seed, 0), 2 * n_pairs)
     paths = trace_batch(field, starts, T, h=h)
 
-    resamples = 0
-    failures = 0
-
-    def close_path(xs: np.ndarray) -> FieldLine | None:
-        line = FieldLine.from_embedding(xs, closed=False)
-        try:
-            return close_curve(line)
-        except GapTooLarge:
-            return None
-
-    def link_pair(p: int) -> tuple[float, int, int]:
-        xs_a = paths[2 * p]
-        xs_b = paths[2 * p + 1]
-        local_resamples = 0
+    def link_pair(p: int) -> tuple[float | None, int]:
+        # (linking number or None for a failed pair, number of redraws).
+        xs_a, xs_b = paths[2 * p], paths[2 * p + 1]
         for attempt in range(4):
-            la = close_path(xs_a)
-            lb = close_path(xs_b)
-            if la is None or lb is None:
-                return 0.0, 1, local_resamples
             try:
-                return gauss_linking(la, lb, seed=seed), 0, local_resamples
-            except DegenerateProjection:
-                return 0.0, 1, local_resamples
+                la, lb = (close_curve(FieldLine.from_embedding(xs)) for xs in (xs_a, xs_b))
+                return gauss_linking(la, lb, seed=seed), attempt
+            except (GapTooLarge, DegenerateProjection):
+                return None, attempt
             except CurvesTooClose:
-                local_resamples += 1
-                fresh = haar_sample(substream(seed, 7, p, attempt), 2)
-                redo = trace_batch(field, fresh, T, h=h)
-                xs_a, xs_b = redo[0], redo[1]
-        return 0.0, 1, local_resamples
+                xs_a, xs_b = trace_batch(field, haar_sample(substream(seed, 7, p, attempt), 2), T, h=h)
+        return None, 4
 
     results = ordered_map(link_pair, list(range(n_pairs)), workers)
-    lks = []
-    for lk, failed, local_resamples in results:
-        resamples += local_resamples
-        if failed:
-            failures += 1
-        else:
-            lks.append(lk)
+    lks = np.array([lk for lk, _ in results if lk is not None])
+    failures = n_pairs - lks.size
+    resamples = sum(n for _, n in results)
     if failures > 0.05 * n_pairs:
         raise ClosureFailures(f"{failures} of {n_pairs} pairs failed to close or project")
-    lks = np.asarray(lks)
     estimate = float(np.mean(lks)) / T**2
     stderr = float(np.std(lks, ddof=1)) / np.sqrt(lks.size) / T**2
     return HopfEstimate(estimate, stderr, failures, resamples)
@@ -615,7 +592,7 @@ def hopf_fiber(x0: np.ndarray, side: str = "right", n: int = 400) -> FieldLine:
     qx = qmul(q, x0) if side == "right" else qmul(x0, q)
     xs = np.cos(t)[:, None] * x0[None, :] + np.sin(t)[:, None] * qx[None, :]
     xs[-1] = xs[0]
-    return FieldLine.from_embedding(xs, closed=True)
+    return FieldLine.from_embedding(xs)
 
 
 def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> FieldLine:
@@ -628,4 +605,4 @@ def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> Fiel
     pts[j] += r3 * np.sin(t)
     xs = np.ascontiguousarray(chart_embed(pts, 0).T)
     xs[-1] = xs[0]
-    return FieldLine.from_embedding(xs, closed=True)
+    return FieldLine.from_embedding(xs)

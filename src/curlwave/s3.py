@@ -135,22 +135,24 @@ def field_in_chart(field: Callable, u: np.ndarray, chart: int, radius: float = 1
     return chart_push(x, field(x), chart, radius)
 
 
-def curl_in_chart(field: Callable, u: np.ndarray, chart: int, radius: float = 1.0) -> np.ndarray:
-    """Chart components of the round-metric curl at chart points u.
+def curl_in_chart(fields: Callable, u: np.ndarray, chart: int, radius: float = 1.0) -> list[np.ndarray]:
+    """Chart components of the round-metric curl at chart points u of each
+    ambient field that fields(x) returns at embedded points x.
 
     Uses rot_g V = rot_flat(Omega^2 V) / Omega^3, valid in each conformal,
-    positively oriented chart, with complex-step partial derivatives.
+    positively oriented chart, with complex-step partial derivatives.  Each
+    stepped point set is embedded once for all the fields.
     """
-
-    def weighted(uu: np.ndarray) -> np.ndarray:
-        return conformal_factor(uu, radius) ** 2 * field_in_chart(field, uu, chart, radius)
-
+    # grads[d][k]: complex-step partial along d of Omega^2 times field k.
     grads = []
-    for j in range(3):
+    for d in range(3):
         up = u.astype(complex)
-        up[j] += 1j * COMPLEX_STEP
-        grads.append(np.imag(weighted(up)) / COMPLEX_STEP)
-    return _rot_flat(grads) / conformal_factor(u, radius) ** 3
+        up[d] += 1j * COMPLEX_STEP
+        x = chart_embed(up, chart, radius)
+        weight = conformal_factor(up, radius) ** 2
+        grads.append([np.imag(weight * chart_push(x, v, chart, radius)) / COMPLEX_STEP for v in fields(x)])
+    cube = conformal_factor(u, radius) ** 3
+    return [_rot_flat(g) / cube for g in zip(*grads)]
 
 
 def _rot_flat(grads: Sequence[np.ndarray]) -> np.ndarray:
@@ -195,7 +197,7 @@ def curl_field(
     for ch, idx, u in group_by_chart(x, radius):
         u_all[:, idx] = u
         v_all[:, idx] = np.real(field_in_chart(field, u, ch, radius))
-        c_all[:, idx] = curl_in_chart(field, u, ch, radius)
+        c_all[:, idx] = curl_in_chart(lambda y: (field(y),), u, ch, radius)[0]
     return u_all, v_all, c_all
 
 
@@ -240,26 +242,20 @@ def ym_residual(legs: Sequence[Callable], n_points: int = 1000, seed: int = 0) -
         xc = qconj(x)
         return xc, [qmul(xc, leg(x)) / 2.0 for leg in legs]
 
+    def pair_brackets(x: np.ndarray) -> list[np.ndarray]:
+        # [A_i, A_j] for each leg l, from one set of profiles.
+        _, nu = profiles(x)
+        return [_bracket_values(x, nu[i], nu[j]) for i, j in partners]
+
     worst = 0.0
     for ch, _, u_chart in groups:
         for lo, hi in fixed_chunks(u_chart.shape[1], 4096):
             u = np.ascontiguousarray(u_chart[:, lo:hi])
-            # grads[l][d]: complex-step partial along d of Omega^2 [A_i, A_j]
-            grads = [[], [], []]
-            for d in range(3):
-                up = u.astype(complex)
-                up[d] += 1j * COMPLEX_STEP
-                x = chart_embed(up, ch)
-                _, nu = profiles(x)
-                weight = conformal_factor(up) ** 2
-                for l, (i, j) in enumerate(partners):
-                    pair = chart_push(x, _bracket_values(x, nu[i], nu[j]), ch)
-                    grads[l].append(np.imag(weight * pair) / COMPLEX_STEP)
+            curls = curl_in_chart(pair_brackets, u, ch)
             x = chart_embed(u, ch)
             xc, nu = profiles(x)
-            cube = conformal_factor(u) ** 3
             for l, (i, j) in enumerate(partners):
-                res = _rot_flat(grads[l]) / cube
+                res = curls[l]
                 for k in (i, j):
                     inner = qmul(xc, _bracket_values(x, nu[l], nu[k])) / 2.0
                     res = res + np.real(chart_push(x, _bracket_values(x, nu[k], inner), ch))

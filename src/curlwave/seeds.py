@@ -9,7 +9,7 @@ for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from numpy.random import PCG64, Generator, SeedSequence
 

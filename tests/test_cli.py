@@ -59,6 +59,8 @@ def test_config_rejects_unknown_and_missing_fields():
         {"lambda_grid": (1.0, 0.0)},
         {"disk_radius": -2.0},
         {"verb": ""},
+        {"verb": "frobnicate"},
+        {"verb": ["linking"]},
         {"n_triples": MAX_TRIPLES + 1},
     ],
 )

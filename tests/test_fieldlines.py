@@ -29,7 +29,7 @@ def _fiber_pair(side, seed=0):
 
 def test_hopf_fiber_closed_unit_circle():
     line = fl.hopf_fiber(np.array([0.2, -0.4, 0.8, 0.1]), "right")
-    assert line.closed
+    assert line.gap() == 0.0
     assert np.allclose(np.linalg.norm(line.embedding, axis=1), 1.0, atol=1e-12)
     assert np.allclose(line.embedding[0], line.embedding[-1], atol=1e-12)
 
@@ -37,7 +37,7 @@ def test_hopf_fiber_closed_unit_circle():
 def test_from_embedding_rejects_non_finite_point():
     xs = np.array([[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     with pytest.raises(ChartEscape):
-        fl.FieldLine.from_embedding(xs, closed=False)
+        fl.FieldLine.from_embedding(xs)
 
 
 @pytest.mark.parametrize("n", [1, 256, 257, 511, 512, 513, 1300])
@@ -56,7 +56,7 @@ def test_distance_scans_match_brute_force(n):
     # A bound above the minimum returns the same float; one below finds nothing.
     assert fl._min_distance(p, q, 1.001 * want) == fl._min_distance(q, p, 1.001 * want) == want
     assert fl._min_distance(p, q, 0.999 * want) == fl._min_distance(q, p, 0.999 * want) == np.inf
-    line = fl.FieldLine.from_embedding(p, closed=False)
+    line = fl.FieldLine.from_embedding(p)
     assert line.diameter() == float(np.max(pp))
 
 
@@ -143,13 +143,13 @@ def test_min_distance_memory_is_bounded_on_long_curves():
 def test_diameter_and_reach_match_cdist(n):
     rng = np.random.default_rng(n)
     xs = haar_sample(rng, n) * rng.uniform(0.5, 2.0, (n, 1))
-    assert _same_float(fl.FieldLine.from_embedding(xs, closed=False).diameter(), float(cdist(xs, xs).max()))
+    assert _same_float(fl.FieldLine.from_embedding(xs).diameter(), float(cdist(xs, xs).max()))
     assert _same_float(fl._max_distance(xs[:1], xs), float(cdist(xs[:1], xs).max()))
 
 
 def test_diameter_memory_is_bounded_by_a_cell_budget():
     # Row blocks of 512 would hold 78 MiB of distances at this size.
-    line = fl.FieldLine.from_embedding(haar_sample(np.random.default_rng(3), 20_000), closed=False)
+    line = fl.FieldLine.from_embedding(haar_sample(np.random.default_rng(3), 20_000))
     tracemalloc.start()
     try:
         d = line.diameter()
@@ -383,13 +383,13 @@ def _mirror_line(line):
     # Reflect the last embedding coordinate (orientation-reversing).
     xs = line.embedding.copy()
     xs[:, 3] = -xs[:, 3]
-    return fl.FieldLine.from_embedding(xs, closed=line.closed)
+    return fl.FieldLine.from_embedding(xs)
 
 
 def _reverse_line(line):
     # Reverse the traversal orientation of a closed line.
     xs = line.embedding[::-1].copy()
-    return fl.FieldLine.from_embedding(xs, closed=line.closed)
+    return fl.FieldLine.from_embedding(xs)
 
 
 def test_mirror_and_reversal_negate_linking():
@@ -441,7 +441,7 @@ def test_traced_orbit_pair_links():
     starts = haar_sample(np.random.default_rng(10), 2)
     paths = fl.trace_batch(_left_field, starts, np.pi, h=PERIOD_STEP)
     lines = [
-        fl.close_curve(fl.FieldLine.from_embedding(xs, closed=False))
+        fl.close_curve(fl.FieldLine.from_embedding(xs))
         for xs in paths
     ]
     lk = fl.gauss_linking(lines[0], lines[1])
@@ -473,7 +473,7 @@ def test_close_curve_rejects_wide_gap():
     x0 = haar_sample(np.random.default_rng(11), 1)
     # An open 0.7 rad arc: its endpoint gap equals its diameter.
     paths = fl.trace_batch(_LEFT_LEG, x0, 0.7, h=0.005)
-    line = fl.FieldLine.from_embedding(paths[0], closed=False)
+    line = fl.FieldLine.from_embedding(paths[0])
     with pytest.raises(GapTooLarge):
         fl.close_curve(line)
 
@@ -491,18 +491,26 @@ def test_close_curve_bound_keeps_the_diameter_decision(monkeypatch):
     # Out to +0.5 rad and back through the start to -0.5 rad: the farthest
     # point from the start is at half the diameter.
     out_and_back = np.concatenate([np.linspace(0.0, 0.5, 50), np.linspace(0.5, -0.5, 100)])
-    small_gap = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.03)), False)
+    small_gap = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.03)))
     closed = fl.close_curve(small_gap)
-    assert closed.closed and calls == []
+    assert closed.gap() <= fl.CLOSURE_TOL and calls == []
     # Gap chord 0.08: above 10% of the reach (0.0495), within 10% of the
     # diameter (0.0959), so only the exact check accepts it.
-    ambiguous = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.08)), False)
+    ambiguous = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.08)))
     assert 0.1 * ambiguous.diameter() >= ambiguous.gap() > 0.1 * 2.0 * np.sin(0.25)
     calls.clear()
-    assert fl.close_curve(ambiguous).closed and calls == [1]
-    wide = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.2)), False)
+    assert fl.close_curve(ambiguous).gap() <= fl.CLOSURE_TOL and calls == [1]
+    wide = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.2)))
     with pytest.raises(GapTooLarge, match="diameter"):
         fl.close_curve(wide)
+
+
+def test_close_curve_refuses_a_stationary_line_without_the_diameter_scan(monkeypatch):
+    # Every point is the first, so the reach 0 already means diameter 0.
+    monkeypatch.setattr(fl.FieldLine, "diameter", lambda self: pytest.fail("scanned a stationary line"))
+    line = fl.FieldLine.from_embedding(np.tile([0.5, 0.5, 0.5, 0.5], (1000, 1)))
+    with pytest.raises(GapTooLarge, match="endpoint gap 0 exceeds 10% of diameter 0"):
+        fl.close_curve(line)
 
 
 def test_identical_curves_rejected():
@@ -633,6 +641,36 @@ def test_asymptotic_hopf_counts_pairs_that_will_not_project(monkeypatch, n_faili
     est = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4)
     assert est.failures == 1
     assert np.isclose(est.estimate, -1.0 / np.pi**2, atol=1e-8)
+
+
+@pytest.mark.parametrize("k, failures, resamples", [(2, 0, 2), (4, 1, 4), (5, 1, 5)])
+def test_asymptotic_hopf_redraws_a_pair_whose_curves_come_too_close(monkeypatch, k, failures, resamples):
+    # The first k linking calls find the curves too close.  Pair 0 is
+    # redrawn from substream(seed, 7, 0, attempt) up to 4 times and then
+    # counted as failed; a fifth refusal redraws pair 1 once.
+    real_linking, real_trace = fl.gauss_linking, fl.trace_batch
+    refusals, starts = [], []
+
+    def too_close(c1, c2, seed=0):
+        if len(refusals) < k:
+            refusals.append(1)
+            raise CurvesTooClose("minimum curve separation 0 below 0.0001")
+        return real_linking(c1, c2, seed=seed)
+
+    def recording(field, x0s, T, h=0.01):
+        starts.append(x0s)
+        return real_trace(field, x0s, T, h=h)
+
+    monkeypatch.setattr(fl, "gauss_linking", too_close)
+    monkeypatch.setattr(fl, "trace_batch", recording)
+    pot = s3.build_frame("left")[0]
+    est = fl.asymptotic_hopf(lambda x: -2.0 * pot(x), 100, 2.0 * np.pi, seed=4)
+    assert (est.failures, est.resamples) == (failures, resamples)
+    assert np.isclose(est.estimate, -1.0 / np.pi**2, atol=1e-8)
+    keys = [(0, a) for a in range(min(k, 4))] + [(1, 0)] * (k == 5)
+    assert len(starts) == 1 + len(keys)
+    for got, (p, attempt) in zip(starts[1:], keys):
+        assert np.array_equal(got, haar_sample(substream(4, 7, p, attempt), 2))
 
 
 def test_resample_polyline_closed():

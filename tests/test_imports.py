@@ -1,8 +1,9 @@
-"""Module boundaries: no private imports across modules, no public name,
-class member or module constant that only tests use, no package re-exports,
-no error class that is neither caught nor data-driven, no scipy on the import
-path, no package module that the cli leaves unloaded, no module imported
-while a verb runs, and the benchmark tracer finds every name it wraps."""
+"""Module boundaries: no private imports across modules, no unused import,
+no public name, class member or module constant that only tests use, no
+package re-exports, no error class that is neither caught nor data-driven, no
+scipy on the import path, no package module that the cli leaves unloaded, no
+module imported while a verb runs, and the benchmark tracer finds every name
+it wraps."""
 
 import ast
 import importlib
@@ -136,6 +137,38 @@ def test_every_public_name_has_a_caller_in_src():
     # No exceptions: a reference route that only tests run lives in
     # tests/oracles.py, not in the package.
     assert sorted(_unused_public_names()) == [], "public names only tests use"
+
+
+# Names imported into a module of src/ that it never uses, kept on purpose.
+UNUSED_IMPORTS = (
+    ("s3", "ordered_map", "the benchmark tracer wraps s3.ordered_map"),
+    ("hypermc", "ordered_map", "the benchmark tracer wraps hypermc.ordered_map"),
+)
+
+
+def _unused_imports() -> set[tuple[str, str]]:
+    # Each name an import statement binds in a module of src/, less the names
+    # that module loads; __future__ imports bind no name.
+    unused = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unused.add((path.stem, name))
+    return unused
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = _unused_imports()
+    listed = {(module, name) for module, name, _ in UNUSED_IMPORTS}
+    assert sorted(unused - listed) == [], "imported names that their module never uses"
+    assert sorted(listed - unused) == [], "UNUSED_IMPORTS entries that are used or no longer imported"
 
 
 # Class members that no module in src/ reads as an attribute, kept on purpose.

@@ -72,6 +72,25 @@ def test_lambda_realized_frame_eigenvalue():
     assert np.max(np.abs(c + (2.0 / lam) * v)) < 1e-10
 
 
+@pytest.mark.parametrize("radius", [1.0, 4.0])
+def test_curl_in_chart_of_two_fields_is_each_fields_own_curl(radius, monkeypatch):
+    # One embedding per stepped point set serves both fields, and each curl
+    # is the single-field curl to the bit.
+    left, right = s3.build_frame("left")[0], s3.build_frame("right")[1]
+    x = radius * _sample(300, 6)
+    embeds = []
+    embed = s3.chart_embed
+    monkeypatch.setattr(s3, "chart_embed", lambda *a: embeds.append(1) or embed(*a))
+    for ch, _, u in s3.group_by_chart(x, radius):
+        embeds.clear()
+        both = s3.curl_in_chart(lambda y: (left(y), right(y)), u, ch, radius)
+        assert len(both) == 2 and len(embeds) == 3
+        for got, field in zip(both, (left, right)):
+            (want,) = s3.curl_in_chart(lambda y: (field(y),), u, ch, radius)
+            assert got.shape == u.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_ym_residual_left_vanishes_right_does_not():
     left = s3.ym_residual(s3.build_frame("left"), n_points=300, seed=0)
     right = s3.ym_residual(s3.build_frame("right"), n_points=300, seed=0)
@@ -106,7 +125,7 @@ def _unblocked_ym_residual(legs, n_points, seed):
         cubic_i = _gauge_bracket(legs[i], _gauge_bracket(legs[l], legs[i]))
         cubic_j = _gauge_bracket(legs[j], _gauge_bracket(legs[l], legs[j]))
         for ch, idx, u in s3.group_by_chart(x, 1.0):
-            res = s3.curl_in_chart(pair, u, ch, 1.0)
+            res = s3.curl_in_chart(lambda x: (pair(x),), u, ch, 1.0)[0]
             res = res + np.real(s3.field_in_chart(cubic_i, u, ch, 1.0))
             res = res + np.real(s3.field_in_chart(cubic_j, u, ch, 1.0))
             norms = np.sqrt(s3.chart_inner(u, res, res, 1.0))
