@@ -21,10 +21,6 @@ class ChartEscape(CurlwaveError):
     """A traced point left the valid region of both charts."""
 
 
-class GapTooLarge(CurlwaveError):
-    """Endpoint gap exceeds the allowed fraction of curve extent."""
-
-
 class CurvesTooClose(CurlwaveError):
     """Linking integral requested for curves that nearly touch."""
 
@@ -34,7 +30,7 @@ class DegenerateProjection(CurlwaveError):
 
 
 class ClosureFailures(CurlwaveError):
-    """Too many sampled trajectories could not be closed into loops."""
+    """Too many pairs of closed trajectories found no generic projection."""
 
 
 class ExtrapolationUnstable(CurlwaveError):

@@ -4,10 +4,9 @@ Curves live on the unit sphere in quaternion space and are stored by their
 embedded points only.  Integration runs in the embedding with per-step
 renormalization.  Linking numbers come from two independent routes: a
 per-segment-pair solid-angle quadrature (exact for polylines) and a
-signed-crossing count on a generic projection.  Curve separations, diameters
-and reaches are numpy scans in bounded blocks that sum each squared distance
-in component order, so they return the floats of a k-d tree query and of
-cdist.
+signed-crossing count on a generic projection.  Curve separations and
+diameters are numpy scans in bounded blocks that sum each squared distance in
+component order, so they return the floats of a k-d tree query and of cdist.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import (
     CurlwaveError,
     CurvesTooClose,
     DegenerateProjection,
-    GapTooLarge,
 )
 from .quaternions import IMAG_UNITS, haar_sample, qmul, slerp
 from .s3 import (
@@ -38,7 +36,6 @@ from .seeds import fixed_chunks, ordered_map, substream
 MAX_STEP = 1e-2
 CLOSURE_TOL = 1e-6
 MIN_SEPARATION = 1e-4
-MAX_GAP_FRACTION = 0.1
 MAX_RESAMPLE_POINTS = 2400
 # Distance scans go in blocks of at most _BLOCK distances or box pairs, 512
 # KiB for each component; blocks of 2**19 took up to twice as long.  The
@@ -145,29 +142,22 @@ def trace_states(n_lines: int, T: float, h: float) -> float:
 
 
 def close_curve(line: FieldLine) -> FieldLine:
-    """Close a line by a short great-circle arc between its endpoints.
+    """Close a line by the great-circle arc from its last point to its first.
 
-    The gap must not exceed MAX_GAP_FRACTION of the curve diameter; the
-    appended arc uses the median point spacing of the line.  The farthest
-    distance from the first point is a lower bound on the diameter, so a gap
-    within the fraction of it is accepted without the O(n^2) diameter scan,
-    and a reach of 0 means every point is the first, so diameter 0.
+    The arc is at most pi long, a closing path of bounded length as the
+    asymptotic linking number needs.  Its points take the median point
+    spacing of the line, but never more of them than the line has.
     """
     gap = line.gap()
     xs = line.embedding
-    reach = _max_distance(xs[:1], xs)
-    if not (reach > 0.0 and gap <= MAX_GAP_FRACTION * reach):
-        diam = line.diameter() if reach > 0.0 else 0.0
-        if diam == 0.0 or gap > MAX_GAP_FRACTION * diam:
-            raise GapTooLarge(f"endpoint gap {gap:.3g} exceeds {MAX_GAP_FRACTION:.0%} of diameter {diam:.3g}")
     if gap <= 1e-12:
         arc = xs[:1]
     else:
         steps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         # np.median's float, without the numpy.ma import it triggers.
         mid = [(steps.size - 1) // 2, steps.size // 2]
-        spacing = float(np.partition(steps, mid)[mid].sum() / 2.0) if steps.size else gap
-        n_arc = max(1, int(np.ceil(gap / max(spacing, 1e-12))))
+        spacing = float(np.partition(steps, mid)[mid].sum() / 2.0)
+        n_arc = min(len(xs), int(np.ceil(gap / max(spacing, 1e-12))))
         t = np.linspace(0.0, 1.0, n_arc + 1)[1:]
         arc = slerp(xs[-1], xs[0], t)
     return FieldLine.from_embedding(np.concatenate([xs, arc], axis=0))
@@ -256,7 +246,7 @@ def _prepare_pair(c1: FieldLine, c2: FieldLine, seed: int = 0) -> tuple[np.ndarr
     """
     for c in (c1, c2):
         if c.gap() > CLOSURE_TOL * 10.0:
-            raise GapTooLarge(f"linking requires closed curves, got endpoint gap {c.gap():.3g}")
+            raise ValueError(f"linking requires closed curves, got endpoint gap {c.gap():.3g}")
     sep = _min_distance(c1.embedding, c2.embedding, MIN_SEPARATION)
     if sep < MIN_SEPARATION:
         raise CurvesTooClose(f"minimum curve separation {sep:.3g} below {MIN_SEPARATION}")
@@ -535,9 +525,9 @@ def asymptotic_hopf(
     """Asymptotic pairwise-linking estimate of the field's helicity density.
 
     Traces 2 n_pairs field lines from uniform starts for time T, closes each
-    by a short arc, and averages lk/T^2 over the pairs.  Pairs that violate
-    the separation precondition are redrawn (counted); pairs that fail to
-    close or to project, beyond 5%, reject the run.  The comparison target is
+    by its great-circle arc, and averages lk/T^2 over the pairs.  Pairs that
+    violate the separation precondition are redrawn (counted); pairs that
+    fail to project, beyond 5%, reject the run.  The comparison target is
     helicity_integral(potential, field) / vol^2 for a potential of the field.
     """
     if n_pairs < 100:
@@ -557,7 +547,7 @@ def asymptotic_hopf(
             try:
                 la, lb = (close_curve(FieldLine.from_embedding(xs)) for xs in (xs_a, xs_b))
                 return gauss_linking(la, lb, seed=seed), attempt
-            except (GapTooLarge, DegenerateProjection):
+            except DegenerateProjection:
                 return None, attempt
             except CurvesTooClose:
                 xs_a, xs_b = trace_batch(field, haar_sample(substream(seed, 7, p, attempt), 2), T, h=h)
@@ -568,7 +558,7 @@ def asymptotic_hopf(
     failures = n_pairs - lks.size
     resamples = sum(n for _, n in results)
     if failures > 0.05 * n_pairs:
-        raise ClosureFailures(f"{failures} of {n_pairs} pairs failed to close or project")
+        raise ClosureFailures(f"{failures} of {n_pairs} pairs failed to project")
     estimate = float(np.mean(lks)) / T**2
     stderr = float(np.std(lks, ddof=1)) / np.sqrt(lks.size) / T**2
     return HopfEstimate(estimate, stderr, failures, resamples)

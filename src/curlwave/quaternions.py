@@ -99,7 +99,8 @@ def slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     dot = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    omega = np.arccos(dot)
+    # Near dot = -1 arccos loses the angle, and the arc leaves the sphere.
+    omega = np.arccos(dot) if dot >= 0.0 else 2.0 * np.arctan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
     if omega < 1e-12:
         out = a[None, :] + t[:, None] * (b - a)[None, :]
         return out / np.linalg.norm(out, axis=1, keepdims=True)

@@ -346,85 +346,38 @@ def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, 
         assert "lambda_grid: at most 64 values, got 65" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", [[1.0], [2.0, 2.0]])
-@pytest.mark.filterwarnings("error")
-def test_triangle_scan_rejects_a_grid_without_two_lambdas_before_sampling(tmp_path, monkeypatch, capfd, grid):
-    # Every summary value is a slope in lambda.  Such a grid used to run the
-    # whole scan and then fail in the fit with a LAPACK message on stderr.
-    def must_not_sample(*args, **kwargs):
-        raise AssertionError("triangle-scan sampled chords for a grid it cannot fit")
-
-    for name in ("pair_intersection_density", "epsilon_limit_scan"):
-        monkeypatch.setattr(cli.hypermc, name, must_not_sample)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": grid, "n_chords": 1300, "n_triples": 20000}))
-    assert main(["triangle-scan", "--config", "cfg.json"]) == 1
-    want = f"error: lambda_grid: slopes need at least 2 distinct values, got {tuple(grid)!r}\n"
-    assert capfd.readouterr().err == want
-
-
-@pytest.mark.parametrize("verb", ["triangle-scan", "alpha-scaling"])
-@pytest.mark.parametrize("eps", [[0.3], [0.3, 0.2, 0.1]])
-@pytest.mark.filterwarnings("error")
-def test_chord_verbs_reject_too_few_cutoffs_before_sampling(tmp_path, monkeypatch, capfd, verb, eps):
-    # Every lambda extrapolates over the last three cutoffs.  Such a list used
-    # to sample and count the first lambda's chords before it failed.
-    def must_not_sample(*args, **kwargs):
-        raise AssertionError(f"{verb} sampled chords for cutoffs it cannot extrapolate")
-
-    for name in ("pair_intersection_density", "epsilon_limit_scan"):
-        monkeypatch.setattr(cli.hypermc, name, must_not_sample)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({"eps_list": eps, "n_chords": 200000}))
-    assert main([verb, "--config", "cfg.json"]) == 1
-    want = f"error: eps_list: need at least 4 cutoffs to extrapolate, got {len(eps)}\n"
-    assert capfd.readouterr().err == want
-
-
-@pytest.mark.parametrize(
-    "payload, want",
-    [
-        ({"n_pairs": 50}, "n_pairs: hopf-asymptotic needs at least 100 pairs, got 50"),
-        ({"trace_T": 3.0}, "trace_T: hopf-asymptotic needs at least 2 pi, got 3.0"),
-    ],
-    ids=["n_pairs", "trace_T"],
-)
-def test_hopf_asymptotic_rejects_pairs_and_trace_time_before_quadrature(
-    tmp_path, monkeypatch, capfd, payload, want
-):
-    # Such a config used to run the helicity quadrature, 4 s at this n_quad,
-    # before asymptotic_hopf refused it with a message naming no field.
-    def must_not_integrate(*args, **kwargs):
-        raise AssertionError("hopf-asymptotic integrated for a config it cannot run")
-
-    for name in ("helicity_integral", "asymptotic_hopf"):
-        monkeypatch.setattr(cli, name, must_not_integrate)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({**payload, "n_quad": MAX_QUAD_POINTS}))
-    assert main(["hopf-asymptotic", "--config", "cfg.json"]) == 1
-    assert capfd.readouterr().err == f"error: {want}\n"
-
-
 @pytest.mark.parametrize(
     "verb, below, at_minimum, want",
     [
         ("triangle-scan", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000 chords, got 999"),
         ("alpha-scaling", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000 chords, got 999"),
+        ("triangle-scan", {"lambda_grid": [1.0]}, {"lambda_grid": [1.0, 2.0]},
+         "lambda_grid: slopes need at least 2 distinct values, got (1.0,)"),
         ("triangle-scan", {"lambda_grid": [2.0, 2.0]}, {"lambda_grid": [2.0, 3.0]},
          "lambda_grid: slopes need at least 2 distinct values, got (2.0, 2.0)"),
         ("alpha-scaling", {"lambda_grid": [1.0, 10.0]}, {"lambda_grid": [1.0, 2.0, 3.0, 4.0, 10.0]},
          "lambda_grid: need at least 5 grid values, got 2"),
         ("alpha-scaling", {"lambda_grid": [1.0, 2.0, 3.0, 4.0, 9.9]}, {"lambda_grid": [1.0, 2.0, 3.0, 4.0, 10.0]},
          "lambda_grid: must span at least a decade, got (1.0, 2.0, 3.0, 4.0, 9.9)"),
+        ("triangle-scan", {"eps_list": [0.3]}, {"eps_list": [0.3, 0.2, 0.1, 0.05]},
+         "eps_list: need at least 4 cutoffs to extrapolate, got 1"),
+        ("triangle-scan", {"eps_list": [0.3, 0.2, 0.1]}, {"eps_list": [0.3, 0.2, 0.1, 0.05]},
+         "eps_list: need at least 4 cutoffs to extrapolate, got 3"),
+        ("alpha-scaling", {"eps_list": [0.3]}, {"eps_list": [0.3, 0.2, 0.1, 0.05]},
+         "eps_list: need at least 4 cutoffs to extrapolate, got 1"),
+        ("alpha-scaling", {"eps_list": [0.3, 0.2, 0.1]}, {"eps_list": [0.3, 0.2, 0.1, 0.05]},
+         "eps_list: need at least 4 cutoffs to extrapolate, got 3"),
         ("hopf-asymptotic", {"n_pairs": 99}, {"n_pairs": 100},
          "n_pairs: hopf-asymptotic needs at least 100 pairs, got 99"),
         ("hopf-asymptotic", {"trace_T": 6.28}, {"trace_T": 2.0 * np.pi},
          "trace_T: hopf-asymptotic needs at least 2 pi, got 6.28"),
         ("hopf-asymptotic", {"n_quad": 99}, {"n_quad": 100}, "n_quad: need at least 100 quadrature points, got 99"),
     ],
-    ids=["triangle-scan-n_chords", "alpha-scaling-n_chords", "distinct_lambdas", "grid_values",
-         "grid_decade", "n_pairs", "trace_T", "n_quad"],
+    ids=["triangle-scan-n_chords", "alpha-scaling-n_chords", "one_lambda", "distinct_lambdas", "grid_values",
+         "grid_decade", "triangle-scan-1_cutoff", "triangle-scan-3_cutoffs", "alpha-scaling-1_cutoff",
+         "alpha-scaling-3_cutoffs", "n_pairs", "trace_T", "n_quad"],
 )
+@pytest.mark.filterwarnings("error")
 def test_validate_refuses_a_verb_minimum_naming_the_field(tmp_path, monkeypatch, capfd, verb, below, at_minimum, want):
     # Such a config used to reach the verb, which refused it from inside the
     # library, in most cases with a message that named no field.

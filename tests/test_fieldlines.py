@@ -16,7 +16,6 @@ from curlwave.errors import (
     ClosureFailures,
     CurvesTooClose,
     DegenerateProjection,
-    GapTooLarge,
 )
 from curlwave.quaternions import IMAG_UNITS, haar_sample
 from curlwave.seeds import fixed_chunks, substream
@@ -469,48 +468,37 @@ def test_step_bound_enforced():
             fl.trace_batch(lambda x: x, np.array([1.0, 0, 0, 0]), 1.0, h=h)
 
 
-def test_close_curve_rejects_wide_gap():
+@pytest.mark.parametrize("T, min_gap", [(0.7, 0.6), (np.pi, 1.99)])
+def test_close_curve_closes_a_wide_gap_by_its_great_circle_arc(T, min_gap):
+    # An open 0.7 rad arc, whose endpoint gap is its diameter, and half a
+    # great circle, whose endpoints are nearly antipodal: the closing arc of
+    # each is at most pi long.
     x0 = haar_sample(np.random.default_rng(11), 1)
-    # An open 0.7 rad arc: its endpoint gap equals its diameter.
-    paths = fl.trace_batch(_LEFT_LEG, x0, 0.7, h=0.005)
-    line = fl.FieldLine.from_embedding(paths[0])
-    with pytest.raises(GapTooLarge):
-        fl.close_curve(line)
+    xs = fl.trace_batch(_LEFT_LEG, x0, T, h=0.005)[0]
+    line = fl.FieldLine.from_embedding(xs)
+    assert line.gap() > min_gap
+    closed = fl.close_curve(line).embedding
+    assert np.array_equal(closed[-1], closed[0])
+    assert np.max(np.abs(np.linalg.norm(closed, axis=1) - 1.0)) <= 1e-12
+    arc = closed[len(xs) - 1:]
+    assert np.sum(np.linalg.norm(np.diff(arc, axis=0), axis=1)) <= np.pi * (1.0 + 1e-9)
 
 
-def _great_circle_path(angles):
-    # Points at the given angles on one great circle of the unit sphere.
-    a = np.asarray(angles, dtype=float)
-    return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=1)
+def test_close_curve_arc_has_at_most_as_many_points_as_the_line():
+    # 998 steps of 1e-7 rad, a jump to 1 rad, and the end at 0.05 rad: the
+    # median spacing alone would take 499,948 arc points over the gap.
+    angles = np.concatenate([np.arange(998) * 1e-7, [1.0, 0.05]])
+    xs = np.stack([np.cos(angles), np.sin(angles), 0.0 * angles, 0.0 * angles], axis=1)
+    closed = fl.close_curve(fl.FieldLine.from_embedding(xs)).embedding
+    assert len(closed) - len(xs) <= len(xs)
+    assert np.array_equal(closed[-1], closed[0])
 
 
-def test_close_curve_bound_keeps_the_diameter_decision(monkeypatch):
-    calls = []
-    diameter = fl.FieldLine.diameter
-    monkeypatch.setattr(fl.FieldLine, "diameter", lambda self: calls.append(1) or diameter(self))
-    # Out to +0.5 rad and back through the start to -0.5 rad: the farthest
-    # point from the start is at half the diameter.
-    out_and_back = np.concatenate([np.linspace(0.0, 0.5, 50), np.linspace(0.5, -0.5, 100)])
-    small_gap = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.03)))
-    closed = fl.close_curve(small_gap)
-    assert closed.gap() <= fl.CLOSURE_TOL and calls == []
-    # Gap chord 0.08: above 10% of the reach (0.0495), within 10% of the
-    # diameter (0.0959), so only the exact check accepts it.
-    ambiguous = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.08)))
-    assert 0.1 * ambiguous.diameter() >= ambiguous.gap() > 0.1 * 2.0 * np.sin(0.25)
-    calls.clear()
-    assert fl.close_curve(ambiguous).gap() <= fl.CLOSURE_TOL and calls == [1]
-    wide = fl.FieldLine.from_embedding(_great_circle_path(np.append(out_and_back, -0.2)))
-    with pytest.raises(GapTooLarge, match="diameter"):
-        fl.close_curve(wide)
-
-
-def test_close_curve_refuses_a_stationary_line_without_the_diameter_scan(monkeypatch):
-    # Every point is the first, so the reach 0 already means diameter 0.
-    monkeypatch.setattr(fl.FieldLine, "diameter", lambda self: pytest.fail("scanned a stationary line"))
-    line = fl.FieldLine.from_embedding(np.tile([0.5, 0.5, 0.5, 0.5], (1000, 1)))
-    with pytest.raises(GapTooLarge, match="endpoint gap 0 exceeds 10% of diameter 0"):
-        fl.close_curve(line)
+def test_gauss_linking_refuses_an_open_curve():
+    c1, c2 = _fiber_pair("right")
+    open_curve = fl.FieldLine.from_embedding(c1.embedding[:-10])
+    with pytest.raises(ValueError, match="linking requires closed curves"):
+        fl.gauss_linking(open_curve, c2)
 
 
 def test_identical_curves_rejected():
@@ -587,10 +575,24 @@ def test_to_r3_polylines_draws_rotations_only_when_the_identity_fails(monkeypatc
 
 
 def test_asymptotic_hopf_zero_field():
-    # Stationary points close no curve, so every pair fails to close.
+    # Stationary points are closed lines of zero length, which link nothing.
     field = lambda x: np.zeros_like(x)
-    with pytest.raises(ClosureFailures, match="100 of 100 pairs failed to close or project"):
-        fl.asymptotic_hopf(field, 100, 2.0 * np.pi)
+    est = fl.asymptotic_hopf(field, 100, 2.0 * np.pi)
+    assert (est.estimate, est.stderr, est.failures) == (0.0, 0.0, 0)
+
+
+def test_asymptotic_hopf_runs_on_a_field_whose_lines_do_not_close():
+    # B = d/dtheta_1 + s d/dtheta_2 with s = w^2 + x^2: each line winds two
+    # circles at rates 1 and s, so almost none closes by itself, and its
+    # endpoint gap can be as wide as the line.
+    def field(u):
+        w, x, y, z = u
+        s = w * w + x * x
+        return np.stack([-x, w, -s * z, s * y])
+
+    est = fl.asymptotic_hopf(field, 100, 4.0 * np.pi, seed=3)
+    assert est.failures <= 5
+    assert est.stderr > 0.0
 
 
 def test_asymptotic_hopf_worker_count_invariant(monkeypatch):
@@ -620,8 +622,8 @@ def test_asymptotic_hopf_worker_count_invariant(monkeypatch):
 
 @pytest.mark.parametrize("n_failing", [1, 6])
 def test_asymptotic_hopf_counts_pairs_that_will_not_project(monkeypatch, n_failing):
-    # A pair whose curves no rotation keeps off the chart pole fails like a
-    # pair that will not close: 1 of 100 is counted, 6 exceed the 5% rule.
+    # A pair whose curves no rotation keeps off the chart pole counts as
+    # failed: 1 of 100 is counted, 6 exceed the 5% rule.
     real = fl.to_r3_polylines
     calls = []
 
@@ -635,7 +637,7 @@ def test_asymptotic_hopf_counts_pairs_that_will_not_project(monkeypatch, n_faili
     pot = s3.build_frame("left")[0]
     field = lambda x: -2.0 * pot(x)
     if n_failing > 5:
-        with pytest.raises(ClosureFailures, match="6 of 100 pairs failed to close or project"):
+        with pytest.raises(ClosureFailures, match="6 of 100 pairs failed to project"):
             fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4)
         return
     est = fl.asymptotic_hopf(field, 100, 2.0 * np.pi, seed=4)
