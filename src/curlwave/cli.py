@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, hyperbolic, hypermc, s3
-from .errors import ConfigInvalid, CurlwaveError, ExtrapolationUnstable, IoFailure, NotEigenfield
+from .errors import ConfigInvalid, CurlwaveError, IoFailure, NotEigenfield
 from .fieldlines import (
     MAX_QUAD_POINTS,
     MAX_STEP,
@@ -121,13 +121,13 @@ class ExperimentConfig:
             raise ConfigInvalid(f"eps_list: entries must lie in (0, pi/2), got {eps!r}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigInvalid(f"eps_list: must be strictly decreasing, got {eps!r}")
-        # Both chord verbs extrapolate every lambda over the last three
-        # cutoffs; reject a shorter list before either samples.
-        if self.verb in ("triangle-scan", "alpha-scaling") and len(eps) < 4:
+        chord_verb = self.verb in ("triangle-scan", "alpha-scaling")
+        # Both chord verbs extrapolate every lambda over the last three cutoffs.
+        if chord_verb and len(eps) < 4:
             raise ConfigInvalid(f"eps_list: need at least 4 cutoffs to extrapolate, got {len(eps)}")
-        # Each verb's minimums, refused before any work.  They raise ValueError,
-        # as the library guards they mirror do for direct callers.
-        if self.verb in ("triangle-scan", "alpha-scaling") and self.n_chords < hypermc.MIN_CHORDS:
+        # Each verb's minimums, refused before any work.  They raise ValueError
+        # because the benchmark harness's gate test records that class.
+        if chord_verb and self.n_chords < hypermc.MIN_CHORDS:
             raise ValueError(f"n_chords: need at least {hypermc.MIN_CHORDS} chords, got {self.n_chords}")
         lams = self.lambda_grid
         # Every triangle-scan summary value is a slope in lambda.
@@ -138,6 +138,20 @@ class ExperimentConfig:
                 raise ValueError(f"lambda_grid: need at least 5 grid values, got {n_grid}")
             if max(lams) / min(lams) < 10.0 * (1.0 - 1e-9):
                 raise ValueError(f"lambda_grid: must span at least a decade, got {lams!r}")
+        d = self.disk_radius
+        # The chord verbs take disks of 1e-4 to 50 curvature units: disk_area takes
+        # cosh(rr) - 1, whose relative error is up to 2e-16 / rr**2, 2e-8 at 1e-4.
+        if chord_verb and not 1e-4 <= d <= 50.0:
+            raise ConfigInvalid(f"disk_radius: must lie in [1e-4, 50] curvature units, got {d!r}")
+        for lam in lams if chord_verb else ():
+            K = hypermc.lambda_to_curvature(lam)
+            # The radius as each verb forms it, to the last bit; test_config_fuzz holds them together.
+            R = d * (1.0 / np.sqrt(-K)) if self.verb == "triangle-scan" else d / np.sqrt(-K)
+            P, A = hypermc.disk_perimeter(K, R), hypermc.disk_area(K, R)
+            with np.errstate(all="ignore"):
+                scales = (P**3, A**3, P**3 / A**2)
+            if not all(sys.float_info.min <= x <= sys.float_info.max for x in scales):
+                raise ConfigInvalid(f"lambda_grid: density scale at lambda={float(lam)!r} leaves the normal doubles")
         if self.verb == "hopf-asymptotic":
             if self.n_pairs < 100:
                 raise ValueError(f"n_pairs: hopf-asymptotic needs at least 100 pairs, got {self.n_pairs}")
@@ -369,11 +383,6 @@ def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
         K = hypermc.lambda_to_curvature(lam)
         rho = 1.0 / np.sqrt(-K)
         R = cfg.disk_radius * rho
-        # At extreme lambda the cubes over- or underflow: refuse before sampling.
-        with np.errstate(all="ignore"):
-            cubes = hypermc.disk_perimeter(K, R) ** 3, hypermc.disk_area(K, R) ** 3
-        if not all(sys.float_info.min <= c <= sys.float_info.max for c in cubes):
-            raise ExtrapolationUnstable(f"triangle_density: scale out of range at lambda={float(lam)!r}")
         pair_d, pair_e = hypermc.pair_intersection_density(
             K, R, cfg.n_chords, substream(cfg.seed, 3, i)
         )
@@ -383,7 +392,7 @@ def _run_triangle_scan(cfg: ExperimentConfig, timings: dict):
         )
         counts = scan.metadata["counts"]
         total = scan.metadata["total"]
-        tri_d = counts[-1] / total * cubes[0] / cubes[1]
+        tri_d = counts[-1] / total * hypermc.disk_perimeter(K, R) ** 3 / hypermc.disk_area(K, R) ** 3
         ratio = hypermc.parallelism_ratio(K, max(5.0, cfg.disk_radius) * rho)
         rows.append(
             {
@@ -557,8 +566,8 @@ def main(argv: list[str] | None = None) -> int:
             payload["out_dir"] = args.out
         config = ExperimentConfig.from_dict(payload)
         manifest = run(config)
-    # validate() and the verbs raise ValueError for an argument outside the
-    # range a verb supports, such as too few chords or a disk past 50 curvature units.
+    # validate() raises ValueError for a verb minimum, and a verb for a check
+    # of its own data, such as an open curve or a field that fails the curl check.
     except (CurlwaveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

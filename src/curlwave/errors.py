@@ -1,9 +1,12 @@
 """Exception types shared across the package.
 
-An argument outside the range a function supports raises ValueError.  A
-class here exists only for a failure that a caller catches by type, or one
-that comes from the data or from outside the program rather than from an
-argument; the command line maps these and ValueError to exit code 1.
+Each config precondition is checked once, by ExperimentConfig.validate,
+whose message starts with the field it refuses; library functions document
+their domain and trust their caller.  A check of data rather than of an
+argument keeps its class: ValueError for a curve or field a function cannot
+take, and a class here only for a failure that a caller catches by type, or
+one that comes from the data or from outside the program.  The command line
+maps these and ValueError to exit code 1.
 tests/test_imports.py::test_every_error_class_is_caught_or_listed holds
 every class to that rule.
 """

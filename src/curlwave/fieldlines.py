@@ -115,12 +115,8 @@ def trace_batch(field: Callable, x0s: np.ndarray, T: float, h: float = 0.01) -> 
 
     x0s holds the starts as rows, shape (n, 4), and field maps (4, n) points
     to (4, n) vectors.  Returns paths of shape (n, steps+1, 4), each state
-    renormalized to the sphere after every step.
+    renormalized to the sphere after every step; T > 0 and 0 < h <= MAX_STEP.
     """
-    if h > MAX_STEP or h <= 0:
-        raise ValueError(f"step must lie in (0, {MAX_STEP}], got {h}")
-    if T <= 0:
-        raise ValueError(f"trace time must be positive, got {T}")
     y = np.atleast_2d(np.asarray(x0s, dtype=float)).T
     y = y / np.linalg.norm(y, axis=0)
     n_steps = int(np.ceil(T / h))
@@ -492,8 +488,6 @@ def helicity_integral(field_a: Callable, field_b: Callable, n_quad: int, seed: i
     B is first spot-checked against the numerical curl of A at a handful of
     points.
     """
-    if n_quad < 100:
-        raise ValueError(f"need at least 100 quadrature points, got {n_quad}")
     probe = haar_sample(substream(seed, 991), 8).T
     _, _, rot = curl_field(field_a, probe)
     _, b_chart, _ = curl_field(field_b, probe)
@@ -530,13 +524,6 @@ def asymptotic_hopf(
     fail to project, beyond 5%, reject the run.  The comparison target is
     helicity_integral(potential, field) / vol^2 for a potential of the field.
     """
-    if n_pairs < 100:
-        raise ValueError(f"need at least 100 pairs, got {n_pairs}")
-    if T < 2.0 * np.pi:
-        raise ValueError(f"trace time must cover at least one period scale, got {T}")
-    states = trace_states(2 * n_pairs, T, h)
-    if states > MAX_TRACE_STATES:
-        raise ValueError(f"at most {MAX_TRACE_STATES} trace states, got {states:.3g}")
     starts = haar_sample(substream(seed, 0), 2 * n_pairs)
     paths = trace_batch(field, starts, T, h=h)
 

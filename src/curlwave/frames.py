@@ -13,7 +13,6 @@ are 0-based.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,27 +212,14 @@ def su2_halved() -> LieFrameSpec:
     return LieFrameSpec("su2_halved", _cyclic_c(1.0, 1.0, 1.0), np.full(3, 0.25))
 
 
-def _check_lambda(lam: float) -> float:
-    # lambda_fields puts lam on each leg, so the frame volume takes lam**3.
-    # Outside the normal doubles it overflows, or underflows to subnormals
-    # or zero, and the curls and densities come out wrong or NaN.
-    lam = float(lam)
-    if not sys.float_info.min <= lam * lam * lam <= sys.float_info.max:
-        raise ValueError(
-            "family parameter must be a positive real whose cube is a normal double "
-            f"(about 2.813e-103 to 5.643e102), got {lam}"
-        )
-    return lam
-
-
 def lambda_fields(lam: float) -> LieFrameSpec:
     """Normalized eigenfield triple: curl -2/lam and helicity -2 on every leg.
 
     The unique cyclic spec with three orthogonal equal-eigenvalue curl
     eigenfields of helicity density -2: c = 2/sqrt(lam), g = lam.  At lam=1
-    it coincides with su2_unit.
+    it coincides with su2_unit.  The frame volume takes lam**3, so lam must
+    be positive with a cube that is a normal double.
     """
-    lam = _check_lambda(lam)
     r = 2.0 / np.sqrt(lam)
     return LieFrameSpec(f"lambda_fields_{lam:g}", _cyclic_c(r, r, r), np.full(3, lam))
 
@@ -244,14 +230,12 @@ def lambda_right(lam: float) -> LieFrameSpec:
     Frame volume sqrt(g1 g2 g3) = lam.  At lam=1 this is the unit tangent
     bundle algebra of the curvature -1 plane with its bundle metric.
     """
-    lam = _check_lambda(lam)
     c = _cyclic_c(-1.0 / lam, 1.0, 1.0)
     return LieFrameSpec(f"lambda_right_{lam:g}", c, np.array([lam * lam, 1.0, 1.0]))
 
 
 def lambda_geometry_ar(lam: float) -> tuple[float, float]:
     """Bracket coefficients (a, r) of the curvature-matched hyperbolic spec."""
-    lam = _check_lambda(lam)
     v = lam ** (-5.0 / 3.0)
     h = lam ** (-2.0 / 3.0)
     a = np.sqrt((3.0 * v + h) / 2.0)

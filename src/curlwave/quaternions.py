@@ -99,8 +99,15 @@ def slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     dot = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    # Near dot = -1 arccos loses the angle, and the arc leaves the sphere.
-    omega = np.arccos(dot) if dot >= 0.0 else 2.0 * np.arctan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+    if dot <= -0.5:
+        # Weights of order 1 / |a + b| would lift roundoff off the sphere: turn
+        # through p, a quarter turn towards b, or i a if a, b fix no great circle.
+        p = b - dot * a
+        p = p / np.linalg.norm(p) if np.linalg.norm(p) >= 1e-8 else np.array([-a[1], a[0], -a[3], a[2]])
+        w = np.arccos([np.dot(a, p), np.dot(p, b)])
+        s = w[0] / w.sum()
+        return np.where((t <= s)[:, None], slerp(a, p, t / s), slerp(p, b, (t - s) / (1.0 - s)))
+    omega = np.arccos(dot)
     if omega < 1e-12:
         out = a[None, :] + t[:, None] * (b - a)[None, :]
         return out / np.linalg.norm(out, axis=1, keepdims=True)

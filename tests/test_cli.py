@@ -48,6 +48,8 @@ def test_config_rejects_unknown_and_missing_fields():
         {"eps_list": (0.1, 0.2, 0.3)},
         {"eps_list": (0.3, 0.3)},
         {"eps_list": (0.3, 1.6)},
+        {"eps_list": (0.5 * np.pi, 0.3, 0.2, 0.1)},
+        {"eps_list": (0.3, 0.2, 0.1, 0.0)},
         {"eps_list": ()},
         {"trace_step": 0.02},
         {"trace_step": 0.0},
@@ -211,14 +213,14 @@ def test_main_rejects_mistyped_config(tmp_path, monkeypatch, capsys, text):
         ("triangle-scan", {"n_chords": 500}),
         ("triangle-scan", {"disk_radius": 60.0}),
         ("alpha-scaling", {"n_chords": 500}),
+        ("alpha-scaling", {"disk_radius": 60.0}),
         ("alpha-scaling", {"lambda_grid": [1, 2, 3]}),
         ("hopf-asymptotic", {"n_pairs": 50}),
         ("hopf-asymptotic", {"trace_T": 1.0}),
     ],
 )
 def test_main_maps_verb_preconditions_to_exit_1(tmp_path, monkeypatch, capsys, verb, payload):
-    # Each config breaks a precondition of the verb, which validate() or,
-    # for the disk radius, the verb itself refuses.
+    # Each config breaks a precondition of the verb, which validate() refuses.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(payload))
     assert main([verb, "--config", "cfg.json"]) == 1
@@ -372,10 +374,19 @@ def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, 
         ("hopf-asymptotic", {"trace_T": 6.28}, {"trace_T": 2.0 * np.pi},
          "trace_T: hopf-asymptotic needs at least 2 pi, got 6.28"),
         ("hopf-asymptotic", {"n_quad": 99}, {"n_quad": 100}, "n_quad: need at least 100 quadrature points, got 99"),
+        ("triangle-scan", {"disk_radius": 60.0}, {"disk_radius": 50.0},
+         "disk_radius: must lie in [1e-4, 50] curvature units, got 60.0"),
+        ("alpha-scaling", {"disk_radius": 60.0}, {"disk_radius": 50.0},
+         "disk_radius: must lie in [1e-4, 50] curvature units, got 60.0"),
+        ("triangle-scan", {"disk_radius": 1e-300}, {"disk_radius": 1e-4},
+         "disk_radius: must lie in [1e-4, 50] curvature units, got 1e-300"),
+        ("alpha-scaling", {"disk_radius": 1e-300}, {"disk_radius": 1e-4},
+         "disk_radius: must lie in [1e-4, 50] curvature units, got 1e-300"),
     ],
     ids=["triangle-scan-n_chords", "alpha-scaling-n_chords", "one_lambda", "distinct_lambdas", "grid_values",
          "grid_decade", "triangle-scan-1_cutoff", "triangle-scan-3_cutoffs", "alpha-scaling-1_cutoff",
-         "alpha-scaling-3_cutoffs", "n_pairs", "trace_T", "n_quad"],
+         "alpha-scaling-3_cutoffs", "n_pairs", "trace_T", "n_quad", "triangle-scan-disk_60", "alpha-scaling-disk_60",
+         "triangle-scan-disk_1e-300", "alpha-scaling-disk_1e-300"],
 )
 @pytest.mark.filterwarnings("error")
 def test_validate_refuses_a_verb_minimum_naming_the_field(tmp_path, monkeypatch, capfd, verb, below, at_minimum, want):
@@ -393,22 +404,37 @@ def test_validate_refuses_a_verb_minimum_naming_the_field(tmp_path, monkeypatch,
     _cfg(verb=verb, **at_minimum).validate()
 
 
-@pytest.mark.parametrize("grid, lam", [([1e200, 1e201], "1e+200"), ([1e-200, 1e-199], "1e-200")])
+# alpha-scaling grids whose span leaves the doubles: the verb's own decade
+# check used to overflow on the first, and both reached a fit that exited 1
+# naming no field.
+ALPHA_GRIDS_PAST_THE_DOUBLES = [
+    ("alpha-scaling", [5e-324, 1e-5, 5, 51, 1e8], "5e-324"),
+    ("alpha-scaling", [0.001, 1.57, 3, 1e300, 1.7e308], "1e+300"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, grid, lam",
+    [("triangle-scan", [1e200, 1e201], "1e+200"), ("triangle-scan", [1e-200, 1e-199], "1e-200")]
+    + ALPHA_GRIDS_PAST_THE_DOUBLES,
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_triangle_scan_refuses_a_lambda_whose_density_scale_leaves_the_doubles(
-    tmp_path, monkeypatch, capfd, grid, lam
+    tmp_path, monkeypatch, capfd, verb, grid, lam
 ):
     # disk_area ** 3 overflows at lambda = 1e200 and underflows to 0 at
     # 1e-200.  The verb used to warn (an error under pytest's filter), then
     # fail in the log-log fit with a message that named neither cause.
     def must_not_sample(*args, **kwargs):
-        raise AssertionError("triangle-scan sampled a lambda it cannot scale")
+        raise AssertionError(f"{verb} sampled a lambda it cannot scale")
 
-    monkeypatch.setattr(cli.hypermc, "pair_intersection_density", must_not_sample)
+    for sampler in ("pair_intersection_density", "epsilon_limit_scan"):
+        monkeypatch.setattr(cli.hypermc, sampler, must_not_sample)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": grid, "n_chords": 1300, "n_triples": 20000}))
-    assert main(["triangle-scan", "--config", "cfg.json"]) == 1
-    assert capfd.readouterr().err == f"error: triangle_density: scale out of range at lambda={lam}\n"
-    assert not list(tmp_path.glob("triangle-scan*"))
+    assert main([verb, "--config", "cfg.json"]) == 1
+    assert capfd.readouterr().err == f"error: lambda_grid: density scale at lambda={lam} leaves the normal doubles\n"
+    assert not list(tmp_path.glob(f"{verb}*"))
 
 
 # 2 * 100 lines * (ceil(T / h) + 1) trace states; h = 2^-7 keeps T / h exact.
@@ -456,14 +482,16 @@ def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, caps
         # A disk of 1e-300 curvature units: its perimeter and area underflow,
         # so every density would be 0/0.
         ("triangle-scan", {"n_chords": 1300, "n_triples": 1000, "disk_radius": 1e-300},
-         "disk radius 1e-300 curvature units is below 1e-4"),
-        # Curvatures down to -1e200: the density scale overflows, so every
-        # extrapolate would be NaN.
+         "disk_radius: must lie in [1e-4, 50] curvature units, got 1e-300"),
+        # Curvatures down to -1e200: the density scale leaves the doubles, so
+        # every extrapolate would be 0, inf or NaN.
         ("alpha-scaling", {"n_chords": 1300, "n_triples": 1000,
                            "lambda_grid": [1e-300, 1e-299, 1e-298, 1e-297, 1e-290]},
-         "non-finite density scale at curvature -1e+200"),
-    ],
-    ids=["triangle-scan", "alpha-scaling"],
+         "lambda_grid: density scale at lambda=1e-300 leaves the normal doubles"),
+    ]
+    + [(verb, {"lambda_grid": grid}, f"lambda_grid: density scale at lambda={lam} leaves the normal doubles")
+       for verb, grid, lam in ALPHA_GRIDS_PAST_THE_DOUBLES],
+    ids=["triangle-scan", "alpha-scaling", "alpha-scaling-5e-324", "alpha-scaling-1.7e308"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_names_degenerate_disk_scales(tmp_path, monkeypatch, capsys, verb, payload, cause):
@@ -473,7 +501,7 @@ def test_main_names_degenerate_disk_scales(tmp_path, monkeypatch, capsys, verb, 
     (tmp_path / "cfg.json").write_text(json.dumps(payload))
     assert main([verb, "--config", "cfg.json"]) == 1
     err = capsys.readouterr().err
-    assert f"error: {cause}" in err
+    assert err == f"error: {cause}\n"
     assert not list(tmp_path.glob(f"{verb}*"))
 
 

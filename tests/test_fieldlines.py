@@ -462,21 +462,16 @@ def test_trace_batch_matches_the_reference_tracer(side, leg, scale):
     assert got.tobytes() == want.tobytes()
 
 
-def test_step_bound_enforced():
-    for h in (0.02, 0.0):
-        with pytest.raises(ValueError, match=r"step must lie in \(0, "):
-            fl.trace_batch(lambda x: x, np.array([1.0, 0, 0, 0]), 1.0, h=h)
-
-
-@pytest.mark.parametrize("T, min_gap", [(0.7, 0.6), (np.pi, 1.99)])
-def test_close_curve_closes_a_wide_gap_by_its_great_circle_arc(T, min_gap):
+@pytest.mark.parametrize("T, h, min_gap", [(0.7, 0.005, 0.6), (np.pi, 0.005, 1.99), (np.pi, np.pi / 700, 2.0)])
+def test_close_curve_closes_a_wide_gap_by_its_great_circle_arc(T, h, min_gap):
     # An open 0.7 rad arc, whose endpoint gap is its diameter, and half a
-    # great circle, whose endpoints are nearly antipodal: the closing arc of
-    # each is at most pi long.
+    # great circle, whose endpoints are nearly antipodal, or antipodal to
+    # roundoff at h = pi / 700 (|a + b| = 1.1e-11): the closing arc of each
+    # is at most pi long.
     x0 = haar_sample(np.random.default_rng(11), 1)
-    xs = fl.trace_batch(_LEFT_LEG, x0, T, h=0.005)[0]
+    xs = fl.trace_batch(_LEFT_LEG, x0, T, h=h)[0]
     line = fl.FieldLine.from_embedding(xs)
-    assert line.gap() > min_gap
+    assert line.gap() >= min_gap
     closed = fl.close_curve(line).embedding
     assert np.array_equal(closed[-1], closed[0])
     assert np.max(np.abs(np.linalg.norm(closed, axis=1) - 1.0)) <= 1e-12
@@ -531,31 +526,9 @@ def test_helicity_integral_left_pair():
 def test_helicity_integral_guards():
     frame = s3.build_frame("left")
     pot = frame[0]
-    field = lambda x: -2.0 * pot(x)
-    with pytest.raises(ValueError, match="need at least 100 quadrature points"):
-        fl.helicity_integral(pot, field, 50, seed=0)
     other = frame[1]
     with pytest.raises(ValueError):
         fl.helicity_integral(pot, other, 5000, seed=0)
-
-
-def test_asymptotic_hopf_preconditions():
-    field = lambda x: np.zeros_like(x)
-    with pytest.raises(ValueError):
-        fl.asymptotic_hopf(field, 50, 4.0 * np.pi)
-    with pytest.raises(ValueError):
-        fl.asymptotic_hopf(field, 100, 1.0)
-
-
-def test_asymptotic_hopf_caps_trace_states_before_tracing(monkeypatch):
-    monkeypatch.setattr(fl, "trace_batch", lambda *a, **k: pytest.fail("traced past the cap"))
-    field = s3.build_frame("left")[0]
-    # 2 * 100 lines * (ceil(T / h) + 1) states; h = 2^-7 keeps T / h exact.
-    h = 2.0**-7
-    steps = fl.MAX_TRACE_STATES // 200 - 1
-    assert fl.trace_states(200, steps * h, h) == fl.MAX_TRACE_STATES
-    with pytest.raises(ValueError, match="trace states"):
-        fl.asymptotic_hopf(field, 100, (steps + 1) * h, h=h)
 
 
 def test_to_r3_polylines_draws_rotations_only_when_the_identity_fails(monkeypatch):

@@ -113,10 +113,3 @@ def test_triple_density_scales_inverse_lambda():
         assert abs(t * lam - 3.0) < 1e-14
     assert frames.triple_density_algebraic(frames.su2_unit()) == 3.0
 
-
-def test_check_lambda_rejects_nonpositive():
-    with pytest.raises(ValueError, match="family parameter must be a positive real"):
-        frames.lambda_fields(0.0)
-    with pytest.raises(ValueError, match="family parameter must be a positive real"):
-        frames.lambda_right(-2.0)
-

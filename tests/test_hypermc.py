@@ -22,8 +22,6 @@ def _sample_chords(n, rr, seed):
 def test_lambda_to_curvature():
     assert hm.lambda_to_curvature(1.0) == -1.0
     assert np.isclose(hm.lambda_to_curvature(8.0), -0.25, atol=1e-15)
-    with pytest.raises(ValueError, match="lambda must be positive"):
-        hm.lambda_to_curvature(0.0)
 
 
 def test_disk_geometry_closed_forms():
@@ -31,9 +29,6 @@ def test_disk_geometry_closed_forms():
     assert np.isclose(hm.disk_perimeter(-0.25, 3.0), 2 * np.pi * 2 * np.sinh(1.5))
     assert np.isclose(hm.disk_area(-0.25, 3.0), 2 * np.pi * 4 * (np.cosh(1.5) - 1))
     assert hm.disk_area(-1.0, 1e-4) > 0
-    for radius in (0.99e-4, 1e-300):
-        with pytest.raises(ValueError, match="curvature units is below 1e-4"):
-            hm.disk_area(-1.0, radius)
 
 
 def test_chord_invariants():
@@ -194,13 +189,6 @@ def test_sampled_triangle_fraction_matches_exact_count():
     p = exact / (1000 * 999 * 998 // 6)
     assert 0 < p[0] < p[-1]
     assert np.all(np.abs(counts / total - p) <= 4.0 * np.sqrt(p * (1.0 - p) / total))
-
-
-def test_triple_cap_raises_before_the_chord_draw():
-    gen, fresh = np.random.default_rng(12), np.random.default_rng(12)
-    with pytest.raises(ValueError, match=f"at most {hm.MAX_TRIPLES} sampled triples"):
-        hm._triple_counts(K1, 3.0, 1000, gen, np.array([0.3]), hm.MAX_TRIPLES + 1)
-    assert gen.bit_generator.state == fresh.bit_generator.state
 
 
 def _draw_triples(n, n_triples, rng):
@@ -409,8 +397,6 @@ def test_triangle_density_nested_in_cutoff():
 
 def test_cutoff_gates():
     assert _one_cutoff(1200, 0.5 * np.pi - 1e-9, 0)[0] == 0.0
-    with pytest.raises(ValueError):
-        _one_cutoff(900, 0.3, 0)
 
 
 def test_pair_density_radius_doubling():
@@ -452,14 +438,6 @@ def test_epsilon_limit_scan():
     counts = np.asarray(fit.metadata["counts"])
     assert np.all(np.diff(counts) >= 0)
     assert np.all(np.diff(fit.y) >= 0)
-    with pytest.raises(ValueError, match="need at least 4 cutoffs"):
-        hm.epsilon_limit_scan(K1, 3.0, 2000, (0.4, 0.3, 0.2), 7)
-    with pytest.raises(ValueError, match="cutoff list must be strictly decreasing"):
-        hm.epsilon_limit_scan(K1, 3.0, 2000, (0.1, 0.15, 0.2, 0.3), 7)
-    with pytest.raises(ValueError, match=r"cutoffs must lie in \(0, pi/2\)"):
-        hm.epsilon_limit_scan(K1, 3.0, 2000, (1.6, 0.3, 0.2, 0.1), 7)
-    with pytest.raises(ValueError, match=r"cutoffs must lie in \(0, pi/2\)"):
-        hm.epsilon_limit_scan(K1, 3.0, 2000, (0.5 * np.pi, 0.3, 0.2, 0.1), 7)
 
 
 def test_loglog_fit_exact_power_law():
@@ -472,8 +450,6 @@ def test_loglog_fit_exact_power_law():
         hm.loglog_fit(x, np.array([1.0, 2.0, 0.0, 4.0, 5.0]))
     with pytest.raises(ExtrapolationUnstable, match="requires positive values"):
         hm.loglog_fit(x, np.array([1.0, 2.0, np.nan, 4.0, 5.0]))
-    with pytest.raises(ValueError):
-        hm.loglog_fit(x[:1], x[:1])
 
 
 def test_t_quantiles_are_scipy_values():
@@ -490,8 +466,6 @@ def test_loglog_fit_takes_at_most_64_points():
     fit = hm.loglog_fit(x[:64], y[:64])
     _, _, se_slope, _ = hm._linear_fit(np.log(x[:64]), np.log(y[:64]))
     assert fit.half_width == hm.T_QUANTILES_95[-1] * se_slope > 0
-    with pytest.raises(ValueError, match="need 2 to 64 points for a scaling fit, got 65"):
-        hm.loglog_fit(x, y)
 
 
 def test_parallelism_angle_closed_form_vs_shooting():
@@ -504,8 +478,6 @@ def test_parallelism_angle_closed_form_vs_shooting():
         assert np.isclose(
             ratio, 2.0 * np.arctan(np.exp(-rr)) / hm.disk_perimeter(K1, rr)
         )
-    with pytest.raises(ValueError, match="circle radius must reach 5 curvature units"):
-        hm.parallelism_ratio(K1, 4.9)
     with pytest.raises(ValueError, match="circle radius must reach 5 curvature units"):
         oracles.parallelism_angle_shooting(K1, 4.9, 0.0)
 
@@ -529,15 +501,6 @@ def test_alpha_scaling_small_run():
     fit = _alpha_scaling((1.0, 2.0, 4.0, 8.0, 16.0))
     assert abs(fit.slope - hm.ALPHA_EXPONENT) <= max(fit.half_width, 0.12)
     assert fit.metadata == {}
-
-
-def test_alpha_scaling_grid_gates():
-    with pytest.raises(ValueError, match="need at least 5 grid values"):
-        _alpha_scaling((1.0, 2.0, 4.0, 8.0))
-    with pytest.raises(ValueError, match="grid must span at least a decade"):
-        _alpha_scaling((1.0, 2.0, 3.0, 4.0, 5.0))
-    with pytest.raises(ValueError, match="grid values must be positive"):
-        _alpha_scaling((-1.0, 2.0, 4.0, 8.0, 16.0))
 
 
 def test_m5_fiber_quintuple():

@@ -77,18 +77,22 @@ def test_normalize_and_slerp_endpoints():
     assert np.isclose(np.linalg.norm(mid), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-4, 1e-6, 2e-8, 1e-12, 0.0])
 def test_slerp_stays_on_the_sphere_near_antipodal_endpoints(eta):
-    # b is eta rad short of -a.  The angle from arccos of the dot product
-    # carries an error of roundoff / eta, and the arc's distance from the
-    # sphere that error / eta: 1.2e-10 at eta = 1e-3, 2.5e-8 at 1e-4.
+    # b is eta rad short of -a.  The arc from a to b alone has weights of
+    # order 1 / eta, which carry roundoff off the sphere by about 1e-16 / eta;
+    # through the quarter-turn point every part has weights below 2.  At
+    # eta = 0 no great circle joins a and b, and the quarter-turn point is i a.
     a, c = haar_sample(np.random.default_rng(5), 2)
     c = c - np.dot(c, a) * a
     c /= np.linalg.norm(c)
     b = -np.cos(eta) * a + np.sin(eta) * c
     arc = slerp(a, b, np.linspace(0.0, 1.0, 1001))
     assert np.array_equal(arc[0], a) and np.array_equal(arc[-1], b)
-    assert np.max(np.abs(np.linalg.norm(arc, axis=1) - 1.0)) <= 1e-14 / eta
+    assert np.max(np.abs(np.linalg.norm(arc, axis=1) - 1.0)) <= 1e-14
+    # Equal steps in t are equal steps along the arc.
+    steps = np.arccos(np.clip(np.sum(arc[1:] * arc[:-1], axis=1), -1.0, 1.0))
+    assert np.ptp(steps) <= 1e-12
 
 
 def test_haar_sample_unit_and_deterministic():
