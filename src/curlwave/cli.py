@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, hyperbolic, hypermc, s3
-from .errors import ConfigInvalid, CurlwaveError, IoFailure, NotEigenfield
+from .errors import ConfigInvalid, CurlwaveError, IoFailure
 from .fieldlines import (
+    INTEGER_TOL,
     MAX_QUAD_POINTS,
     MAX_STEP,
     MAX_TRACE_STATES,
@@ -99,7 +100,14 @@ class ExperimentConfig:
             raise ConfigInvalid(f"trace_step: must lie in (0, {MAX_STEP}], got {self.trace_step!r}")
         states = trace_states(2 * self.n_pairs, self.trace_T, self.trace_step)
         if states > MAX_TRACE_STATES:
-            raise ConfigInvalid(f"trace_T: {states:.3g} trace states, at most {MAX_TRACE_STATES}")
+            # Name the field that multiplies the default config's states the most.
+            growth = {
+                "n_pairs": self.n_pairs / ExperimentConfig.n_pairs,
+                "trace_T": self.trace_T / ExperimentConfig.trace_T,
+                "trace_step": ExperimentConfig.trace_step / self.trace_step,
+            }
+            name = max(growth, key=growth.get)
+            raise ConfigInvalid(f"{name}: {states:.3g} trace states, at most {MAX_TRACE_STATES}")
         for name in ("lambda_grid", "eps_list"):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)) or not all(_is_real(x) for x in v):
@@ -129,6 +137,8 @@ class ExperimentConfig:
         # because the benchmark harness's gate test records that class.
         if chord_verb and self.n_chords < hypermc.MIN_CHORDS:
             raise ValueError(f"n_chords: need at least {hypermc.MIN_CHORDS} chords, got {self.n_chords}")
+        if chord_verb and self.n_triples < hypermc.MIN_TRIPLES:
+            raise ValueError(f"n_triples: need at least {hypermc.MIN_TRIPLES} triples, got {self.n_triples}")
         lams = self.lambda_grid
         # Every triangle-scan summary value is a slope in lambda.
         if self.verb == "triangle-scan" and not max(lams) > min(lams):
@@ -244,16 +254,12 @@ def _run_verify_s3(cfg: ExperimentConfig, timings: dict):
     t0 = time.perf_counter()
     rows = []
     for spec in frames.default_fleet().values():
-        # Not every fleet member diagonalizes curl leg by leg; report NaN
-        # for the legs that mix instead of dropping the row.
+        # Not every fleet member diagonalizes curl leg by leg; a leg that
+        # mixes reports NaN instead of dropping the row.
         row = {"name": spec.name}
         for l in (1, 2, 3):
-            try:
-                row[f"eig_{l}"] = frames.curl_eigenvalue(spec, l)
-                row[f"helicity_{l}"] = frames.helicity_density_algebraic(spec, l)
-            except NotEigenfield:
-                row[f"eig_{l}"] = float("nan")
-                row[f"helicity_{l}"] = float("nan")
+            row[f"eig_{l}"] = frames.curl_eigenvalue(spec, l)
+            row[f"helicity_{l}"] = frames.helicity_density_algebraic(spec, l)
         rows.append(row)
     timings["fleet"] = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -332,7 +338,7 @@ def _run_linking(cfg: ExperimentConfig, timings: dict):
         rows.append(
             {"case": name, "quad": quad, "rounded": rounded, "oracle": oracle, "expected": expected}
         )
-        if abs(quad - rounded) > 1e-3:
+        if abs(quad - rounded) > INTEGER_TOL:
             violations.append(f"{name}: quadrature {quad!r} not integer-like")
         if rounded != oracle:
             violations.append(f"{name}: quadrature {rounded} disagrees with crossing oracle {oracle}")

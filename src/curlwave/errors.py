@@ -16,10 +16,6 @@ class CurlwaveError(Exception):
     """Base class for all package errors."""
 
 
-class NotEigenfield(CurlwaveError):
-    """Requested a curl eigenvalue for a frame leg that is not an eigenfield."""
-
-
 class ChartEscape(CurlwaveError):
     """A traced point left the valid region of both charts."""
 

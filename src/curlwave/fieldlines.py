@@ -35,6 +35,8 @@ from .seeds import fixed_chunks, ordered_map, substream
 
 MAX_STEP = 1e-2
 CLOSURE_TOL = 1e-6
+# A linking quadrature farther than this from an integer is refused.
+INTEGER_TOL = 1e-3
 MIN_SEPARATION = 1e-4
 MAX_RESAMPLE_POINTS = 2400
 # Distance scans go in blocks of at most _BLOCK distances or box pairs, 512
@@ -58,19 +60,12 @@ MAX_TRACE_STATES = 16_000_000
 class FieldLine:
     """Polyline on the unit sphere.
 
-    embedding holds the 4-space positions; a line is closed when its first
-    and last points coincide to the closure tolerance, as gap() measures.
+    embedding holds the 4-space positions as rows of finite floats, which
+    trace_batch checks for traced lines; a line is closed when its first and
+    last points coincide to the closure tolerance, as gap() measures.
     """
 
     embedding: np.ndarray
-
-    @classmethod
-    def from_embedding(cls, xs: np.ndarray) -> "FieldLine":
-        """Line through the embedded points xs; raises ChartEscape on a non-finite point."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if not np.isfinite(xs).all():
-            raise ChartEscape("non-finite embedded point")
-        return cls(xs)
 
     def gap(self) -> float:
         return float(np.linalg.norm(self.embedding[-1] - self.embedding[0]))
@@ -156,7 +151,7 @@ def close_curve(line: FieldLine) -> FieldLine:
         n_arc = min(len(xs), int(np.ceil(gap / max(spacing, 1e-12))))
         t = np.linspace(0.0, 1.0, n_arc + 1)[1:]
         arc = slerp(xs[-1], xs[0], t)
-    return FieldLine.from_embedding(np.concatenate([xs, arc], axis=0))
+    return FieldLine(np.concatenate([xs, arc], axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +344,8 @@ def gauss_linking(c1: FieldLine, c2: FieldLine, seed: int = 0) -> float:
     The curves are rotated away from the chart pole and evaluated in
     3-space.  For honestly separated curves the result lands within roundoff
     of an integer, but nothing here checks that: build_linking_matrix and the
-    linking verb refuse a value more than 1e-3 from one, and asymptotic_hopf
-    averages the raw floats.
+    linking verb refuse a value more than INTEGER_TOL from one, and
+    asymptotic_hopf averages the raw floats.
     """
     p1, p2 = _prepare_pair(c1, c2, seed=seed)
     return linking_solid_angle(p1, p2)
@@ -462,8 +457,8 @@ def crossing_linking_oracle(c1: FieldLine, c2: FieldLine, seed: int = 0) -> int:
 def build_linking_matrix(curves: Sequence[FieldLine], seed: int = 0) -> np.ndarray:
     """Symmetric integer matrix of pairwise linking numbers, zero diagonal.
 
-    Raises CurlwaveError when a quadrature lands more than 1e-3 from an
-    integer.
+    Raises CurlwaveError when a quadrature lands more than INTEGER_TOL from
+    an integer.
     """
     n = len(curves)
     lk = np.zeros((n, n), dtype=int)
@@ -471,7 +466,7 @@ def build_linking_matrix(curves: Sequence[FieldLine], seed: int = 0) -> np.ndarr
         for j in range(i + 1, n):
             val = gauss_linking(curves[i], curves[j], seed=seed)
             rounded = int(np.rint(val))
-            if abs(val - rounded) > 1e-3:
+            if abs(val - rounded) > INTEGER_TOL:
                 raise CurlwaveError(f"linking quadrature {val} is not integer-like")
             lk[i, j] = lk[j, i] = rounded
     return lk
@@ -532,7 +527,7 @@ def asymptotic_hopf(
         xs_a, xs_b = paths[2 * p], paths[2 * p + 1]
         for attempt in range(4):
             try:
-                la, lb = (close_curve(FieldLine.from_embedding(xs)) for xs in (xs_a, xs_b))
+                la, lb = (close_curve(FieldLine(xs)) for xs in (xs_a, xs_b))
                 return gauss_linking(la, lb, seed=seed), attempt
             except DegenerateProjection:
                 return None, attempt
@@ -569,7 +564,7 @@ def hopf_fiber(x0: np.ndarray, side: str = "right", n: int = 400) -> FieldLine:
     qx = qmul(q, x0) if side == "right" else qmul(x0, q)
     xs = np.cos(t)[:, None] * x0[None, :] + np.sin(t)[:, None] * qx[None, :]
     xs[-1] = xs[0]
-    return FieldLine.from_embedding(xs)
+    return FieldLine(xs)
 
 
 def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> FieldLine:
@@ -582,4 +577,4 @@ def circle_in_chart(center: np.ndarray, r3: float, normal_axis: int = 2) -> Fiel
     pts[j] += r3 * np.sin(t)
     xs = np.ascontiguousarray(chart_embed(pts, 0).T)
     xs[-1] = xs[0]
-    return FieldLine.from_embedding(xs)
+    return FieldLine(xs)

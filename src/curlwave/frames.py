@@ -17,17 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotEigenfield
-
 EIGEN_TOL = 1e-10  # absolute bound on off-diagonal curl components
 JACOBI_TOL = 1e-12
-
-
-def _as_c_array(c) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if c.shape != (3, 3, 3):
-        raise ValueError(f"structure constants must be 3x3x3, got {c.shape}")
-    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +34,9 @@ class LieFrameSpec:
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        c = _as_c_array(self.c)
+        c = np.asarray(self.c, dtype=float)
+        if c.shape != (3, 3, 3):
+            raise ValueError(f"structure constants must be 3x3x3, got {c.shape}")
         g = np.asarray(self.g, dtype=float)
         if g.shape != (3,):
             raise ValueError(f"metric must have 3 entries, got shape {g.shape}")
@@ -76,7 +69,6 @@ def jacobi_residual_of(c: np.ndarray) -> float:
 
     J(i,j,k)^m = sum_l ( c[l,i,j] c[m,l,k] + c[l,j,k] c[m,l,i] + c[l,k,i] c[m,l,j] )
     """
-    c = _as_c_array(c)
     term = np.einsum("lij,mlk->mijk", c, c)
     total = term + np.transpose(term, (0, 2, 3, 1)) + np.transpose(term, (0, 3, 1, 2))
     return float(np.max(np.abs(total)))
@@ -106,19 +98,13 @@ def curl_matrix(spec: LieFrameSpec) -> np.ndarray:
 
 
 def curl_eigenvalue(spec: LieFrameSpec, l) -> float:
-    """Eigenvalue mu_l with rot E_l = mu_l E_l.
-
-    Raises NotEigenfield when rot E_l has an off-diagonal component above
-    EIGEN_TOL, which signals a malformed spec for this leg.
+    """Eigenvalue mu_l with rot E_l = mu_l E_l, or NaN for a leg that is not
+    a curl eigenfield: rot E_l has an off-diagonal component above EIGEN_TOL.
     """
     l0 = _leg(l)
     row = curl_matrix(spec)[l0]
-    off = np.abs(np.delete(row, l0))
-    if np.any(off > EIGEN_TOL):
-        raise NotEigenfield(
-            f"leg {l0 + 1} of {spec.name} is not a curl eigenfield: "
-            f"off-diagonal components {off}"
-        )
+    if np.any(np.abs(np.delete(row, l0)) > EIGEN_TOL):
+        return float("nan")
     return float(row[l0])
 
 
@@ -166,7 +152,7 @@ def milnor_curvatures(spec: LieFrameSpec) -> tuple[float, float, float]:
 
 
 def helicity_density_algebraic(spec: LieFrameSpec, l) -> float:
-    """(E_l, rot E_l) for an eigenfield leg: mu_l * g_l."""
+    """(E_l, rot E_l) for an eigenfield leg: mu_l * g_l; NaN for a mixed leg."""
     l0 = _leg(l)
     return curl_eigenvalue(spec, l0 + 1) * float(spec.g[l0])
 

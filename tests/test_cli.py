@@ -15,7 +15,7 @@ from curlwave import cli, hyperbolic, hypermc, s3
 from curlwave.cli import ExperimentConfig, emit_report, main, run
 from curlwave.errors import ConfigInvalid, IoFailure
 from curlwave.fieldlines import MAX_QUAD_POINTS, MAX_TRACE_STATES
-from curlwave.hypermc import MAX_CHORDS, MAX_TRIPLES
+from curlwave.hypermc import MAX_CHORDS, MAX_TRIPLES, MIN_TRIPLES
 from curlwave.seeds import MAX_WORKERS
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -353,6 +353,12 @@ def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, 
     [
         ("triangle-scan", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000 chords, got 999"),
         ("alpha-scaling", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000 chords, got 999"),
+        # Below MIN_TRIPLES a run could find no triangle below the smallest
+        # cutoff, and its fit then failed with a message that named no field.
+        ("triangle-scan", {"n_chords": 1000, "n_triples": 9999, "lambda_grid": [1, 2]},
+         {"n_chords": 1000, "n_triples": 10000, "lambda_grid": [1, 2]}, "n_triples: need at least 10000 triples, got 9999"),
+        ("alpha-scaling", {"n_chords": 1000, "n_triples": 1}, {"n_chords": 1000, "n_triples": 10000},
+         "n_triples: need at least 10000 triples, got 1"),
         ("triangle-scan", {"lambda_grid": [1.0]}, {"lambda_grid": [1.0, 2.0]},
          "lambda_grid: slopes need at least 2 distinct values, got (1.0,)"),
         ("triangle-scan", {"lambda_grid": [2.0, 2.0]}, {"lambda_grid": [2.0, 3.0]},
@@ -383,7 +389,8 @@ def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, 
         ("alpha-scaling", {"disk_radius": 1e-300}, {"disk_radius": 1e-4},
          "disk_radius: must lie in [1e-4, 50] curvature units, got 1e-300"),
     ],
-    ids=["triangle-scan-n_chords", "alpha-scaling-n_chords", "one_lambda", "distinct_lambdas", "grid_values",
+    ids=["triangle-scan-n_chords", "alpha-scaling-n_chords", "triangle-scan-n_triples", "alpha-scaling-n_triples",
+         "one_lambda", "distinct_lambdas", "grid_values",
          "grid_decade", "triangle-scan-1_cutoff", "triangle-scan-3_cutoffs", "alpha-scaling-1_cutoff",
          "alpha-scaling-3_cutoffs", "n_pairs", "trace_T", "n_quad", "triangle-scan-disk_60", "alpha-scaling-disk_60",
          "triangle-scan-disk_1e-300", "alpha-scaling-disk_1e-300"],
@@ -443,26 +450,30 @@ _STEPS_AT_CAP = MAX_TRACE_STATES // 200 - 1
 
 
 @pytest.mark.parametrize(
-    "verb, at_cap, over_cap",
+    "verb, at_cap, over_cap, field",
     [
-        ("verify-s3", {"n_points": s3.MAX_CURL_POINTS}, {"n_points": s3.MAX_CURL_POINTS + 1}),
-        ("hopf-asymptotic", {"n_quad": MAX_QUAD_POINTS}, {"n_quad": MAX_QUAD_POINTS + 1}),
-        ("triangle-scan", {"n_chords": MAX_CHORDS}, {"n_chords": MAX_CHORDS + 1}),
+        ("verify-s3", {"n_points": s3.MAX_CURL_POINTS}, {"n_points": s3.MAX_CURL_POINTS + 1}, "n_points"),
+        ("hopf-asymptotic", {"n_quad": MAX_QUAD_POINTS}, {"n_quad": MAX_QUAD_POINTS + 1}, "n_quad"),
+        ("triangle-scan", {"n_chords": MAX_CHORDS}, {"n_chords": MAX_CHORDS + 1}, "n_chords"),
         (
             "hopf-asymptotic",
             {"n_pairs": 100, "trace_step": _H, "trace_T": _STEPS_AT_CAP * _H},
             {"n_pairs": 100, "trace_step": _H, "trace_T": (_STEPS_AT_CAP + 1) * _H},
+            "trace_T",
         ),
         # 400 lines of 1,000,001 states each: an 11.9 GiB path array.
-        ("hopf-asymptotic", {}, {"trace_T": 1e4}),
+        ("hopf-asymptotic", {}, {"trace_T": 1e4}, "trace_T"),
         # About 5e303 states, a number the error line must not print in full.
-        ("hopf-asymptotic", {}, {"trace_step": 1e-300}),
+        ("hopf-asymptotic", {}, {"trace_step": 1e-300}, "trace_step"),
+        # 2,000,000 lines of 1,258 states each at the default T and step.
+        ("hopf-asymptotic", {"n_pairs": MAX_TRACE_STATES // 2516}, {"n_pairs": 1_000_000}, "n_pairs"),
     ],
-    ids=["n_points", "n_quad", "n_chords", "trace_states", "trace_T_1e4", "trace_step_1e-300"],
+    ids=["n_points", "n_quad", "n_chords", "trace_states", "trace_T_1e4", "trace_step_1e-300", "n_pairs_1e6"],
 )
-def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, capsys, verb, at_cap, over_cap):
+def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, capsys, verb, at_cap, over_cap, field):
     # validate() caps every size that sets a verb's memory, so a config over
-    # a cap exits 1 without running the verb; the cap itself is allowed.
+    # a cap exits 1 without running the verb, naming the field that broke
+    # the cap; the cap itself is allowed.
     def verb_must_not_run(config, timings):
         raise AssertionError(f"{verb} ran on an over-cap config")
 
@@ -471,7 +482,7 @@ def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, caps
     (tmp_path / "cfg.json").write_text(json.dumps(over_cap))
     assert main([verb, "--config", "cfg.json"]) == 1
     err = capsys.readouterr().err
-    assert "at most" in err
+    assert err.startswith(f"error: {field}: ") and "at most" in err
     assert all(len(line) < 200 for line in err.splitlines())
     _cfg(verb=verb, **at_cap).validate()
 
@@ -481,11 +492,11 @@ def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, caps
     [
         # A disk of 1e-300 curvature units: its perimeter and area underflow,
         # so every density would be 0/0.
-        ("triangle-scan", {"n_chords": 1300, "n_triples": 1000, "disk_radius": 1e-300},
+        ("triangle-scan", {"n_chords": 1300, "n_triples": MIN_TRIPLES, "disk_radius": 1e-300},
          "disk_radius: must lie in [1e-4, 50] curvature units, got 1e-300"),
         # Curvatures down to -1e200: the density scale leaves the doubles, so
         # every extrapolate would be 0, inf or NaN.
-        ("alpha-scaling", {"n_chords": 1300, "n_triples": 1000,
+        ("alpha-scaling", {"n_chords": 1300, "n_triples": MIN_TRIPLES,
                            "lambda_grid": [1e-300, 1e-299, 1e-298, 1e-297, 1e-290]},
          "lambda_grid: density scale at lambda=1e-300 leaves the normal doubles"),
     ]

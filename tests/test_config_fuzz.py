@@ -7,8 +7,8 @@ replaced in the verb table, so only validate() runs for it; the chord verbs
 run with their samplers replaced by the scale factors they multiply, as in
 criterion 09, so every other line of both verbs runs at the drawn lambda
 and disk radius.  What the real samplers do with their data is outside this
-search: with too few triples to count a triangle, a chord verb's fit still
-exits 1 with a message that names no field.
+search; validate() refuses fewer triples than hypermc.MIN_TRIPLES, below
+which a fit could find no triangle.
 """
 
 import dataclasses
@@ -25,7 +25,9 @@ from curlwave import cli, hypermc
 from curlwave.cli import VERBS, ExperimentConfig, main
 
 FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-MINIMUM_SIZES = {"n_points": 1, "n_quad": 100, "n_chords": hypermc.MIN_CHORDS, "n_triples": 1, "n_pairs": 100}
+MINIMUM_SIZES = {
+    "n_points": 1, "n_quad": 100, "n_chords": hypermc.MIN_CHORDS, "n_triples": hypermc.MIN_TRIPLES, "n_pairs": 100,
+}
 
 # The ends of the doubles, the bounds validate() enforces, and the defaults.
 EDGES = [

@@ -33,10 +33,20 @@ def test_hopf_fiber_closed_unit_circle():
     assert np.allclose(line.embedding[0], line.embedding[-1], atol=1e-12)
 
 
-def test_from_embedding_rejects_non_finite_point():
-    xs = np.array([[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+def test_trace_batch_rejects_a_non_finite_field_value():
+    # trace_batch is the one finiteness check on traced points: a field that
+    # returns NaN for one start, or inf for every start, fails the whole batch.
+    def nan_for_second_start(x):
+        v = np.zeros_like(x)
+        v[:, 1] = np.nan
+        return v
+
+    starts = haar_sample(np.random.default_rng(2), 3)
     with pytest.raises(ChartEscape):
-        fl.FieldLine.from_embedding(xs)
+        fl.trace_batch(nan_for_second_start, starts, 0.05, h=0.01)
+    with pytest.raises(ChartEscape), np.errstate(invalid="ignore"):
+        fl.trace_batch(lambda x: np.full_like(x, np.inf), starts, 0.05, h=0.01)
+    assert np.isfinite(fl.trace_batch(np.zeros_like, starts, 0.05, h=0.01)).all()
 
 
 @pytest.mark.parametrize("n", [1, 256, 257, 511, 512, 513, 1300])
@@ -55,7 +65,7 @@ def test_distance_scans_match_brute_force(n):
     # A bound above the minimum returns the same float; one below finds nothing.
     assert fl._min_distance(p, q, 1.001 * want) == fl._min_distance(q, p, 1.001 * want) == want
     assert fl._min_distance(p, q, 0.999 * want) == fl._min_distance(q, p, 0.999 * want) == np.inf
-    line = fl.FieldLine.from_embedding(p)
+    line = fl.FieldLine(p)
     assert line.diameter() == float(np.max(pp))
 
 
@@ -142,13 +152,13 @@ def test_min_distance_memory_is_bounded_on_long_curves():
 def test_diameter_and_reach_match_cdist(n):
     rng = np.random.default_rng(n)
     xs = haar_sample(rng, n) * rng.uniform(0.5, 2.0, (n, 1))
-    assert _same_float(fl.FieldLine.from_embedding(xs).diameter(), float(cdist(xs, xs).max()))
+    assert _same_float(fl.FieldLine(xs).diameter(), float(cdist(xs, xs).max()))
     assert _same_float(fl._max_distance(xs[:1], xs), float(cdist(xs[:1], xs).max()))
 
 
 def test_diameter_memory_is_bounded_by_a_cell_budget():
     # Row blocks of 512 would hold 78 MiB of distances at this size.
-    line = fl.FieldLine.from_embedding(haar_sample(np.random.default_rng(3), 20_000))
+    line = fl.FieldLine(haar_sample(np.random.default_rng(3), 20_000))
     tracemalloc.start()
     try:
         d = line.diameter()
@@ -382,13 +392,13 @@ def _mirror_line(line):
     # Reflect the last embedding coordinate (orientation-reversing).
     xs = line.embedding.copy()
     xs[:, 3] = -xs[:, 3]
-    return fl.FieldLine.from_embedding(xs)
+    return fl.FieldLine(xs)
 
 
 def _reverse_line(line):
     # Reverse the traversal orientation of a closed line.
     xs = line.embedding[::-1].copy()
-    return fl.FieldLine.from_embedding(xs)
+    return fl.FieldLine(xs)
 
 
 def test_mirror_and_reversal_negate_linking():
@@ -440,7 +450,7 @@ def test_traced_orbit_pair_links():
     starts = haar_sample(np.random.default_rng(10), 2)
     paths = fl.trace_batch(_left_field, starts, np.pi, h=PERIOD_STEP)
     lines = [
-        fl.close_curve(fl.FieldLine.from_embedding(xs))
+        fl.close_curve(fl.FieldLine(xs))
         for xs in paths
     ]
     lk = fl.gauss_linking(lines[0], lines[1])
@@ -470,7 +480,7 @@ def test_close_curve_closes_a_wide_gap_by_its_great_circle_arc(T, h, min_gap):
     # is at most pi long.
     x0 = haar_sample(np.random.default_rng(11), 1)
     xs = fl.trace_batch(_LEFT_LEG, x0, T, h=h)[0]
-    line = fl.FieldLine.from_embedding(xs)
+    line = fl.FieldLine(xs)
     assert line.gap() >= min_gap
     closed = fl.close_curve(line).embedding
     assert np.array_equal(closed[-1], closed[0])
@@ -484,14 +494,14 @@ def test_close_curve_arc_has_at_most_as_many_points_as_the_line():
     # median spacing alone would take 499,948 arc points over the gap.
     angles = np.concatenate([np.arange(998) * 1e-7, [1.0, 0.05]])
     xs = np.stack([np.cos(angles), np.sin(angles), 0.0 * angles, 0.0 * angles], axis=1)
-    closed = fl.close_curve(fl.FieldLine.from_embedding(xs)).embedding
+    closed = fl.close_curve(fl.FieldLine(xs)).embedding
     assert len(closed) - len(xs) <= len(xs)
     assert np.array_equal(closed[-1], closed[0])
 
 
 def test_gauss_linking_refuses_an_open_curve():
     c1, c2 = _fiber_pair("right")
-    open_curve = fl.FieldLine.from_embedding(c1.embedding[:-10])
+    open_curve = fl.FieldLine(c1.embedding[:-10])
     with pytest.raises(ValueError, match="linking requires closed curves"):
         fl.gauss_linking(open_curve, c2)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from curlwave import frames
-from curlwave.errors import NotEigenfield
 
 LAMBDAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -61,13 +60,20 @@ def test_metric_scale_covariance():
             assert np.allclose(scaled, base / s, rtol=1e-12), (spec.name, s)
 
 
-def test_not_eigenfield_raises():
+def test_mixed_legs_give_nan():
+    # curl sends E_2 and E_3 of lambda_geometry(1) into each other, so only
+    # leg 1 has an eigenvalue; verify-s3 reports the other two as NaN.
     spec = frames.lambda_geometry(1.0)
-    assert np.isclose(frames.curl_eigenvalue(spec, 1), -2.0)
-    with pytest.raises(NotEigenfield):
-        frames.curl_eigenvalue(spec, 2)
-    with pytest.raises(NotEigenfield):
-        frames.curl_eigenvalue(spec, 3)
+    assert frames.curl_eigenvalue(spec, 1) == -2.0
+    assert frames.helicity_density_algebraic(spec, 1) == -2.0
+    for l in (2, 3):
+        assert np.isnan(frames.curl_eigenvalue(spec, l))
+        assert np.isnan(frames.helicity_density_algebraic(spec, l))
+
+
+def test_spec_rejects_malformed_constants():
+    with pytest.raises(ValueError, match="structure constants must be 3x3x3"):
+        frames.LieFrameSpec("flat", np.zeros((3, 3)), np.ones(3))
 
 
 def test_leg_argument_validation():
