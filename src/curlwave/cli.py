@@ -77,19 +77,23 @@ class ExperimentConfig:
             raise ConfigInvalid(f"verb: unknown verb {self.verb!r}; choose from {', '.join(VERBS)}")
         # Sizes that set a stage's memory are capped to keep it under about 1 GiB;
         # n_triples, whose scan streams in fixed chunks, is capped to bound time.
+        # Each traced line stores at least 2 states, so no trace holds more
+        # pairs than n_pairs' cap; the trace-state check below is the real bound.
         caps = {
             "n_points": s3.MAX_CURL_POINTS,
             "n_quad": MAX_QUAD_POINTS,
             "n_chords": hypermc.MAX_CHORDS,
             "n_triples": hypermc.MAX_TRIPLES,
+            "n_pairs": MAX_TRACE_STATES // 4,
             "workers": MAX_WORKERS,
         }
-        for name in ("n_points", "n_quad", "n_chords", "n_triples", "n_pairs", "workers"):
+        for name, cap in caps.items():
             v = getattr(self, name)
             if not _is_int(v) or v <= 0:
                 raise ConfigInvalid(f"{name}: must be a positive integer, got {v!r}")
-            if v > caps.get(name, v):
-                raise ConfigInvalid(f"{name}: at most {caps[name]}, got {v}")
+            # The value is not echoed: an int past the doubles runs to hundreds of digits.
+            if v > cap:
+                raise ConfigInvalid(f"{name}: at most {cap}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigInvalid(f"seed: must be a non-negative integer, got {self.seed!r}")
         for name in ("disk_radius", "trace_T", "max_left_residual", "min_right_residual"):

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Each config precondition is checked once, by ExperimentConfig.validate,
-whose message starts with the field it refuses; library functions document
-their domain and trust their caller.  A check of data rather than of an
-argument keeps its class: ValueError for a curve or field a function cannot
+Each kind of check has one home.  ExperimentConfig.validate checks each
+config precondition once, and its message starts with the field it refuses.
+The tests check the package's own constants, such as the frame specs that
+frames builds.  Library functions document their domain, trust their caller
+and check only data: ValueError for a curve or field a function cannot
 take, and a class here only for a failure that a caller catches by type, or
 one that comes from the data or from outside the program.  The command line
 maps these and ValueError to exit code 1.

@@ -311,25 +311,25 @@ def epsilon_limit_scan(
 ) -> ScalingFit:
     """Triangle density (per squared disk area) against the angle cutoff.
 
-    One chord sample and one triple sample feed every cutoff, so the counts
-    are nested and monotone by construction.  The zero-cutoff limit is the
-    intercept of a linear fit over the last three (smallest) cutoffs, of at
-    least four strictly decreasing cutoffs in (0, pi/2).
+    The zero-cutoff limit is the intercept of a linear fit over the last
+    three (smallest) of strictly decreasing cutoffs in (0, pi/2).  Only those
+    three are counted, and the fit's x, y and counts hold them alone: a
+    cutoff costs a column in every chunk of the triple scan.  One chord
+    sample and one triple sample feed all three, so the counts are nested
+    and monotone by construction.
     """
-    eps = np.asarray(list(eps_list), dtype=float)
+    tail = np.asarray(list(eps_list), dtype=float)[-3:]
     scale = disk_perimeter(K, R) ** 3 / disk_area(K, R) ** 2
-    counts, total = _triple_counts(K, R, N, rng, eps, n_triples)
+    counts, total = _triple_counts(K, R, N, rng, tail, n_triples)
     dens = counts / total * scale
-    tail_x = eps[-3:]
-    tail_y = dens[-3:]
-    if np.any(np.diff(tail_y) < 0):
+    if np.any(np.diff(dens) < 0):
         raise ExtrapolationUnstable("density tail is not monotone in the cutoff")
-    slope, intercept, _, se_int = _linear_fit(tail_x, tail_y)
+    slope, intercept, _, se_int = _linear_fit(tail, dens)
     if not intercept > 0:
         raise ExtrapolationUnstable(f"non-positive extrapolated density {intercept}")
     tq = T_QUANTILES_95[0]
     return ScalingFit(
-        eps, dens, slope, intercept, tq * se_int, {"counts": counts.tolist(), "total": total}
+        tail, dens, slope, intercept, tq * se_int, {"counts": counts.tolist(), "total": total}
     )
 
 
@@ -357,9 +357,7 @@ def parallelism_ratio(K: float, R1: float) -> float:
 
 
 def m5_quintuple_details(lines: Sequence[FieldLine], seed: int = 0) -> dict:
-    """Triangle count and linking product for a quintuple of closed curves."""
-    if len(lines) != 5:
-        raise ValueError(f"need exactly 5 curves, got {len(lines)}")
+    """Triangle count and linking product for five closed curves."""
     lk = build_linking_matrix(list(lines), seed=seed)
     product = 1
     for i, j in combinations(range(5), 2):

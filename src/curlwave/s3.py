@@ -109,8 +109,6 @@ def conformal_factor(u: np.ndarray, radius: float = 1.0) -> np.ndarray:
 def build_frame(side: str) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
     """Legs 1, 2, 3 of the unit-sphere translation frame as callable fields on
     ambient points: side "left" gives x -> x*q, "right" gives x -> q*x."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if side == "left":
         return tuple(lambda x, q=q: qmul(x, q) for q in IMAG_UNITS)
     return tuple(lambda x, q=q: qmul(q, x) for q in IMAG_UNITS)

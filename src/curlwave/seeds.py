@@ -27,10 +27,9 @@ def substream(seed: int, *key: int) -> Generator:
 def fixed_chunks(n: int, chunk: int) -> list[tuple[int, int]]:
     """[(start, stop)] covering range(n) in chunks of fixed size.
 
-    The chunk layout depends only on (n, chunk), never on worker count.
+    The chunk layout depends only on (n, chunk), never on worker count;
+    chunk is positive.
     """
-    if chunk <= 0:
-        raise ValueError(f"chunk size must be positive, got {chunk}")
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 

@@ -29,6 +29,10 @@ legs) and the wedge term (the alternating trace of the legs' algebra values)
 over a round sphere by Monte Carlo.  No verb runs it; the tests check the
 sphere frames' constant densities and the l^4 / l^3 scaling of both terms
 under x -> l x against it.
+
+jacobi_residual_of checks the structure constants that frames builds: the
+package trusts its own specs, and the tests hold every spec a verb builds to
+the Jacobi identity.
 """
 
 from dataclasses import dataclass
@@ -42,6 +46,16 @@ from curlwave.errors import CurlwaveError, DegenerateProjection
 from curlwave.frames import LieFrameSpec, lambda_geometry_ar
 from curlwave.quaternions import IMAG_UNITS, haar_sample, qconj, qmul
 from curlwave.seeds import fixed_chunks, substream
+
+
+def jacobi_residual_of(c: np.ndarray) -> float:
+    """Max norm of the Jacobi identity over all index triples.
+
+    J(i,j,k)^m = sum_l ( c[l,i,j] c[m,l,k] + c[l,j,k] c[m,l,i] + c[l,k,i] c[m,l,j] )
+    """
+    term = np.einsum("lij,mlk->mijk", c, c)
+    total = term + np.transpose(term, (0, 2, 3, 1)) + np.transpose(term, (0, 3, 1, 2))
+    return float(np.max(np.abs(total)))
 
 
 def _riemann_number(g0, d_g, dd_g, u, v) -> float:

@@ -467,8 +467,14 @@ _STEPS_AT_CAP = MAX_TRACE_STATES // 200 - 1
         ("hopf-asymptotic", {}, {"trace_step": 1e-300}, "trace_step"),
         # 2,000,000 lines of 1,258 states each at the default T and step.
         ("hopf-asymptotic", {"n_pairs": MAX_TRACE_STATES // 2516}, {"n_pairs": 1_000_000}, "n_pairs"),
+        # An int past the doubles, which the trace-state product cannot take
+        # and the error line must not print; the cap is a trace of 2 states a line.
+        ("verify-s3", {"n_pairs": MAX_TRACE_STATES // 4, "trace_T": 0.01}, {"n_pairs": 10**400}, "n_pairs"),
     ],
-    ids=["n_points", "n_quad", "n_chords", "trace_states", "trace_T_1e4", "trace_step_1e-300", "n_pairs_1e6"],
+    ids=[
+        "n_points", "n_quad", "n_chords", "trace_states", "trace_T_1e4", "trace_step_1e-300", "n_pairs_1e6",
+        "n_pairs_1e400",
+    ],
 )
 def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, capsys, verb, at_cap, over_cap, field):
     # validate() caps every size that sets a verb's memory, so a config over

@@ -2,7 +2,9 @@
 
 Each example runs main() on one verb with RuntimeWarnings as errors, so an
 overflow anywhere between validate() and the reports fails the example as a
-traceback would.  Sizes stay at each verb's minimum.  hopf-asymptotic is
+traceback would.  Each size field draws from its minimum, its cap, one past
+the cap, 0, -1 and an int past the doubles, and a config that passes
+validate() runs its verb at the minimum sizes.  hopf-asymptotic is
 replaced in the verb table, so only validate() runs for it; the chord verbs
 run with their samplers replaced by the scale factors they multiply, as in
 criterion 09, so every other line of both verbs runs at the drawn lambda
@@ -21,12 +23,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curlwave import cli, hypermc
+from curlwave import cli, hypermc, s3
 from curlwave.cli import VERBS, ExperimentConfig, main
+from curlwave.fieldlines import MAX_QUAD_POINTS, MAX_TRACE_STATES
+from curlwave.seeds import MAX_WORKERS
 
 FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 MINIMUM_SIZES = {
     "n_points": 1, "n_quad": 100, "n_chords": hypermc.MIN_CHORDS, "n_triples": hypermc.MIN_TRIPLES, "n_pairs": 100,
+    "workers": 1,
+}
+SIZE_CAPS = {
+    "n_points": s3.MAX_CURL_POINTS, "n_quad": MAX_QUAD_POINTS, "n_chords": hypermc.MAX_CHORDS,
+    "n_triples": hypermc.MAX_TRIPLES, "n_pairs": MAX_TRACE_STATES // 4, "workers": MAX_WORKERS,
 }
 
 # The ends of the doubles, the bounds validate() enforces, and the defaults.
@@ -57,6 +66,10 @@ configs = st.fixed_dictionaries(
         "trace_step": st.one_of(below(0.01), reals),
         "max_left_residual": reals,
         "min_right_residual": reals,
+        **{
+            name: st.sampled_from([MINIMUM_SIZES[name], cap, cap + 1, 0, -1, 10**400])
+            for name, cap in SIZE_CAPS.items()
+        },
     },
 )
 
@@ -80,6 +93,8 @@ def test_every_config_exits_0_1_or_2_and_names_a_field(tmp_path_factory, payload
     (work / "cfg.json").write_text(json.dumps({**MINIMUM_SIZES, **payload, "out_dir": str(work / "out")}))
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
+        for name, run in list(cli._VERB_TABLE.items()):
+            mp.setitem(cli._VERB_TABLE, name, lambda c, t, run=run: run(dataclasses.replace(c, **MINIMUM_SIZES), t))
         mp.setitem(cli._VERB_TABLE, "hopf-asymptotic", lambda config, timings: ([], {}, []))
         mp.setattr(hypermc, "pair_intersection_density", _pair_scale)
         mp.setattr(hypermc, "epsilon_limit_scan", _scan_scale)

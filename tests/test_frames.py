@@ -1,11 +1,12 @@
 """Structure-constant frames: curl spectra and curvatures."""
 
 import numpy as np
-import pytest
+import oracles
 
 from curlwave import frames
+from curlwave.hyperbolic import VERIFIED_LAMBDA_RANGE
 
-LAMBDAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+LAMBDAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, *VERIFIED_LAMBDA_RANGE)
 
 
 def all_specs():
@@ -18,8 +19,14 @@ def all_specs():
 
 
 def test_fleet_jacobi_residual():
+    # LieFrameSpec trusts its constants: every spec the verbs build must be
+    # an antisymmetric bracket that satisfies the Jacobi identity, over a
+    # positive, finite metric.
     for spec in all_specs():
-        assert frames.jacobi_residual_of(spec.c) < 1e-12, spec.name
+        assert spec.c.shape == (3, 3, 3) and spec.g.shape == (3,), spec.name
+        assert np.max(np.abs(spec.c + np.swapaxes(spec.c, 1, 2))) <= 1e-12, spec.name
+        assert oracles.jacobi_residual_of(spec.c) < 1e-12, spec.name
+        assert np.all(spec.g > 0) and np.all(np.isfinite(spec.g)), spec.name
 
 
 def test_curl_matrix_su2_values():
@@ -69,18 +76,6 @@ def test_mixed_legs_give_nan():
     for l in (2, 3):
         assert np.isnan(frames.curl_eigenvalue(spec, l))
         assert np.isnan(frames.helicity_density_algebraic(spec, l))
-
-
-def test_spec_rejects_malformed_constants():
-    with pytest.raises(ValueError, match="structure constants must be 3x3x3"):
-        frames.LieFrameSpec("flat", np.zeros((3, 3)), np.ones(3))
-
-
-def test_leg_argument_validation():
-    with pytest.raises(ValueError, match="frame leg must be 1, 2 or 3"):
-        frames.curl_eigenvalue(frames.su2_unit(), 0)
-    with pytest.raises(ValueError, match="frame leg must be 1, 2 or 3"):
-        frames.curl_eigenvalue(frames.su2_unit(), 4)
 
 
 def test_milnor_curvatures_su2():

@@ -1,7 +1,6 @@
 """Lambda frame family: densities, curvature profile."""
 
 import numpy as np
-import pytest
 
 from curlwave import frames, hyperbolic
 
@@ -35,13 +34,6 @@ def test_normalized_curl_eigenvalues():
 def test_frame_volume_raw_equals_lambda():
     for lam in (0.5, 1.0, 4.0):
         assert np.isclose(hyperbolic.lambda_report_row(lam)["raw_right_volume"], lam, rtol=1e-12)
-
-
-def test_rescale_rejects_nonpositive():
-    # Criterion 05 realizes x -> l x on the radius-l sphere with leg metric
-    # l^2: the metric rejects l = 0.
-    with pytest.raises(ValueError, match="metric entries must be positive"):
-        frames.LieFrameSpec("scaled", frames.su2_unit().c, np.zeros(3))
 
 
 def test_lambda_report_row_needs_a_normal_cube():

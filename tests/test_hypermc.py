@@ -435,9 +435,31 @@ def test_epsilon_limit_scan():
     )
     assert fit.intercept > 0
     assert fit.metadata["total"] > 0
+    assert fit.x.tolist() == [0.2, 0.15, 0.1]
     counts = np.asarray(fit.metadata["counts"])
+    assert counts.size == fit.y.size == 3
     assert np.all(np.diff(counts) >= 0)
     assert np.all(np.diff(fit.y) >= 0)
+
+
+def test_epsilon_limit_scan_memory_ignores_leading_cutoffs():
+    # Only the last three cutoffs reach the fit, so cutoffs before them may
+    # cost no memory in the triple scan.  A column per cutoff over each
+    # chunk's triangles raised this scan's peak by 24 MiB at 20,000 leading
+    # cutoffs.
+    tail = (0.4, 0.3, 0.2, 0.15, 0.1)
+    long_list = (*np.linspace(1.5, 0.45, 20_000).tolist(), *tail)
+    peaks, intercepts = [], []
+    for eps_list in (tail, long_list):
+        tracemalloc.start()
+        try:
+            fit = hm.epsilon_limit_scan(K1, 0.01, 1000, eps_list, 5, n_triples=hm.MIN_TRIPLES)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        intercepts.append(fit.intercept)
+    assert abs(peaks[1] - peaks[0]) <= 4 * 2**20
+    assert intercepts[0] == intercepts[1]
 
 
 def test_loglog_fit_exact_power_law():
@@ -528,8 +550,6 @@ def test_m5_far_circles_and_mixed():
     out = hm.m5_quintuple_details(mixed)
     assert out["linking_product"] == 0
     assert out["estimate"] == 0.0
-    with pytest.raises(ValueError, match="need exactly 5 curves"):
-        hm.m5_quintuple_details(mixed[:4])
 
 
 def test_sample_geodesic_seed_forms():
