@@ -51,6 +51,12 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def _shown(v) -> str:
+    """repr(v) for an error message; past 60 characters, its first 60 and its length."""
+    r = repr(v)
+    return r if len(r) <= 60 else f"{r[:60]}... ({len(r)} characters)"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description; serializes byte-exactly through JSON."""
@@ -74,7 +80,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.verb not in VERBS:
-            raise ConfigInvalid(f"verb: unknown verb {self.verb!r}; choose from {', '.join(VERBS)}")
+            raise ConfigInvalid(f"verb: unknown verb {_shown(self.verb)}; choose from {', '.join(VERBS)}")
         # Sizes that set a stage's memory are capped to keep it under about 1 GiB;
         # n_triples, whose scan streams in fixed chunks, is capped to bound time.
         # Each traced line stores at least 2 states, so no trace holds more
@@ -90,18 +96,17 @@ class ExperimentConfig:
         for name, cap in caps.items():
             v = getattr(self, name)
             if not _is_int(v) or v <= 0:
-                raise ConfigInvalid(f"{name}: must be a positive integer, got {v!r}")
-            # The value is not echoed: an int past the doubles runs to hundreds of digits.
+                raise ConfigInvalid(f"{name}: must be a positive integer, got {_shown(v)}")
             if v > cap:
-                raise ConfigInvalid(f"{name}: at most {cap}")
+                raise ConfigInvalid(f"{name}: at most {cap}, got {_shown(v)}")
         if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigInvalid(f"seed: must be a non-negative integer, got {self.seed!r}")
+            raise ConfigInvalid(f"seed: must be a non-negative integer, got {_shown(self.seed)}")
         for name in ("disk_radius", "trace_T", "max_left_residual", "min_right_residual"):
             v = getattr(self, name)
             if not _is_real(v) or not v > 0:
-                raise ConfigInvalid(f"{name}: must be finite and positive, got {v!r}")
+                raise ConfigInvalid(f"{name}: must be finite and positive, got {_shown(v)}")
         if not _is_real(self.trace_step) or not 0 < self.trace_step <= MAX_STEP:
-            raise ConfigInvalid(f"trace_step: must lie in (0, {MAX_STEP}], got {self.trace_step!r}")
+            raise ConfigInvalid(f"trace_step: must lie in (0, {MAX_STEP}], got {_shown(self.trace_step)}")
         states = trace_states(2 * self.n_pairs, self.trace_T, self.trace_step)
         if states > MAX_TRACE_STATES:
             # Name the field that multiplies the default config's states the most.
@@ -115,24 +120,24 @@ class ExperimentConfig:
         for name in ("lambda_grid", "eps_list"):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)) or not all(_is_real(x) for x in v):
-                raise ConfigInvalid(f"{name}: must be a list of finite numbers, got {v!r}")
+                raise ConfigInvalid(f"{name}: must be a list of finite numbers, got {_shown(v)}")
         if len(self.lambda_grid) == 0 or any(l <= 0 for l in self.lambda_grid):
-            raise ConfigInvalid(f"lambda_grid: must be non-empty and positive, got {self.lambda_grid!r}")
+            raise ConfigInvalid(f"lambda_grid: must be non-empty and positive, got {_shown(self.lambda_grid)}")
         if self.verb == "verify-hyperbolic":
             lo, hi = hyperbolic.VERIFIED_LAMBDA_RANGE
             for lam in self.lambda_grid:
                 if not lo <= lam <= hi:
                     raise ConfigInvalid(
-                        f"lambda_grid: verify-hyperbolic verifies lambda in [{lo:g}, {hi:g}], got {lam!r}"
+                        f"lambda_grid: verify-hyperbolic verifies lambda in [{lo:g}, {hi:g}], got {_shown(lam)}"
                     )
         n_grid = len(self.lambda_grid)
         if n_grid > hypermc.MAX_FIT_POINTS:
             raise ConfigInvalid(f"lambda_grid: at most {hypermc.MAX_FIT_POINTS} values, got {n_grid}")
         eps = self.eps_list
         if len(eps) == 0 or any(not 0 < e < 0.5 * np.pi for e in eps):
-            raise ConfigInvalid(f"eps_list: entries must lie in (0, pi/2), got {eps!r}")
+            raise ConfigInvalid(f"eps_list: entries must lie in (0, pi/2), got {_shown(eps)}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigInvalid(f"eps_list: must be strictly decreasing, got {eps!r}")
+            raise ConfigInvalid(f"eps_list: must be strictly decreasing, got {_shown(eps)}")
         chord_verb = self.verb in ("triangle-scan", "alpha-scaling")
         # Both chord verbs extrapolate every lambda over the last three cutoffs.
         if chord_verb and len(eps) < 4:
@@ -140,23 +145,23 @@ class ExperimentConfig:
         # Each verb's minimums, refused before any work.  They raise ValueError
         # because the benchmark harness's gate test records that class.
         if chord_verb and self.n_chords < hypermc.MIN_CHORDS:
-            raise ValueError(f"n_chords: need at least {hypermc.MIN_CHORDS} chords, got {self.n_chords}")
+            raise ValueError(f"n_chords: need at least {hypermc.MIN_CHORDS} chords, got {_shown(self.n_chords)}")
         if chord_verb and self.n_triples < hypermc.MIN_TRIPLES:
-            raise ValueError(f"n_triples: need at least {hypermc.MIN_TRIPLES} triples, got {self.n_triples}")
+            raise ValueError(f"n_triples: need at least {hypermc.MIN_TRIPLES} triples, got {_shown(self.n_triples)}")
         lams = self.lambda_grid
         # Every triangle-scan summary value is a slope in lambda.
         if self.verb == "triangle-scan" and not max(lams) > min(lams):
-            raise ValueError(f"lambda_grid: slopes need at least 2 distinct values, got {lams!r}")
+            raise ValueError(f"lambda_grid: slopes need at least 2 distinct values, got {_shown(lams)}")
         if self.verb == "alpha-scaling":
             if n_grid < 5:
                 raise ValueError(f"lambda_grid: need at least 5 grid values, got {n_grid}")
             if max(lams) / min(lams) < 10.0 * (1.0 - 1e-9):
-                raise ValueError(f"lambda_grid: must span at least a decade, got {lams!r}")
+                raise ValueError(f"lambda_grid: must span at least a decade, got {_shown(lams)}")
         d = self.disk_radius
         # The chord verbs take disks of 1e-4 to 50 curvature units: disk_area takes
         # cosh(rr) - 1, whose relative error is up to 2e-16 / rr**2, 2e-8 at 1e-4.
         if chord_verb and not 1e-4 <= d <= 50.0:
-            raise ConfigInvalid(f"disk_radius: must lie in [1e-4, 50] curvature units, got {d!r}")
+            raise ConfigInvalid(f"disk_radius: must lie in [1e-4, 50] curvature units, got {_shown(d)}")
         for lam in lams if chord_verb else ():
             K = hypermc.lambda_to_curvature(lam)
             # The radius as each verb forms it, to the last bit; test_config_fuzz holds them together.
@@ -168,13 +173,13 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"lambda_grid: density scale at lambda={float(lam)!r} leaves the normal doubles")
         if self.verb == "hopf-asymptotic":
             if self.n_pairs < 100:
-                raise ValueError(f"n_pairs: hopf-asymptotic needs at least 100 pairs, got {self.n_pairs}")
+                raise ValueError(f"n_pairs: hopf-asymptotic needs at least 100 pairs, got {_shown(self.n_pairs)}")
             if self.trace_T < 2.0 * np.pi:
-                raise ValueError(f"trace_T: hopf-asymptotic needs at least 2 pi, got {self.trace_T!r}")
+                raise ValueError(f"trace_T: hopf-asymptotic needs at least 2 pi, got {_shown(self.trace_T)}")
             if self.n_quad < 100:
-                raise ValueError(f"n_quad: need at least 100 quadrature points, got {self.n_quad}")
+                raise ValueError(f"n_quad: need at least 100 quadrature points, got {_shown(self.n_quad)}")
         if not isinstance(self.out_dir, str):
-            raise ConfigInvalid(f"out_dir: must be a string, got {self.out_dir!r}")
+            raise ConfigInvalid(f"out_dir: must be a string, got {_shown(self.out_dir)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -108,10 +108,25 @@ def conformal_factor(u: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
 def build_frame(side: str) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
     """Legs 1, 2, 3 of the unit-sphere translation frame as callable fields on
-    ambient points: side "left" gives x -> x*q, "right" gives x -> q*x."""
-    if side == "left":
-        return tuple(lambda x, q=q: qmul(x, q) for q in IMAG_UNITS)
-    return tuple(lambda x, q=q: qmul(q, x) for q in IMAG_UNITS)
+    ambient points: side "left" gives x -> x*q, "right" gives x -> q*x.
+
+    Each leg is a signed permutation: row r is x[c] or -x[c], with c and the
+    sign read here, once, from qmul's products of q with the basis.  Its
+    floats are qmul's, except that a +-0 in x can come out with the other sign.
+    """
+    legs = []
+    for q in IMAG_UNITS:
+        m = np.stack([qmul(e, q) if side == "left" else qmul(q, e) for e in np.eye(4)], axis=1)
+        _, src = np.nonzero(m)
+        neg = np.flatnonzero(m.sum(axis=1) < 0)
+
+        def leg(x: np.ndarray, src=src, neg=neg) -> np.ndarray:
+            out = x[src]
+            out[neg] = -out[neg]
+            return out
+
+        legs.append(leg)
+    return tuple(legs)
 
 
 def _bracket_values(x: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:

@@ -19,9 +19,9 @@ signed_crossings, one dense block of segment pairs followed by a separate
 depth, tangency and sign pass, is the reference for
 fieldlines.projected_crossings.
 
-qmul_reference is quaternions.qmul as the 16-term loop alone, the
-reference for the signed-table path that multiplies a batch by one
-quaternion; trace_batch_reference is fieldlines.trace_batch with
+qmul_reference is a copy of quaternions.qmul's 16-term loop, the reference
+that qmul and the signed-permutation frame legs of s3 must match;
+trace_batch_reference is fieldlines.trace_batch with
 np.linalg.norm, which the tests run on fields built on qmul_reference.
 
 The Chern-Simons quadrature integrates the helicity term (chart curls of the

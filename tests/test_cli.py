@@ -494,6 +494,26 @@ def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize(
+    "payload, start",
+    [
+        ({"n_pairs": -10**400}, "error: n_pairs: must be a positive integer, got -1000000"),
+        ({"lambda_grid": [1.0 + k / 7 for k in range(65)] + [-1.0]},
+         "error: lambda_grid: must be non-empty and positive, got (1.0, 1.1428571428571428, "),
+    ],
+    ids=["n_pairs_-1e400", "lambda_grid_66_values"],
+)
+def test_main_cuts_a_long_refused_value(tmp_path, monkeypatch, capsys, payload, start):
+    # A refused value is echoed whole up to 60 characters; past that, its
+    # first 60 characters and its length, so the error line stays short.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    assert main(["verify-s3", "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.endswith(" characters)\n")
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
+@pytest.mark.parametrize(
     "verb, payload, cause",
     [
         # A disk of 1e-300 curvature units: its perimeter and area underflow,

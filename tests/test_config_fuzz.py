@@ -3,8 +3,9 @@
 Each example runs main() on one verb with RuntimeWarnings as errors, so an
 overflow anywhere between validate() and the reports fails the example as a
 traceback would.  Each size field draws from its minimum, its cap, one past
-the cap, 0, -1 and an int past the doubles, and a config that passes
-validate() runs its verb at the minimum sizes.  hopf-asymptotic is
+the cap, 0, -1 and an int past the doubles of either sign, and a config
+that passes validate() runs its verb at the minimum sizes.  Every refusal
+prints one line of under 200 characters.  hopf-asymptotic is
 replaced in the verb table, so only validate() runs for it; the chord verbs
 run with their samplers replaced by the scale factors they multiply, as in
 criterion 09, so every other line of both verbs runs at the drawn lambda
@@ -67,7 +68,7 @@ configs = st.fixed_dictionaries(
         "max_left_residual": reals,
         "min_right_residual": reals,
         **{
-            name: st.sampled_from([MINIMUM_SIZES[name], cap, cap + 1, 0, -1, 10**400])
+            name: st.sampled_from([MINIMUM_SIZES[name], cap, cap + 1, 0, -1, 10**400, -(10**400)])
             for name, cap in SIZE_CAPS.items()
         },
     },
@@ -106,6 +107,7 @@ def test_every_config_exits_0_1_or_2_and_names_a_field(tmp_path_factory, payload
         message = err.getvalue()
         assert message.startswith("error: ") and message.count("\n") == 1, message
         assert message[len("error: "):].split(":")[0] in FIELDS, message
+        assert len(message.rstrip("\n")) < 200, message
 
 
 def test_validate_checks_the_radius_each_chord_verb_samples(tmp_path, monkeypatch):

@@ -459,9 +459,9 @@ def test_traced_orbit_pair_links():
 
 @pytest.mark.parametrize("side, leg, scale", [("left", 1, -2.0), ("right", 2, 1.0)])
 def test_trace_batch_matches_the_reference_tracer(side, leg, scale):
-    # The frame legs multiply a (4, 50) batch by one imaginary unit through
-    # qmul's signed table; the reference multiplies by the 16-term loop and
-    # renormalizes with np.linalg.norm.  Every float of the paths agrees.
+    # The frame legs permute and negate the rows of a (4, 50) batch; the
+    # reference multiplies by the 16-term loop and renormalizes with
+    # np.linalg.norm.  Every float of the paths agrees.
     q = IMAG_UNITS[leg - 1]
     ref_leg = (lambda x: oracles.qmul_reference(x, q)) if side == "left" else (lambda x: oracles.qmul_reference(q, x))
     frame_leg = s3.build_frame(side)[leg - 1]

@@ -10,7 +10,6 @@ from curlwave.quaternions import (
     IMAG_UNITS,
     J,
     K,
-    TABLE_MAX_POINTS,
     haar_sample,
     qconj,
     qmul,
@@ -130,8 +129,9 @@ def _constants():
 
 def _batches():
     rng = np.random.default_rng(22)
-    shapes = [(4, 0), (4, 1), (4, 7), (4, 200), (4, TABLE_MAX_POINTS), (4, TABLE_MAX_POINTS + 1),
-              (4, 5, 3), (4, 24, 32), (4, 0, 3)]
+    # From empty to one ym_residual block of 4,096 points, and batches with
+    # more than one trailing axis.
+    shapes = [(4, 0), (4, 1), (4, 7), (4, 200), (4, 768), (4, 4096), (4, 5, 3), (4, 24, 32), (4, 0, 3)]
     out = []
     for shape in shapes:
         x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
@@ -151,9 +151,8 @@ def _same_floats(a, b):
 
 @pytest.mark.parametrize("name, c", _constants())
 def test_product_with_one_quaternion_matches_the_16_term_loop(name, c):
-    # A float64 batch of at most TABLE_MAX_POINTS points times one (4,)
-    # quaternion takes the signed-table path, on either side; larger
-    # batches take the loop.  Every float equals the reference loop's.
+    # A batch times one (4,) quaternion, on either side: every float,
+    # signed zeros included, equals the reference loop's.
     for label, x in _batches():
         assert _same_floats(qmul(c, x), oracles.qmul_reference(c, x)), f"{name} * {label}"
         assert _same_floats(qmul(x, c), oracles.qmul_reference(x, c)), f"{label} * {name}"
