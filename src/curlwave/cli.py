@@ -81,30 +81,34 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.verb not in VERBS:
             raise ConfigInvalid(f"verb: unknown verb {_shown(self.verb)}; choose from {', '.join(VERBS)}")
-        # Sizes that set a stage's memory are capped to keep it under about 1 GiB;
-        # n_triples, whose scan streams in fixed chunks, is capped to bound time.
-        # Each traced line stores at least 2 states, so no trace holds more
-        # pairs than n_pairs' cap; the trace-state check below is the real bound.
-        caps = {
-            "n_points": s3.MAX_CURL_POINTS,
-            "n_quad": MAX_QUAD_POINTS,
-            "n_chords": hypermc.MAX_CHORDS,
-            "n_triples": hypermc.MAX_TRIPLES,
-            "n_pairs": MAX_TRACE_STATES // 4,
-            "workers": MAX_WORKERS,
+        # Each size's (minimum, cap), whatever the verb.  A minimum raises
+        # ValueError, the class the benchmark harness's gate test records.  A cap
+        # keeps its stage under about 1 GiB, or bounds n_triples' time; n_pairs'
+        # cap is a trace of 2 states a line, and trace_states is the real bound.
+        sizes = {
+            "n_points": (1, s3.MAX_CURL_POINTS),
+            "n_quad": (100, MAX_QUAD_POINTS),
+            "n_chords": (hypermc.MIN_CHORDS, hypermc.MAX_CHORDS),
+            "n_triples": (hypermc.MIN_TRIPLES, hypermc.MAX_TRIPLES),
+            "n_pairs": (100, MAX_TRACE_STATES // 4),
+            "workers": (1, MAX_WORKERS),
         }
-        for name, cap in caps.items():
+        for name, (least, cap) in sizes.items():
             v = getattr(self, name)
             if not _is_int(v) or v <= 0:
                 raise ConfigInvalid(f"{name}: must be a positive integer, got {_shown(v)}")
+            if v < least:
+                raise ValueError(f"{name}: need at least {least}, got {v}")
             if v > cap:
                 raise ConfigInvalid(f"{name}: at most {cap}, got {_shown(v)}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigInvalid(f"seed: must be a non-negative integer, got {_shown(self.seed)}")
-        for name in ("disk_radius", "trace_T", "max_left_residual", "min_right_residual"):
+        for name in ("trace_T", "max_left_residual", "min_right_residual"):
             v = getattr(self, name)
             if not _is_real(v) or not v > 0:
                 raise ConfigInvalid(f"{name}: must be finite and positive, got {_shown(v)}")
+        if self.trace_T < 2.0 * np.pi:
+            raise ValueError(f"trace_T: need at least 2 pi, got {_shown(self.trace_T)}")
         if not _is_real(self.trace_step) or not 0 < self.trace_step <= MAX_STEP:
             raise ConfigInvalid(f"trace_step: must lie in (0, {MAX_STEP}], got {_shown(self.trace_step)}")
         states = trace_states(2 * self.n_pairs, self.trace_T, self.trace_step)
@@ -117,38 +121,30 @@ class ExperimentConfig:
             }
             name = max(growth, key=growth.get)
             raise ConfigInvalid(f"{name}: {states:.3g} trace states, at most {MAX_TRACE_STATES}")
+        # disk_area takes cosh(rr) - 1, whose relative error is up to
+        # 2e-16 / rr**2, 2e-8 at the smallest disk.
+        d = self.disk_radius
+        if not _is_real(d) or not 1e-4 <= d <= 50.0:
+            raise ConfigInvalid(f"disk_radius: must lie in [1e-4, 50] curvature units, got {_shown(d)}")
         for name in ("lambda_grid", "eps_list"):
             v = getattr(self, name)
-            if not isinstance(v, (list, tuple)) or not all(_is_real(x) for x in v):
-                raise ConfigInvalid(f"{name}: must be a list of finite numbers, got {_shown(v)}")
-        if len(self.lambda_grid) == 0 or any(l <= 0 for l in self.lambda_grid):
-            raise ConfigInvalid(f"lambda_grid: must be non-empty and positive, got {_shown(self.lambda_grid)}")
-        if self.verb == "verify-hyperbolic":
-            lo, hi = hyperbolic.VERIFIED_LAMBDA_RANGE
-            for lam in self.lambda_grid:
-                if not lo <= lam <= hi:
-                    raise ConfigInvalid(
-                        f"lambda_grid: verify-hyperbolic verifies lambda in [{lo:g}, {hi:g}], got {_shown(lam)}"
-                    )
-        n_grid = len(self.lambda_grid)
+            if not isinstance(v, (list, tuple)) or not v or not all(_is_real(x) for x in v):
+                raise ConfigInvalid(f"{name}: must be a non-empty list of finite numbers, got {_shown(v)}")
+        lams, n_grid = self.lambda_grid, len(self.lambda_grid)
         if n_grid > hypermc.MAX_FIT_POINTS:
             raise ConfigInvalid(f"lambda_grid: at most {hypermc.MAX_FIT_POINTS} values, got {n_grid}")
+        lo, hi = hyperbolic.VERIFIED_LAMBDA_RANGE
+        for lam in lams:
+            if not lo <= lam <= hi:
+                raise ConfigInvalid(f"lambda_grid: each value must lie in [{lo:g}, {hi:g}], got {_shown(lam)}")
         eps = self.eps_list
-        if len(eps) == 0 or any(not 0 < e < 0.5 * np.pi for e in eps):
+        if any(not 0 < e < 0.5 * np.pi for e in eps):
             raise ConfigInvalid(f"eps_list: entries must lie in (0, pi/2), got {_shown(eps)}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigInvalid(f"eps_list: must be strictly decreasing, got {_shown(eps)}")
-        chord_verb = self.verb in ("triangle-scan", "alpha-scaling")
         # Both chord verbs extrapolate every lambda over the last three cutoffs.
-        if chord_verb and len(eps) < 4:
+        if len(eps) < 4:
             raise ConfigInvalid(f"eps_list: need at least 4 cutoffs to extrapolate, got {len(eps)}")
-        # Each verb's minimums, refused before any work.  They raise ValueError
-        # because the benchmark harness's gate test records that class.
-        if chord_verb and self.n_chords < hypermc.MIN_CHORDS:
-            raise ValueError(f"n_chords: need at least {hypermc.MIN_CHORDS} chords, got {_shown(self.n_chords)}")
-        if chord_verb and self.n_triples < hypermc.MIN_TRIPLES:
-            raise ValueError(f"n_triples: need at least {hypermc.MIN_TRIPLES} triples, got {_shown(self.n_triples)}")
-        lams = self.lambda_grid
         # Every triangle-scan summary value is a slope in lambda.
         if self.verb == "triangle-scan" and not max(lams) > min(lams):
             raise ValueError(f"lambda_grid: slopes need at least 2 distinct values, got {_shown(lams)}")
@@ -157,27 +153,6 @@ class ExperimentConfig:
                 raise ValueError(f"lambda_grid: need at least 5 grid values, got {n_grid}")
             if max(lams) / min(lams) < 10.0 * (1.0 - 1e-9):
                 raise ValueError(f"lambda_grid: must span at least a decade, got {_shown(lams)}")
-        d = self.disk_radius
-        # The chord verbs take disks of 1e-4 to 50 curvature units: disk_area takes
-        # cosh(rr) - 1, whose relative error is up to 2e-16 / rr**2, 2e-8 at 1e-4.
-        if chord_verb and not 1e-4 <= d <= 50.0:
-            raise ConfigInvalid(f"disk_radius: must lie in [1e-4, 50] curvature units, got {_shown(d)}")
-        for lam in lams if chord_verb else ():
-            K = hypermc.lambda_to_curvature(lam)
-            # The radius as each verb forms it, to the last bit; test_config_fuzz holds them together.
-            R = d * (1.0 / np.sqrt(-K)) if self.verb == "triangle-scan" else d / np.sqrt(-K)
-            P, A = hypermc.disk_perimeter(K, R), hypermc.disk_area(K, R)
-            with np.errstate(all="ignore"):
-                scales = (P**3, A**3, P**3 / A**2)
-            if not all(sys.float_info.min <= x <= sys.float_info.max for x in scales):
-                raise ConfigInvalid(f"lambda_grid: density scale at lambda={float(lam)!r} leaves the normal doubles")
-        if self.verb == "hopf-asymptotic":
-            if self.n_pairs < 100:
-                raise ValueError(f"n_pairs: hopf-asymptotic needs at least 100 pairs, got {_shown(self.n_pairs)}")
-            if self.trace_T < 2.0 * np.pi:
-                raise ValueError(f"trace_T: hopf-asymptotic needs at least 2 pi, got {_shown(self.trace_T)}")
-            if self.n_quad < 100:
-                raise ValueError(f"n_quad: need at least 100 quadrature points, got {_shown(self.n_quad)}")
         if not isinstance(self.out_dir, str):
             raise ConfigInvalid(f"out_dir: must be a string, got {_shown(self.out_dir)}")
 
@@ -559,7 +534,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--workers", type=int, help="hopf-asymptotic threads; 1 is the reference mode")
     parser.add_argument("--out", help="output directory override")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code this program keeps for violations.
+        return 1 if exc.code else 0
     try:
         payload: dict = {}
         if args.config:
@@ -581,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
             payload["out_dir"] = args.out
         config = ExperimentConfig.from_dict(payload)
         manifest = run(config)
-    # validate() raises ValueError for a verb minimum, and a verb for a check
+    # validate() raises ValueError below a field's minimum, and a verb for a check
     # of its own data, such as an open curve or a field that fails the curl check.
     except (CurlwaveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Exception types shared across the package.
 
-Each kind of check has one home.  ExperimentConfig.validate checks each
-config precondition once, and its message starts with the field it refuses.
+Each kind of check has one home.  ExperimentConfig.validate gives each config
+field one domain, whatever the verb, and its message starts with the field.
 The tests check the package's own constants, such as the frame specs that
 frames builds.  Library functions document their domain, trust their caller
 and check only data: ValueError for a curve or field a function cannot
 take, and a class here only for a failure that a caller catches by type, or
 one that comes from the data or from outside the program.  The command line
-maps these and ValueError to exit code 1.
+maps these, ValueError and usage errors to exit code 1.
 tests/test_imports.py::test_every_error_class_is_caught_or_listed holds
 every class to that rule.
 """

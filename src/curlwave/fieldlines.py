@@ -171,13 +171,12 @@ def to_r3_polylines(curves: Sequence[np.ndarray], seed: int = 0) -> list[np.ndar
     columns = [np.ascontiguousarray(np.transpose(c), dtype=float) for c in curves]
 
     def rotations():
-        one = np.array([1.0, 0.0, 0.0, 0.0])
-        yield one, one
+        yield columns
         pairs = haar_sample(substream(seed, 31), 120)
-        yield from zip(pairs[0::2], pairs[1::2])
+        for a, b in zip(pairs[0::2], pairs[1::2]):
+            yield [qmul(qmul(a, c), b) for c in columns]
 
-    for a, b in rotations():
-        rotated = [qmul(qmul(a, c), b) for c in columns]
+    for rotated in rotations():
         margin = min(float(np.min(1.0 + c[0])) for c in rotated)
         if margin > 0.15:
             return [np.ascontiguousarray(chart_point(c, 0, 1.0).T) for c in rotated]

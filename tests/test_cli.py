@@ -243,28 +243,32 @@ def test_main_reports_disagreeing_helicity_legs_as_violation(tmp_path, monkeypat
     assert rows and all(r.split(",")[column] == "nan" for r in rows)
 
 
-# verify-hyperbolic verifies lambda in hyperbolic.VERIFIED_LAMBDA_RANGE,
-# [1e-5, 1e6].  Outside it, validate() rejects the grid before any row is
-# computed: near the ends the curvature columns miss their laws by more than
-# the 1e-9 gate (+2.9e17 against -2.2e13 horizontally at 1e-20, 6.1e-5
+# Every verb that reads lambda takes it in hyperbolic.VERIFIED_LAMBDA_RANGE,
+# [1e-5, 1e6].  Outside it, validate() rejects the grid before any work.
+# Near the ends verify-hyperbolic's curvature columns miss their laws by more
+# than the 1e-9 gate (+2.9e17 against -2.2e13 horizontally at 1e-20, 6.1e-5
 # relative vertically at 1e12), and where lambda**3 leaves the normal
 # doubles (below 2.812644285236262e-103, above 5.643803094122361e102) the
-# densities come out wrong or NaN as well.
+# densities come out wrong or NaN as well.  The chord verbs' disk area cubed
+# overflows at 1e200 and underflows to 0 at 1e-200, and alpha-scaling's
+# decade check overflows at 5e-324.
 LAMBDA_OUTSIDE = [
-    1e-120, 1e-107, 2.8126442852362615e-103, 2.812644285236262e-103, 1e-20,
+    5e-324, 1e-300, 1e-200, 1e-120, 1e-107, 2.8126442852362615e-103, 2.812644285236262e-103, 1e-20,
     float(np.nextafter(1e-5, 0.0)), float(np.nextafter(1e6, np.inf)), 1e12,
-    5.643803094122361e102, 5.643803094122363e102, 1e103, 1e200,
+    5.643803094122361e102, 5.643803094122363e102, 1e103, 1e200, 1e300, 1.7e308,
 ]
 
 
+@pytest.mark.parametrize("verb", ["verify-hyperbolic", "triangle-scan", "alpha-scaling"])
 @pytest.mark.parametrize("lam", LAMBDA_OUTSIDE)
-def test_main_rejects_lambda_outside_the_verified_range(tmp_path, monkeypatch, capsys, lam):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_rejects_lambda_outside_the_verified_range(tmp_path, monkeypatch, capsys, lam, verb):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": [1.0, lam]}))
-    assert main(["verify-hyperbolic", "--config", "cfg.json"]) == 1
+    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": [1.0, 2.0, 3.0, 5.0, lam]}))
+    assert main([verb, "--config", "cfg.json"]) == 1
     err = capsys.readouterr().err
-    assert f"error: lambda_grid: verify-hyperbolic verifies lambda in [1e-05, 1e+06], got {lam!r}" in err
-    assert not list(tmp_path.glob("verify-hyperbolic*"))
+    assert err == f"error: lambda_grid: each value must lie in [1e-05, 1e+06], got {lam!r}\n"
+    assert not list(tmp_path.glob(f"{verb}*"))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -283,6 +287,41 @@ def test_main_passes_lambda_just_inside_the_range(tmp_path, monkeypatch, capsys)
     for r in table:
         assert abs(float(r["h_density"]) + 2.0) <= 1e-10
         assert abs(float(r["t_density_times_lambda"]) - 3.0) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chord_scales_are_normal_doubles_inside_the_config_domain():
+    # validate() takes lambda in VERIFIED_LAMBDA_RANGE and disk_radius in
+    # [1e-4, 50], ends included, and nothing past them.  On a log grid over
+    # that box, corners included, every density scale the chord verbs form
+    # is a normal double at the disk radius either verb forms, so validate()
+    # need not check the scales lambda by lambda.  Each scale is monotone in
+    # both fields, so its extremes lie at the corners.
+    lo, hi = hyperbolic.VERIFIED_LAMBDA_RANGE
+    d_lo, d_hi = 1e-4, 50.0
+    box = {"verb": "triangle-scan", "lambda_grid": (lo, hi)}
+    for d in (d_lo, d_hi):
+        _cfg(**box, disk_radius=d).validate()
+    past = [
+        {"lambda_grid": (float(np.nextafter(lo, 0.0)), hi)},
+        {"lambda_grid": (lo, float(np.nextafter(hi, np.inf)))},
+        {"disk_radius": float(np.nextafter(d_lo, 0.0))},
+        {"disk_radius": float(np.nextafter(d_hi, np.inf))},
+    ]
+    for patch in past:
+        with pytest.raises(ConfigInvalid):
+            _cfg(**{**box, **patch}).validate()
+    lams = [lo, *np.geomspace(lo, hi, 101)[1:-1], hi]
+    radii = [d_lo, *np.geomspace(d_lo, d_hi, 101)[1:-1], d_hi]
+    for lam in lams:
+        K = hypermc.lambda_to_curvature(lam)
+        rho = 1.0 / np.sqrt(-K)
+        for d in radii:
+            # triangle-scan's disk radius, then alpha-scaling's.
+            for R in (d * rho, d / np.sqrt(-K)):
+                P, A = hypermc.disk_perimeter(K, R), hypermc.disk_area(K, R)
+                scales = (P**3, A**3, P**3 / A**2, P**2 / A, P**3 / A**3)
+                assert all(sys.float_info.min <= x <= sys.float_info.max for x in scales), (lam, d)
 
 
 @pytest.mark.parametrize(
@@ -351,14 +390,14 @@ def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, 
 @pytest.mark.parametrize(
     "verb, below, at_minimum, want",
     [
-        ("triangle-scan", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000 chords, got 999"),
-        ("alpha-scaling", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000 chords, got 999"),
+        ("triangle-scan", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000, got 999"),
+        ("alpha-scaling", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000, got 999"),
         # Below MIN_TRIPLES a run could find no triangle below the smallest
         # cutoff, and its fit then failed with a message that named no field.
         ("triangle-scan", {"n_chords": 1000, "n_triples": 9999, "lambda_grid": [1, 2]},
-         {"n_chords": 1000, "n_triples": 10000, "lambda_grid": [1, 2]}, "n_triples: need at least 10000 triples, got 9999"),
+         {"n_chords": 1000, "n_triples": 10000, "lambda_grid": [1, 2]}, "n_triples: need at least 10000, got 9999"),
         ("alpha-scaling", {"n_chords": 1000, "n_triples": 1}, {"n_chords": 1000, "n_triples": 10000},
-         "n_triples: need at least 10000 triples, got 1"),
+         "n_triples: need at least 10000, got 1"),
         ("triangle-scan", {"lambda_grid": [1.0]}, {"lambda_grid": [1.0, 2.0]},
          "lambda_grid: slopes need at least 2 distinct values, got (1.0,)"),
         ("triangle-scan", {"lambda_grid": [2.0, 2.0]}, {"lambda_grid": [2.0, 3.0]},
@@ -376,10 +415,10 @@ def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, 
         ("alpha-scaling", {"eps_list": [0.3, 0.2, 0.1]}, {"eps_list": [0.3, 0.2, 0.1, 0.05]},
          "eps_list: need at least 4 cutoffs to extrapolate, got 3"),
         ("hopf-asymptotic", {"n_pairs": 99}, {"n_pairs": 100},
-         "n_pairs: hopf-asymptotic needs at least 100 pairs, got 99"),
+         "n_pairs: need at least 100, got 99"),
         ("hopf-asymptotic", {"trace_T": 6.28}, {"trace_T": 2.0 * np.pi},
-         "trace_T: hopf-asymptotic needs at least 2 pi, got 6.28"),
-        ("hopf-asymptotic", {"n_quad": 99}, {"n_quad": 100}, "n_quad: need at least 100 quadrature points, got 99"),
+         "trace_T: need at least 2 pi, got 6.28"),
+        ("hopf-asymptotic", {"n_quad": 99}, {"n_quad": 100}, "n_quad: need at least 100, got 99"),
         ("triangle-scan", {"disk_radius": 60.0}, {"disk_radius": 50.0},
          "disk_radius: must lie in [1e-4, 50] curvature units, got 60.0"),
         ("alpha-scaling", {"disk_radius": 60.0}, {"disk_radius": 50.0},
@@ -388,17 +427,25 @@ def test_main_caps_the_lambda_grid_at_the_quantile_table(tmp_path, monkeypatch, 
          "disk_radius: must lie in [1e-4, 50] curvature units, got 1e-300"),
         ("alpha-scaling", {"disk_radius": 1e-300}, {"disk_radius": 1e-4},
          "disk_radius: must lie in [1e-4, 50] curvature units, got 1e-300"),
+        # A field has one domain whatever the verb, so a verb that does not
+        # read it refuses it too.
+        ("verify-s3", {"n_chords": 999}, {"n_chords": 1000}, "n_chords: need at least 1000, got 999"),
+        ("linking", {"trace_T": 6.28}, {"trace_T": 2.0 * np.pi}, "trace_T: need at least 2 pi, got 6.28"),
+        ("verify-hyperbolic", {"disk_radius": 60.0}, {"disk_radius": 50.0},
+         "disk_radius: must lie in [1e-4, 50] curvature units, got 60.0"),
     ],
     ids=["triangle-scan-n_chords", "alpha-scaling-n_chords", "triangle-scan-n_triples", "alpha-scaling-n_triples",
          "one_lambda", "distinct_lambdas", "grid_values",
          "grid_decade", "triangle-scan-1_cutoff", "triangle-scan-3_cutoffs", "alpha-scaling-1_cutoff",
          "alpha-scaling-3_cutoffs", "n_pairs", "trace_T", "n_quad", "triangle-scan-disk_60", "alpha-scaling-disk_60",
-         "triangle-scan-disk_1e-300", "alpha-scaling-disk_1e-300"],
+         "triangle-scan-disk_1e-300", "alpha-scaling-disk_1e-300", "verify-s3-n_chords", "linking-trace_T",
+         "verify-hyperbolic-disk_60"],
 )
 @pytest.mark.filterwarnings("error")
 def test_validate_refuses_a_verb_minimum_naming_the_field(tmp_path, monkeypatch, capfd, verb, below, at_minimum, want):
     # Such a config used to reach the verb, which refused it from inside the
-    # library, in most cases with a message that named no field.
+    # library, in most cases with a message that named no field.  Each
+    # minimum is one domain bound, whatever the verb.
     def verb_must_not_run(config, timings):
         raise AssertionError(f"{verb} ran on a config below its minimum")
 
@@ -409,39 +456,6 @@ def test_validate_refuses_a_verb_minimum_naming_the_field(tmp_path, monkeypatch,
     assert capfd.readouterr().err == f"error: {want}\n"
     assert want.split(":")[0] in below
     _cfg(verb=verb, **at_minimum).validate()
-
-
-# alpha-scaling grids whose span leaves the doubles: the verb's own decade
-# check used to overflow on the first, and both reached a fit that exited 1
-# naming no field.
-ALPHA_GRIDS_PAST_THE_DOUBLES = [
-    ("alpha-scaling", [5e-324, 1e-5, 5, 51, 1e8], "5e-324"),
-    ("alpha-scaling", [0.001, 1.57, 3, 1e300, 1.7e308], "1e+300"),
-]
-
-
-@pytest.mark.parametrize(
-    "verb, grid, lam",
-    [("triangle-scan", [1e200, 1e201], "1e+200"), ("triangle-scan", [1e-200, 1e-199], "1e-200")]
-    + ALPHA_GRIDS_PAST_THE_DOUBLES,
-)
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_triangle_scan_refuses_a_lambda_whose_density_scale_leaves_the_doubles(
-    tmp_path, monkeypatch, capfd, verb, grid, lam
-):
-    # disk_area ** 3 overflows at lambda = 1e200 and underflows to 0 at
-    # 1e-200.  The verb used to warn (an error under pytest's filter), then
-    # fail in the log-log fit with a message that named neither cause.
-    def must_not_sample(*args, **kwargs):
-        raise AssertionError(f"{verb} sampled a lambda it cannot scale")
-
-    for sampler in ("pair_intersection_density", "epsilon_limit_scan"):
-        monkeypatch.setattr(cli.hypermc, sampler, must_not_sample)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({"lambda_grid": grid, "n_chords": 1300, "n_triples": 20000}))
-    assert main([verb, "--config", "cfg.json"]) == 1
-    assert capfd.readouterr().err == f"error: lambda_grid: density scale at lambda={lam} leaves the normal doubles\n"
-    assert not list(tmp_path.glob(f"{verb}*"))
 
 
 # 2 * 100 lines * (ceil(T / h) + 1) trace states; h = 2^-7 keeps T / h exact.
@@ -468,8 +482,10 @@ _STEPS_AT_CAP = MAX_TRACE_STATES // 200 - 1
         # 2,000,000 lines of 1,258 states each at the default T and step.
         ("hopf-asymptotic", {"n_pairs": MAX_TRACE_STATES // 2516}, {"n_pairs": 1_000_000}, "n_pairs"),
         # An int past the doubles, which the trace-state product cannot take
-        # and the error line must not print; the cap is a trace of 2 states a line.
-        ("verify-s3", {"n_pairs": MAX_TRACE_STATES // 4, "trace_T": 0.01}, {"n_pairs": 10**400}, "n_pairs"),
+        # and the error line must not print; n_pairs' own cap, a trace of 2
+        # states a line, refuses it.  12,698 pairs is the most the trace-state
+        # cap admits at the shortest trace_T, 2 pi.
+        ("verify-s3", {"n_pairs": 12_698, "trace_T": 2.0 * np.pi}, {"n_pairs": 10**400}, "n_pairs"),
     ],
     ids=[
         "n_points", "n_quad", "n_chords", "trace_states", "trace_T_1e4", "trace_step_1e-300", "n_pairs_1e6",
@@ -497,8 +513,8 @@ def test_main_rejects_over_cap_sizes_before_the_verb(tmp_path, monkeypatch, caps
     "payload, start",
     [
         ({"n_pairs": -10**400}, "error: n_pairs: must be a positive integer, got -1000000"),
-        ({"lambda_grid": [1.0 + k / 7 for k in range(65)] + [-1.0]},
-         "error: lambda_grid: must be non-empty and positive, got (1.0, 1.1428571428571428, "),
+        ({"lambda_grid": [1.0 + k / 7 for k in range(65)] + ["x"]},
+         "error: lambda_grid: must be a non-empty list of finite numbers, got (1.0, 1.1428571428571428, "),
     ],
     ids=["n_pairs_-1e400", "lambda_grid_66_values"],
 )
@@ -517,18 +533,13 @@ def test_main_cuts_a_long_refused_value(tmp_path, monkeypatch, capsys, payload, 
     "verb, payload, cause",
     [
         # A disk of 1e-300 curvature units: its perimeter and area underflow,
-        # so every density would be 0/0.
+        # so every density would be 0/0.  A lambda whose scales leave the
+        # doubles lies outside VERIFIED_LAMBDA_RANGE; see
+        # test_main_rejects_lambda_outside_the_verified_range.
         ("triangle-scan", {"n_chords": 1300, "n_triples": MIN_TRIPLES, "disk_radius": 1e-300},
          "disk_radius: must lie in [1e-4, 50] curvature units, got 1e-300"),
-        # Curvatures down to -1e200: the density scale leaves the doubles, so
-        # every extrapolate would be 0, inf or NaN.
-        ("alpha-scaling", {"n_chords": 1300, "n_triples": MIN_TRIPLES,
-                           "lambda_grid": [1e-300, 1e-299, 1e-298, 1e-297, 1e-290]},
-         "lambda_grid: density scale at lambda=1e-300 leaves the normal doubles"),
-    ]
-    + [(verb, {"lambda_grid": grid}, f"lambda_grid: density scale at lambda={lam} leaves the normal doubles")
-       for verb, grid, lam in ALPHA_GRIDS_PAST_THE_DOUBLES],
-    ids=["triangle-scan", "alpha-scaling", "alpha-scaling-5e-324", "alpha-scaling-1.7e308"],
+    ],
+    ids=["triangle-scan"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_names_degenerate_disk_scales(tmp_path, monkeypatch, capsys, verb, payload, cause):
@@ -558,6 +569,19 @@ def test_main_caps_workers_before_the_verb(tmp_path, monkeypatch, capsys):
     assert main(["hopf-asymptotic", "--config", "cfg.json", "--workers", str(MAX_WORKERS + 1)]) == 1
     capsys.readouterr()
     _cfg(verb="hopf-asymptotic", workers=MAX_WORKERS, **payload).validate()
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["verify-s3", "--seed", "x"], ["verify-s3", "--bogus"], ["verify-s3", "--workers", "1.5"]],
+    ids=["no_verb", "seed_x", "bogus_flag", "workers_1.5"],
+)
+def test_main_maps_usage_errors_to_exit_1(capsys, argv):
+    # argparse exits 2 on a usage error; 2 is this program's code for a
+    # violation, so main() reports the usage error as 1.
+    assert main(argv) == 1
+    assert "usage: curlwave" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: curlwave" in capsys.readouterr().out
 
 
 def test_module_run_imports_cleanly(tmp_path):

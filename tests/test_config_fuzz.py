@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curlwave import cli, hypermc, s3
+from curlwave import cli, hyperbolic, hypermc, s3
 from curlwave.cli import VERBS, ExperimentConfig, main
 from curlwave.fieldlines import MAX_QUAD_POINTS, MAX_TRACE_STATES
 from curlwave.seeds import MAX_WORKERS
@@ -47,24 +47,33 @@ EDGES = [
 reals = st.one_of(st.sampled_from(EDGES), st.floats(min_value=5e-324, max_value=1.7e308))
 
 
+def between(lo, hi):
+    return st.one_of(st.sampled_from([e for e in EDGES if lo <= e <= hi]), st.floats(min_value=lo, max_value=hi))
+
+
 def below(hi):
-    return st.one_of(st.sampled_from([e for e in EDGES if e <= hi]), st.floats(min_value=5e-324, max_value=hi))
+    return between(5e-324, hi)
+
+
+verified = between(*hyperbolic.VERIFIED_LAMBDA_RANGE)
 
 
 def lists(values, min_size):
     return st.lists(values, min_size=min_size, max_size=6, unique=True)
 
 
-# Each field draws from the whole range, or half the time from a range that
-# passes its own check, so that the other fields' checks and the verbs run.
+# Each field draws from the whole range, or half the time or more from a
+# range that passes its own check, so that the other fields' checks and the
+# verbs run: lambda from VERIFIED_LAMBDA_RANGE, and trace_step from steps
+# whose trace at the minimum n_pairs and the default trace_T fits the cap.
 configs = st.fixed_dictionaries(
     {"verb": st.sampled_from(VERBS)},
     optional={
-        "lambda_grid": st.one_of(lists(reals, 5), lists(reals, 1)),
+        "lambda_grid": st.one_of(lists(verified, 5), lists(verified, 1), lists(reals, 1)),
         "eps_list": st.one_of(lists(below(1.5), 4), lists(reals, 1)).map(lambda v: sorted(v, reverse=True)),
-        "disk_radius": st.one_of(below(50.0), reals),
+        "disk_radius": st.one_of(between(1e-4, 50.0), reals),
         "seed": st.one_of(reals.map(int), reals),
-        "trace_step": st.one_of(below(0.01), reals),
+        "trace_step": st.one_of(between(1e-3, 0.01), reals),
         "max_left_residual": reals,
         "min_right_residual": reals,
         **{
@@ -109,25 +118,3 @@ def test_every_config_exits_0_1_or_2_and_names_a_field(tmp_path_factory, payload
         assert message[len("error: "):].split(":")[0] in FIELDS, message
         assert len(message.rstrip("\n")) < 200, message
 
-
-def test_validate_checks_the_radius_each_chord_verb_samples(tmp_path, monkeypatch):
-    # validate() refuses a lambda by its density scale at the disk radius R
-    # that the verb passes its samplers.  The two chord verbs form R in ways
-    # that differ in the last bit at some lambda, here 2, 7, 20 and 50, so
-    # validate() must form it as each verb does.
-    config = {**MINIMUM_SIZES, "disk_radius": 0.7, "lambda_grid": [1, 2, 7, 20, 50], "out_dir": str(tmp_path)}
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
-    perimeter, scan = hypermc.disk_perimeter, _scan_scale
-    monkeypatch.setattr(hypermc, "pair_intersection_density", _pair_scale)
-    sampled = {}
-    for verb in ("triangle-scan", "alpha-scaling"):
-        checked, sampled[verb] = [], []
-        monkeypatch.setattr(hypermc, "disk_perimeter", lambda K, R: checked.append(R) or perimeter(K, R))
-        ExperimentConfig.from_dict({"verb": verb, **config}).validate()
-        monkeypatch.setattr(hypermc, "disk_perimeter", perimeter)
-        monkeypatch.setattr(
-            hypermc, "epsilon_limit_scan", lambda K, R, *a, **k: sampled[verb].append(R) or scan(K, R, *a, **k)
-        )
-        assert main([verb, "--config", str(tmp_path / "cfg.json")]) == 0
-        assert checked == sampled[verb], verb
-    assert sampled["triangle-scan"] != sampled["alpha-scaling"]
